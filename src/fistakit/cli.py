@@ -26,12 +26,21 @@ import json
 import math
 import multiprocessing
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .lasso import LassoProblem, LassoSpec, generate, generate_least_squares, load_problem, save_problem
+from .lasso import (
+    LassoProblem,
+    LassoSpec,
+    check_least_squares_args,
+    generate,
+    generate_least_squares,
+    load_problem,
+    save_problem,
+)
 from .model import composite_gradient_map, objective
 from .oracles import OracleError, kkt_residual, oracle_fstar, oracle_mu
 from .restart import DEFAULT_PROX_BUDGET, RestartRun, RestartTrace, Scheme, run_scheme
@@ -80,9 +89,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (self.epsilon > 0 and self.oracle_epsilon > 0):
+            raise ValueError("epsilon and oracle_epsilon must be > 0")
         if not self.oracle_epsilon < self.epsilon:
             raise ValueError("oracle_epsilon must be smaller than epsilon")
-        if self.family not in ("lasso", "least-squares"):
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if self.family == "lasso":
+            LassoSpec(N=self.N, n=self.n, alpha=self.alpha, sparsity=self.sparsity)
+        elif self.family == "least-squares":
+            check_least_squares_args(self.N, self.n, self.sparsity)
+        else:
             raise ValueError("family must be 'lasso' or 'least-squares'")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -254,7 +271,21 @@ def _write_trial_traces(out_dir: Path, trial: int, results: dict[str, RestartTra
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> dict:
-    """Run every selected scheme on instance ``trial``; write its trace files."""
+    """Run every selected scheme on instance ``trial``; write its trace files.
+
+    Any exception inside the trial marks it invalid, with the exception as
+    its reason and the traceback on stderr, so that one bad trial does not
+    end the run or the worker pool.
+    """
+    try:
+        return _solve_trial(config, trial)
+    except Exception as exc:
+        print(f"trial {trial} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        return {"trial": trial, "valid": False, "reason": f"{type(exc).__name__}: {exc}",
+                "schemes": {}, "oracle": None}
+
+
+def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
     lp = config.instance(trial)
     summary: dict = {"trial": trial, "valid": True, "reason": "", "schemes": {}, "oracle": None}
     try:
@@ -409,7 +440,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
         with open(out / "invalid.csv", "w", newline="\n") as fh:
             fh.write("trial,reason\n")
             for s in invalid:
-                fh.write(f"{s['trial']},{s['reason']}\n")
+                reason = " ".join(s["reason"].replace(",", ";").split())
+                fh.write(f"{s['trial']},{reason}\n")
 
     stats = _aggregate(config, summaries)
     with open(out / "stats.csv", "w", newline="\n") as fh:

@@ -11,6 +11,20 @@ One solver call runs the classic momentum recursion from a start point
         evaluate the exit condition
     until exit is true and k >= k_min
 
+Each step takes the gradient of ``h`` at ``y_{k-1}`` (inside the prox)
+and the objective at ``x_k``.  With generic ``value``/``grad`` callables
+that costs whatever they cost.  When the smooth part declares the
+least-squares form ``h(x) = ||A x - b||^2 / (2N)``, the loop carries the
+residual ``r_x = A x_k - b`` instead::
+
+    f(x_k)        = ||r_x||^2 / (2N) + psi(x_k)
+    r_y           = r_x + beta_k (r_x - r_{x,k-1})     (no matvec)
+    grad h(y_k)   = A^T r_y / N
+
+so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
+The call returns ``r_x`` of its final iterate, and the restart loops hand
+it to the next call, whose initialization prox then needs only ``A^T``.
+
 Exit conditions are pure predicates over the iteration history; the
 concrete restart conditions live in :mod:`fistakit.restart`.  The loop is
 guarded by a hard iteration budget, and can optionally abort the moment
@@ -27,7 +41,14 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CompositeProblem, ProxCounter, ProxStep, composite_gradient_map, objective
+from .model import (
+    CompositeProblem,
+    ProxCounter,
+    ProxStep,
+    _validate_point,
+    composite_gradient_map,
+    objective,
+)
 
 __all__ = [
     "DEFAULT_ITERATION_BUDGET",
@@ -142,7 +163,9 @@ class FistaResult:
 
     ``prox_calls`` is always ``n + 1`` (the iterations plus the
     initialization prox at z).  ``aborted`` marks an early exit on the
-    gradient tolerance; ``exhausted`` marks a budget stop.
+    gradient tolerance; ``exhausted`` marks a budget stop.  ``residual``
+    is ``A x - b`` under a declared least-squares form (None otherwise),
+    ready to be passed to the next call started from ``x``.
     """
 
     x: np.ndarray
@@ -152,6 +175,7 @@ class FistaResult:
     exhausted: bool
     init_g_dual_norm: float
     prox_calls: int
+    residual: np.ndarray | None = None
 
     @property
     def f_final(self) -> float:
@@ -171,6 +195,7 @@ def fista(
     budget: int = DEFAULT_ITERATION_BUDGET,
     abort_tol: float | None = None,
     counter: ProxCounter | None = None,
+    residual: np.ndarray | None = None,
 ) -> FistaResult:
     """Run the accelerated proximal gradient loop from ``z``.
 
@@ -196,15 +221,23 @@ def fista(
         Gradient dual-norm tolerance for the early abort.
     counter : ProxCounter, optional
         Shared prox-call counter (one init prox plus one per iteration).
+    residual : ndarray, optional
+        ``A z - b`` under a declared least-squares form, as returned on
+        :attr:`FistaResult.residual`; saves the matvec ``A z``.
     """
     if k_min < 0:
         raise ValueError("k_min must be >= 0")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    smooth = problem.smooth
+    z = _validate_point(problem, z, "z")
+    if residual is None:
+        residual = smooth.residual(z)
 
-    init = composite_gradient_map(problem, np.asarray(z, dtype=np.float64), counter)
+    init = composite_gradient_map(problem, z, counter, grad=smooth.grad_at_residual(residual))
     x = init.y_plus
-    f0 = objective(problem, x)
+    r_x = smooth.residual(x)
+    f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
     trace = SolveTrace(x0=x, f0=f0)
@@ -212,7 +245,7 @@ def fista(
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
         return FistaResult(
             x=x, n=0, trace=trace, aborted=True, exhausted=False,
-            init_g_dual_norm=init.g_dual_norm, prox_calls=1,
+            init_g_dual_norm=init.g_dual_norm, prox_calls=1, residual=r_x,
         )
 
     f_history = [f0]
@@ -221,6 +254,7 @@ def fista(
     )
     ts = TSequence()
     y = x
+    r_y = r_x
     x_prev = x
     k = 0
     aborted = False
@@ -231,9 +265,10 @@ def fista(
             exhausted = True
             break
         k += 1
-        prox = composite_gradient_map(problem, y, counter)
+        prox = composite_gradient_map(problem, y, counter, grad=smooth.grad_at_residual(r_y))
         x_prev, x = x, prox.y_plus
-        fk = objective(problem, x)
+        r_prev, r_x = r_x, smooth.residual(x)
+        fk = objective(problem, x, r_x)
         if not math.isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
         f_history.append(fk)
@@ -243,7 +278,10 @@ def fista(
             aborted = True
             break
         ts.step()
-        y = x + ts.momentum * (x - x_prev)
+        beta = ts.momentum
+        y = x + beta * (x - x_prev)
+        if r_x is not None:
+            r_y = r_x + beta * (r_x - r_prev)
         state.k = k
         state.x_prev = x_prev
         state.x_curr = x
@@ -254,5 +292,5 @@ def fista(
 
     return FistaResult(
         x=x, n=k, trace=trace, aborted=aborted, exhausted=exhausted,
-        init_g_dual_norm=init.g_dual_norm, prox_calls=k + 1,
+        init_g_dual_norm=init.g_dual_norm, prox_calls=k + 1, residual=r_x,
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "gershgorin_metric",
     "generate",
     "generate_least_squares",
+    "check_least_squares_args",
     "save_problem",
     "load_problem",
 ]
@@ -62,10 +64,21 @@ class LassoSpec:
     def __post_init__(self):
         if not (self.n > self.N >= 1):
             raise ValueError(f"need n > N >= 1, got N={self.N}, n={self.n}")
-        if not 0.0 <= self.sparsity < 1.0:
-            raise ValueError("sparsity must lie in [0, 1)")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        _check_sparsity(self.sparsity)
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError("alpha must be finite and >= 0")
+
+
+def _check_sparsity(sparsity: float) -> None:
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError("sparsity must lie in [0, 1)")
+
+
+def check_least_squares_args(N: int, n: int, sparsity: float) -> None:
+    """Reject arguments :func:`generate_least_squares` cannot draw from."""
+    if not (N >= n >= 1):
+        raise ValueError(f"need N >= n >= 1, got N={N}, n={n}")
+    _check_sparsity(sparsity)
 
 
 @dataclass(frozen=True)
@@ -104,21 +117,9 @@ class LassoProblem:
         """
         A = sparse.csc_array(A, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        N, n = A.shape
-        if b.shape != (N,):
-            raise ValueError(f"b has shape {b.shape}, expected ({N},)")
+        smooth = SmoothPart.from_least_squares(A, b)
         if metric is None:
-            metric = gershgorin_metric(A, N)
-        AT = A.T.tocsr()
-
-        def value(x):
-            r = A @ x - b
-            return 0.5 * float(np.dot(r, r)) / N
-
-        def grad(x):
-            return (AT @ (A @ x - b)) / N
-
-        smooth = SmoothPart(value=value, grad=grad, dim=n)
+            metric = gershgorin_metric(A, A.shape[0])
         if weights is None:
             nonsmooth = Zero()
             w = None
@@ -183,10 +184,7 @@ def generate_least_squares(N: int, n: int, seed: int, sparsity: float = 0.0) -> 
     eigenvalue oracle; the overdetermined Gaussian design is full rank
     with probability one.
     """
-    if not (N >= n >= 1):
-        raise ValueError(f"need N >= n >= 1, got N={N}, n={n}")
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError("sparsity must lie in [0, 1)")
+    check_least_squares_args(N, n, sparsity)
     rng_mask, rng_vals, rng_b = _streams(seed, 3)
     keep = rng_mask.random((N, n)) >= sparsity
     vals = rng_vals.standard_normal((N, n))

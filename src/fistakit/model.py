@@ -19,7 +19,7 @@ concurrent solver runs; all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "Metric",
     "Box",
+    "LeastSquares",
     "SmoothPart",
     "Zero",
     "WeightedL1",
@@ -139,6 +140,55 @@ class Box:
         return Box(np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper))
 
 
+@dataclass(frozen=True, eq=False)
+class LeastSquares:
+    """Least-squares form ``h(x) = ||A x - b||^2 / (2N)`` of a smooth part.
+
+    ``A`` is an ``(N, n)`` matrix supporting ``@`` (dense or scipy sparse).
+    Value and gradient both follow from the residual ``r = A x - b``:
+    ``h = ||r||^2 / (2N)`` and ``grad h = A^T r / N``.  The residual is
+    affine in ``x``, so a solver that forms a point as a linear
+    combination of points whose residuals it holds gets that point's
+    residual by the same combination, without a matvec.
+    """
+
+    A: object
+    b: np.ndarray
+    AT: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = getattr(self.A, "shape", ())
+        if len(shape) != 2:
+            raise ValueError("A must be a 2-D matrix")
+        b = _as_locked_vector(self.b, "b")
+        if b.shape != (shape[0],):
+            raise ValueError(f"b has shape {b.shape}, expected ({shape[0]},)")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "AT", self.A.T)
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
+
+    def residual(self, x) -> np.ndarray:
+        """``A x - b`` (one matvec)."""
+        return self.A @ x - self.b
+
+    def value_at_residual(self, r) -> float:
+        """``||r||^2 / (2N)``, the value at the point whose residual is ``r``."""
+        return 0.5 * float(np.dot(r, r)) / self.A.shape[0]
+
+    def grad_at_residual(self, r) -> np.ndarray:
+        """``A^T r / N`` (one matvec), the gradient at the point whose residual is ``r``."""
+        return (self.AT @ r) / self.A.shape[0]
+
+    def value(self, x) -> float:
+        return self.value_at_residual(self.residual(x))
+
+    def grad(self, x) -> np.ndarray:
+        return self.grad_at_residual(self.residual(x))
+
+
 @dataclass(frozen=True)
 class SmoothPart:
     """Smooth convex term ``h`` given by value and gradient callables.
@@ -147,15 +197,47 @@ class SmoothPart:
     ``grad(x) -> ndarray`` of length ``dim``.  Smoothness with respect to
     the problem metric is the caller's responsibility; see
     :func:`check_descent_lemma` for a diagnostic.
+
+    A smooth part may also declare the least-squares form
+    ``h(x) = ||A x - b||^2 / (2N)`` (see :meth:`from_least_squares`).  The
+    callables then stay valid, and the FISTA loop instead carries the
+    residual ``A x - b`` from step to step, which takes two matvecs per
+    step (``A x_k`` and ``A^T r_y``) where the callables take three.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     dim: int
+    least_squares: LeastSquares | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+        if self.least_squares is not None and self.least_squares.dim != self.dim:
+            raise ValueError("least-squares matrix width disagrees with dim")
+
+    @classmethod
+    def from_least_squares(cls, A, b) -> "SmoothPart":
+        """Smooth part ``h(x) = ||A x - b||^2 / (2N)`` with the form declared."""
+        form = LeastSquares(A, b)
+        return cls(value=form.value, grad=form.grad, dim=form.dim, least_squares=form)
+
+    def residual(self, x) -> np.ndarray | None:
+        """``A x - b`` under a declared least-squares form, else None."""
+        return None if self.least_squares is None else self.least_squares.residual(x)
+
+    def value_at_residual(self, r) -> float:
+        """``h`` at the point whose residual is ``r``."""
+        return self._declared().value_at_residual(r)
+
+    def grad_at_residual(self, r) -> np.ndarray | None:
+        """Gradient at the point whose residual is ``r``; None when ``r`` is None."""
+        return None if r is None else self._declared().grad_at_residual(r)
+
+    def _declared(self) -> LeastSquares:
+        if self.least_squares is None:
+            raise ValueError("a residual needs a declared least-squares form")
+        return self.least_squares
 
 
 class Zero:
@@ -273,7 +355,7 @@ def _validate_point(problem: CompositeProblem, x, name: str) -> np.ndarray:
 
 
 def composite_gradient_map(
-    problem: CompositeProblem, y, counter: ProxCounter | None = None
+    problem: CompositeProblem, y, counter: ProxCounter | None = None, grad=None
 ) -> ProxStep:
     """Composite gradient map at ``y``.
 
@@ -290,6 +372,10 @@ def composite_gradient_map(
     y : array_like of length ``problem.dim``, finite
     counter : ProxCounter, optional
         Incremented once per call when given.
+    grad : array_like, optional
+        ``grad h(y)`` when the caller already has it (the FISTA loop gets
+        it from a carried residual); computed from ``problem.smooth.grad``
+        otherwise.  It is checked like a computed gradient.
 
     Raises
     ------
@@ -297,7 +383,9 @@ def composite_gradient_map(
         On dimension mismatch or non-finite input/gradient.
     """
     y = _validate_point(problem, y, "y")
-    grad = np.asarray(problem.smooth.grad(y), dtype=np.float64)
+    if grad is None:
+        grad = problem.smooth.grad(y)
+    grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != y.shape:
         raise ValueError("gradient shape disagrees with problem dim")
     if not np.all(np.isfinite(grad)):
@@ -317,12 +405,14 @@ def composite_gradient_map(
     return step
 
 
-def objective(problem: CompositeProblem, x) -> float:
+def objective(problem: CompositeProblem, x, residual=None) -> float:
     """Extended-real objective ``f(x) = h(x) + psi(x)``.
 
     Returns +inf when ``x`` violates an indicator term or the constraint
     set, following the convention that the constrained problem is the
-    unconstrained minimization of ``f + I_X``.
+    unconstrained minimization of ``f + I_X``.  ``residual``, the value of
+    ``A x - b`` under a declared least-squares form, gives ``h(x)``
+    without a matvec.
     """
     x = _validate_point(problem, x, "x")
     if problem.constraint is not None and not problem.constraint.contains(x):
@@ -330,7 +420,11 @@ def objective(problem: CompositeProblem, x) -> float:
     psi = problem.nonsmooth.value(x)
     if np.isposinf(psi):
         return np.inf
-    return float(problem.smooth.value(x)) + float(psi)
+    if residual is None:
+        h = problem.smooth.value(x)
+    else:
+        h = problem.smooth.value_at_residual(residual)
+    return float(h) + float(psi)
 
 
 def check_descent_lemma(

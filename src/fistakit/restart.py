@@ -274,6 +274,7 @@ def restart_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
     counter = ProxCounter()
     abort_tol = run.epsilon if run.early_exit else None
     r = np.asarray(run.r0, dtype=np.float64)
+    r_res = None  # A r - b under a declared least-squares form
     trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
                                                 f_r=objective(problem, r))])
     j = 0
@@ -289,9 +290,10 @@ def restart_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             budget=_inner_budget(run, counter),
             abort_tol=abort_tol,
             counter=counter,
+            residual=r_res,
         )
         rec = _append_call(trace, j, res, res.n)
-        r = res.x
+        r, r_res = res.x, res.residual
         if res.aborted:
             trace.final_g_norm = res.last_g_dual_norm
             break
@@ -302,7 +304,9 @@ def restart_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             if counter.count >= run.budget:
                 trace.exhausted = True
                 break
-            check = composite_gradient_map(problem, r, counter)
+            check = composite_gradient_map(
+                problem, r, counter, grad=problem.smooth.grad_at_residual(r_res)
+            )
             trace.outer_checks += 1
             rec.g_dual_norm = check.g_dual_norm
             if check.g_dual_norm <= run.epsilon:
@@ -325,6 +329,7 @@ def lcr_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
     counter = ProxCounter()
     abort_tol = run.epsilon if run.early_exit else None
     r = np.asarray(run.r0, dtype=np.float64)
+    r_res = None  # A r - b under a declared least-squares form
     f_prev_gap: float | None = None  # f(r_{j-2}) - f(r_{j-1}) of the previous pair
     trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
                                                 f_r=objective(problem, r))])
@@ -343,12 +348,13 @@ def lcr_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             budget=_inner_budget(run, counter),
             abort_tol=abort_tol,
             counter=counter,
+            residual=r_res,
         )
         decrease = f_before - res.f_final
+        r, r_res = res.x, res.residual
         if res.aborted or res.exhausted:
             # Truncated final call: no doubling decision is taken.
             _append_call(trace, j, res, res.n)
-            r = res.x
             if res.aborted:
                 trace.final_g_norm = res.last_g_dual_norm
             else:
@@ -359,7 +365,6 @@ def lcr_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
         else:
             n_eff = res.n
         rec = _append_call(trace, j, res, n_eff)
-        r = res.x
         f_prev_gap = decrease
         if not run.early_exit and j >= 2:
             # The literal loop shape checks the restart point only from the
@@ -367,7 +372,9 @@ def lcr_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             if counter.count >= run.budget:
                 trace.exhausted = True
                 break
-            check = composite_gradient_map(problem, r, counter)
+            check = composite_gradient_map(
+                problem, r, counter, grad=problem.smooth.grad_at_residual(r_res)
+            )
             trace.outer_checks += 1
             rec.g_dual_norm = check.g_dual_norm
             if check.g_dual_norm <= run.epsilon:

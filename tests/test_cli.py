@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from fistakit import LassoProblem, RestartRun, Scheme, lcr_fista, no_restart_fista, save_problem
+import fistakit.cli as cli
 from fistakit.cli import (
     ExperimentConfig,
     build_config,
@@ -77,6 +78,21 @@ class TestConfigHandling:
         bad.write_text("trials = 0\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--N", "90", "--n", "80"],
+        ["--sparsity", "1.5"],
+        ["--eps", "-1", "--oracle-eps", "-2"],
+        ["--eps", "1e-9", "--oracle-eps", "-1"],
+        ["--alpha", "nan"],
+        ["--budget", "0"],
+        ["--family", "least-squares", "--N", "20", "--n", "30"],
+    ])
+    def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["run", "--trials", "1", "--out", str(out), *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_from_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -195,6 +211,33 @@ class TestInvalidTrials:
         assert code == 1
         assert (tmp_path / "invalid.csv").exists()
         assert stats == []  # nothing valid to aggregate
+
+    def test_exception_in_one_trial_marks_it_invalid(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_scheme
+        gradient_runs = []
+
+        def flaky(problem, run):
+            # Trials run in order at jobs=1: the second gradient run is trial 1's.
+            if run.scheme is Scheme.GRADIENT:
+                gradient_runs.append(run)
+                if len(gradient_runs) == 2:
+                    raise ValueError("non-finite objective at iteration 7")
+            return real(problem, run)
+
+        monkeypatch.setattr(cli, "run_scheme", flaky)
+        cfg = ExperimentConfig(out=tmp_path, **TINY)
+        stats, code = run_experiment(cfg)
+        assert code == 1
+        rows = (tmp_path / "invalid.csv").read_text().splitlines()
+        assert rows == ["trial,reason", "1,ValueError: non-finite objective at iteration 7"]
+        assert "Traceback" in capsys.readouterr().err
+        assert all(st.trials == TINY["trials"] - 1 for st in stats)
+        trial_ids = {row.split(",")[0] for row in
+                     (tmp_path / "trials.csv").read_text().splitlines()[1:]}
+        assert trial_ids == {"0", "2"}
+        checks, failures = verify_bounds(tmp_path)
+        assert failures == 0
+        assert any(c.trial == 1 and c.status == "SKIP" for c in checks)
 
 
 class TestStrictExit:

@@ -1,16 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fistakit import (
+    Box,
+    LassoProblem,
     LassoSpec,
     ProxCounter,
+    RestartRun,
+    Scheme,
+    SmoothPart,
     fista,
     generate,
+    generate_least_squares,
     gradient_norm_below,
     objective,
     oracle_fstar,
+    run_scheme,
 )
 from fistakit.fista import TSequence
 
@@ -181,3 +189,133 @@ class TestFistaConvergence:
         for _, _, _, res in traced_instances:
             assert res.exhausted
             assert res.n == 400
+
+
+def declared_instances():
+    """A desk lasso, a box-constrained lasso and a least-squares instance."""
+    desk = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
+    boxed = LassoProblem.build(desk.A, desk.b, weights=desk.weights,
+                               constraint=Box(-0.05 * np.ones(80), 0.05 * np.ones(80)))
+    lsq = generate_least_squares(40, 25, seed=3, sparsity=0.5)
+    return {"desk": desk.problem, "box": boxed.problem, "least-squares": lsq.problem}
+
+
+def with_plain_callables(problem):
+    """The same problem with the least-squares form left undeclared."""
+    form = problem.smooth.least_squares
+    smooth = SmoothPart(value=form.value, grad=form.grad, dim=problem.dim)
+    return dataclasses.replace(problem, smooth=smooth)
+
+
+class CountingMatrix:
+    """Matrix wrapper that counts products with it and with its transpose."""
+
+    def __init__(self, M, tally):
+        self.M = M
+        self.tally = tally
+
+    @property
+    def shape(self):
+        return self.M.shape
+
+    @property
+    def T(self):
+        return CountingMatrix(self.M.T, self.tally)
+
+    def __matmul__(self, x):
+        self.tally[0] += 1
+        return self.M @ x
+
+
+def counting_problem(problem):
+    tally = [0]
+    form = problem.smooth.least_squares
+    smooth = SmoothPart.from_least_squares(CountingMatrix(form.A, tally), form.b)
+    return dataclasses.replace(problem, smooth=smooth), tally
+
+
+@pytest.mark.parametrize("name", ["desk", "box", "least-squares"])
+class TestDeclaredLeastSquares:
+    def test_objective_matches_plain_callables(self, name):
+        declared = declared_instances()[name]
+        plain = with_plain_callables(declared)
+        assert plain.smooth.least_squares is None
+        z = np.zeros(declared.dim)
+        a = fista(declared, z, budget=200)
+        b = fista(plain, z, budget=200)
+        assert a.n == b.n == 200
+        assert a.residual is not None and b.residual is None
+        f_a = np.array(a.trace.f_history)
+        f_b = np.array(b.trace.f_history)
+        assert np.max(np.abs(f_a - f_b) / np.abs(f_b)) <= 1e-12
+
+    def test_both_forms_reach_eps_with_exact_prox_accounting(self, name):
+        declared = declared_instances()[name]
+        eps = 1e-9
+        tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(declared.dim),
+                           budget=20_000)
+        f_star = objective(declared, run_scheme(declared, tight).r_star)
+        for problem in (declared, with_plain_callables(declared)):
+            for scheme in Scheme:
+                for early in (True, False):
+                    run = RestartRun(
+                        scheme=scheme, epsilon=eps, r0=np.zeros(problem.dim),
+                        early_exit=early,
+                        f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                        budget=20_000,
+                    )
+                    trace = run_scheme(problem, run).trace
+                    label = f"{scheme.value} early_exit={early}"
+                    assert not trace.exhausted, label
+                    assert trace.final_g_norm <= eps, label
+                    assert trace.total_prox_calls == (
+                        trace.total_iterations + trace.calls + trace.outer_checks
+                    ), label
+
+    def test_two_matvecs_per_prox(self, name):
+        problem, tally = counting_problem(declared_instances()[name])
+        res = fista(problem, np.zeros(problem.dim), budget=50)
+        # A^T inside each prox, A x for the point it returns, plus A z.
+        assert tally[0] == 2 * res.prox_calls + 1
+        tally[0] = 0
+        carried = fista(problem, res.x, budget=50, residual=res.residual)
+        assert tally[0] == 2 * carried.prox_calls
+        again = fista(problem, res.x, budget=50)
+        assert again.trace.f_vals == carried.trace.f_vals
+
+    def test_restarts_carry_the_residual(self, name):
+        problem, tally = counting_problem(declared_instances()[name])
+        for scheme in (Scheme.FUNCTION, Scheme.LCR):
+            for early in (True, False):
+                tally[0] = 0
+                run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(problem.dim),
+                                 early_exit=early, budget=20_000)
+                trace = run_scheme(problem, run).trace
+                assert trace.calls > 2
+                # f(r_0) at the start of the run and the first call's A r_0 come on top
+                # of two per prox; an outer check needs only A^T.
+                inner = trace.total_iterations + trace.calls
+                assert tally[0] == 2 * inner + trace.outer_checks + 2
+
+
+class TestResidualArgument:
+    def test_rejected_without_declared_form(self):
+        prob = ill_conditioned_quadratic()
+        with pytest.raises(ValueError):
+            fista(prob, np.array([1.0, 1.0]), residual=np.zeros(2))
+        with pytest.raises(ValueError):
+            objective(prob, np.array([1.0, 1.0]), residual=np.zeros(2))
+
+    def test_start_point_still_validated(self):
+        problem = declared_instances()["least-squares"]
+        with pytest.raises(ValueError, match="shape"):
+            fista(problem, np.zeros(problem.dim + 1))
+        bad = np.zeros(problem.dim)
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fista(problem, bad)
+
+    def test_declared_width_must_match_dim(self):
+        form = SmoothPart.from_least_squares(np.eye(3), np.zeros(3)).least_squares
+        with pytest.raises(ValueError):
+            SmoothPart(value=form.value, grad=form.grad, dim=4, least_squares=form)

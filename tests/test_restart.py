@@ -16,6 +16,7 @@ from fistakit import (
     generate,
     lcr_fista,
     no_restart_fista,
+    oracle_fstar,
     restart_fista,
     run_scheme,
 )
@@ -342,3 +343,20 @@ class TestNoRestart:
         out = lcr_fista(lp.problem, run)
         assert isinstance(lp.problem.nonsmooth, WeightedL1)
         assert np.sum(out.r_star == 0.0) > 0
+
+
+def test_pinned_iteration_counts():
+    """Iteration counts of every scheme on one fixed desk instance.
+
+    These are the paper's quantity.  A change that moves one must say why;
+    the restart tests compare objective values, so arithmetic that differs
+    at rounding level can move the restarting schemes by a few iterations.
+    """
+    lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
+    f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
+    counts = {}
+    for scheme in Scheme:
+        run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(lp.n),
+                         f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+        counts[scheme.value] = run_scheme(lp.problem, run).trace.total_iterations
+    assert counts == {"none": 1270, "func": 235, "grad": 231, "opt": 416, "lcr": 271}
