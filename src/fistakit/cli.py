@@ -160,52 +160,50 @@ def _parse_schemes(text: str) -> tuple[Scheme, ...]:
     return tuple(Scheme.from_name(name) for name in names)
 
 
-_CONFIG_PARSERS = {
-    "N": int,
-    "n": int,
-    "alpha": float,
-    "sparsity": float,
-    "family": str,
-    "trials": int,
-    "schemes": _parse_schemes,
-    "eps": float,
-    "oracle_eps": float,
-    "seed": int,
-    "out": Path,
-    "jobs": int,
-    "strict_exit": _parse_bool,
-    "budget": int,
+# Every run setting, once: its config-file key (``--key`` on the command
+# line, with '-' for '_'), its ExperimentConfig field, and the parser of its
+# text.  Flags, config files and run_meta.json all follow this table.
+_CONFIG_KEYS = (
+    ("N", "N", int),
+    ("n", "n", int),
+    ("alpha", "alpha", float),
+    ("sparsity", "sparsity", float),
+    ("family", "family", str),
+    ("trials", "trials", int),
+    ("schemes", "schemes", _parse_schemes),
+    ("eps", "epsilon", float),
+    ("oracle_eps", "oracle_epsilon", float),
+    ("seed", "seed", int),
+    ("out", "out", Path),
+    ("jobs", "jobs", int),
+    ("strict_exit", "strict_exit", _parse_bool),
+    ("budget", "budget", int),
+)
+
+_FLAG_HELP = {
+    "family": "lasso or least-squares",
+    "schemes": "comma list from {none,func,grad,opt,lcr}",
+    "strict_exit": "check the tolerance only between restarts",
 }
 
-_CONFIG_FIELDS = {
-    "N": "N",
-    "n": "n",
-    "alpha": "alpha",
-    "sparsity": "sparsity",
-    "family": "family",
-    "trials": "trials",
-    "schemes": "schemes",
-    "eps": "epsilon",
-    "oracle_eps": "oracle_epsilon",
-    "seed": "seed",
-    "out": "out",
-    "jobs": "jobs",
-    "strict_exit": "strict_exit",
-    "budget": "budget",
-}
+# Left out of run_meta.json: outputs must not depend on where they are
+# written or on parallelism.
+_UNRECORDED_KEYS = ("out", "jobs")
 
 
-def build_config(file_map: dict[str, str] | None, overrides: dict) -> ExperimentConfig:
-    """Merge config file keys with command line overrides (flags win)."""
+def build_config(file_map: dict[str, str] | None,
+                 overrides: dict | None = None) -> ExperimentConfig:
+    """Parse ``key = value`` settings; ``overrides`` (field name -> value) win."""
+    parsers = {key: (name, parse) for key, name, parse in _CONFIG_KEYS}
     kwargs = {}
-    if file_map:
-        for key, raw in file_map.items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            kwargs[_CONFIG_FIELDS[key]] = _CONFIG_PARSERS[key](raw)
-    for field_name, value in overrides.items():
+    for key, raw in (file_map or {}).items():
+        if key not in parsers:
+            raise ValueError(f"unknown config key {key!r}")
+        name, parse = parsers[key]
+        kwargs[name] = parse(raw)
+    for name, value in (overrides or {}).items():
         if value is not None:
-            kwargs[field_name] = value
+            kwargs[name] = value
     return ExperimentConfig(**kwargs)
 
 
@@ -213,34 +211,19 @@ def build_config(file_map: dict[str, str] | None, overrides: dict) -> Experiment
 # trace export
 
 
-def export_trace(trace: RestartTrace, path, fmt_name: str = "csv", scheme: str | None = None) -> None:
-    """Write per-iteration rows of one run; CSV or JSON lines.
+def _write_trace_rows(fh, scheme: str, trace: RestartTrace) -> None:
+    for k, f_val, g_val in trace.iteration_rows():
+        fh.write(f"{scheme},{k},{fmt(f_val)},{fmt(g_val)}\n")
 
-    The first line documents the schema.  An empty trace produces a
-    header-only file.
+
+def export_trace(trace: RestartTrace, path, scheme: str) -> None:
+    """Write the per-iteration rows of one run as CSV, under a header line.
+
+    An empty trace produces a header-only file.
     """
-    rows = list(trace.iteration_rows())
-    path = Path(path)
-    if fmt_name == "csv":
-        with open(path, "w", newline="\n") as fh:
-            if scheme is None:
-                fh.write("k,f,g_dual_norm\n")
-                for k, f_val, g_val in rows:
-                    fh.write(f"{k},{fmt(f_val)},{fmt(g_val)}\n")
-            else:
-                fh.write("scheme,k,f,g_dual_norm\n")
-                for k, f_val, g_val in rows:
-                    fh.write(f"{scheme},{k},{fmt(f_val)},{fmt(g_val)}\n")
-    elif fmt_name == "jsonl":
-        with open(path, "w", newline="\n") as fh:
-            schema = {"schema": ["k", "f", "g_dual_norm"]}
-            if scheme is not None:
-                schema["scheme"] = scheme
-            fh.write(json.dumps(schema) + "\n")
-            for k, f_val, g_val in rows:
-                fh.write(json.dumps({"k": k, "f": f_val, "g_dual_norm": g_val}) + "\n")
-    else:
-        raise ValueError(f"unknown trace format {fmt_name!r}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("scheme,k,f,g_dual_norm\n")
+        _write_trace_rows(fh, scheme, trace)
 
 
 def _write_trial_traces(out_dir: Path, trial: int, results: dict[str, RestartTrace]) -> None:
@@ -248,8 +231,7 @@ def _write_trial_traces(out_dir: Path, trial: int, results: dict[str, RestartTra
     with open(traces / f"trial_{trial:04d}.csv", "w", newline="\n") as fh:
         fh.write("scheme,k,f,g_dual_norm\n")
         for name, trace in results.items():
-            for k, f_val, g_val in trace.iteration_rows():
-                fh.write(f"{name},{k},{fmt(f_val)},{fmt(g_val)}\n")
+            _write_trace_rows(fh, name, trace)
     with open(traces / f"trial_{trial:04d}_restarts.csv", "w", newline="\n") as fh:
         fh.write("scheme,j,n_obs,n_eff,f_r,g_dual_norm\n")
         for name, trace in results.items():
@@ -258,12 +240,6 @@ def _write_trial_traces(out_dir: Path, trial: int, results: dict[str, RestartTra
                     f"{name},{rec.j},{rec.n_obs},{rec.n_eff},"
                     f"{fmt(rec.f_r)},{fmt(rec.g_dual_norm)}\n"
                 )
-    if "lcr" in results:
-        with open(traces / f"trial_{trial:04d}_lcr_nj.csv", "w", newline="\n") as fh:
-            fh.write("j,n_obs,n_eff\n")
-            for rec in results["lcr"].records:
-                if rec.j >= 1:
-                    fh.write(f"{rec.j},{rec.n_obs},{rec.n_eff}\n")
 
 
 # ----------------------------------------------------------------------
@@ -337,10 +313,6 @@ def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
     return summary
 
 
-def _trial_star(args) -> dict:
-    return _run_trial(*args)
-
-
 def _aggregate(config: ExperimentConfig, summaries: list[dict]) -> list[SchemeStats]:
     valid = [s for s in summaries if s["valid"]]
     stats = []
@@ -387,30 +359,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
     out = config.out
     (out / "traces").mkdir(parents=True, exist_ok=True)
 
-    # jobs is deliberately left out: outputs must not depend on parallelism.
-    meta = {
-        "N": config.N,
-        "n": config.n,
-        "alpha": config.alpha,
-        "sparsity": config.sparsity,
-        "family": config.family,
-        "trials": config.trials,
-        "schemes": [s.value for s in config.schemes],
-        "eps": config.epsilon,
-        "oracle_eps": config.oracle_epsilon,
-        "seed": config.seed,
-        "strict_exit": config.strict_exit,
-        "budget": config.budget,
-    }
+    meta = {key: getattr(config, name) for key, name, _ in _CONFIG_KEYS
+            if key not in _UNRECORDED_KEYS}
+    meta["schemes"] = [s.value for s in config.schemes]
     with open(out / "run_meta.json", "w", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     jobs = min(config.jobs, config.trials)
-    tasks = [(config, i) for i in range(config.trials)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            summaries = pool.map(_trial_star, tasks)
+            summaries = pool.starmap(_run_trial, [(config, i) for i in range(config.trials)])
     else:
         summaries = [_run_trial(config, i) for i in range(config.trials)]
 
@@ -652,42 +611,22 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
 
 def _add_run_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key = value config file")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--n", type=int, dest="n")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--family", choices=["lasso", "least-squares"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--schemes", type=str, help="comma list from {none,func,grad,opt,lcr}")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--oracle-eps", type=float, dest="oracle_eps")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--strict-exit", action="store_const", const=True, default=None,
-                   dest="strict_exit", help="check the tolerance only between restarts")
-    p.add_argument("--budget", type=int)
+    # Values stay text here and are parsed with the config file's, so that
+    # bad input is a config error rather than an argparse one.
+    for key, _, parse in _CONFIG_KEYS:
+        flag, help_text = "--" + key.replace("_", "-"), _FLAG_HELP.get(key)
+        if parse is _parse_bool:
+            p.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
+        else:
+            p.add_argument(flag, dest=key, help=help_text)
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    file_map = parse_config_file(args.config) if args.config else None
-    overrides = {
-        "N": args.N,
-        "n": args.n,
-        "alpha": args.alpha,
-        "sparsity": args.sparsity,
-        "family": args.family,
-        "trials": args.trials,
-        "schemes": _parse_schemes(args.schemes) if args.schemes else None,
-        "epsilon": args.eps,
-        "oracle_epsilon": args.oracle_eps,
-        "seed": args.seed,
-        "out": args.out,
-        "jobs": args.jobs,
-        "strict_exit": args.strict_exit,
-        "budget": args.budget,
-    }
-    return build_config(file_map, overrides)
+    settings = parse_config_file(args.config) if args.config else {}
+    for key, _, _ in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return build_config(settings)
 
 
 def _cmd_run(args) -> int:
@@ -747,7 +686,7 @@ def _cmd_solve(args) -> int:
           f"final_g_dual_norm={fmt(trace.final_g_norm)} exhausted={trace.exhausted}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        export_trace(trace, args.out / "trace.csv", "csv", scheme=scheme.value)
+        export_trace(trace, args.out / "trace.csv", scheme.value)
         with open(args.out / "restarts.csv", "w", newline="\n") as fh:
             fh.write("j,n_obs,n_eff,f_r,g_dual_norm\n")
             for rec in trace.records:

@@ -22,7 +22,7 @@ residual ``r_x = A x_k - b`` instead::
     grad h(y_k)   = A^T r_y / N
 
 so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
-The call returns ``r_x`` of its final iterate, and the restart loops hand
+The call returns ``r_x`` of its final iterate, and the restart driver hands
 it to the next call, whose initialization prox then needs only ``A^T``.
 
 Exit conditions are pure predicates over the iteration history; the
@@ -30,7 +30,7 @@ concrete restart conditions live in :mod:`fistakit.restart`.  The loop is
 guarded by a hard iteration budget, and can optionally abort the moment
 ``||g(y_{k-1})||_*`` drops below a tolerance, reusing the prox already
 computed in the x-update (the usual cheap stopping rule, and the one the
-restart drivers use in early-exit mode).
+restart driver uses in early-exit mode).
 """
 
 from __future__ import annotations
@@ -137,24 +137,23 @@ def gradient_norm_below(eps: float) -> ExitCondition:
 class SolveTrace:
     """Per-iteration record of one solver call.
 
-    ``f_vals[i]`` and ``g_norms[i]`` belong to iteration ``k = i + 1``:
-    the objective at ``x_k`` and ``||g(y_{k-1})||_*``.  ``x0``/``f0``
-    describe the post-prox start point ``x_0 = z_plus``.
+    ``f_history[k]`` is the objective at ``x_k`` for ``k = 0..n``, where
+    ``x0`` is the post-prox start point ``x_0 = z_plus``.  ``g_norms[i]``
+    belongs to iteration ``k = i + 1``: ``||g(y_{k-1})||_*``.
     """
 
     x0: np.ndarray
-    f0: float
-    f_vals: list[float] = field(default_factory=list)
+    f_history: list[float]
     g_norms: list[float] = field(default_factory=list)
 
     @property
-    def iterations(self) -> int:
-        return len(self.f_vals)
+    def f0(self) -> float:
+        return self.f_history[0]
 
     @property
-    def f_history(self) -> list[float]:
-        """``[f(x_0), f(x_1), ..., f(x_n)]``."""
-        return [self.f0, *self.f_vals]
+    def f_vals(self) -> list[float]:
+        """``[f(x_1), ..., f(x_n)]``, one per iteration."""
+        return self.f_history[1:]
 
 
 @dataclass
@@ -179,7 +178,7 @@ class FistaResult:
 
     @property
     def f_final(self) -> float:
-        return self.trace.f_vals[-1] if self.trace.f_vals else self.trace.f0
+        return self.trace.f_history[-1]
 
     @property
     def last_g_dual_norm(self) -> float:
@@ -240,7 +239,7 @@ def fista(
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
-    trace = SolveTrace(x0=x, f0=f0)
+    trace = SolveTrace(x0=x, f_history=[f0])
 
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
         return FistaResult(
@@ -248,9 +247,8 @@ def fista(
             init_g_dual_norm=init.g_dual_norm, prox_calls=1, residual=r_x,
         )
 
-    f_history = [f0]
     state = IterationState(
-        k=0, x_prev=x, x_curr=x, y_curr=x, f_history=f_history, last_prox=init
+        k=0, x_prev=x, x_curr=x, y_curr=x, f_history=trace.f_history, last_prox=init
     )
     ts = TSequence()
     y = x
@@ -271,8 +269,7 @@ def fista(
         fk = objective(problem, x, r_x)
         if not math.isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
-        f_history.append(fk)
-        trace.f_vals.append(fk)
+        trace.f_history.append(fk)
         trace.g_norms.append(prox.g_dual_norm)
         if abort_tol is not None and prox.g_dual_norm <= abort_tol:
             aborted = True

@@ -36,11 +36,9 @@ __all__ = [
     "ProxStep",
     "ProxCounter",
     "soft_threshold",
-    "dual_norm",
     "composite_gradient_map",
     "objective",
     "check_descent_lemma",
-    "check_convexity",
 ]
 
 
@@ -94,14 +92,6 @@ class Metric:
         """Dual norm ``||v||_* = ||v||_{R^-1}``."""
         v = np.asarray(v, dtype=np.float64)
         return float(np.sqrt(np.dot(v / self.diag, v)))
-
-
-def dual_norm(metric: Metric, v) -> float:
-    """Dual norm of ``v`` under ``metric``; see :meth:`Metric.dual_norm`."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (metric.dim,):
-        raise ValueError(f"vector has shape {v.shape}, metric has dim {metric.dim}")
-    return metric.dual_norm(v)
 
 
 @dataclass(frozen=True)
@@ -456,28 +446,3 @@ def check_descent_lemma(
         worst = max(worst, (hx - bound) / denom)
     return worst if worst > rel_tol else 0.0
 
-
-def check_convexity(
-    problem: CompositeProblem,
-    rng: np.random.Generator,
-    samples: int = 50,
-    scale: float = 1.0,
-    rel_tol: float = 1e-9,
-) -> float:
-    """Spot-check first-order convexity of ``h`` on sampled pairs.
-
-    Returns the worst relative violation of
-    ``h(x) >= h(y) + <grad h(y), x - y>`` (0.0 when none).
-    """
-    n = problem.dim
-    worst = 0.0
-    for _ in range(samples):
-        x = scale * rng.standard_normal(n)
-        y = scale * rng.standard_normal(n)
-        hx = problem.smooth.value(x)
-        hy = problem.smooth.value(y)
-        gy = problem.smooth.grad(y)
-        lower = hy + float(np.dot(gy, x - y))
-        denom = max(abs(hx), abs(lower), 1.0)
-        worst = max(worst, (lower - hx) / denom)
-    return worst if worst > rel_tol else 0.0

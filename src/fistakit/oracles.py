@@ -16,7 +16,7 @@ from scipy import linalg
 
 from .lasso import LassoProblem
 from .model import WeightedL1, Zero, objective
-from .restart import DEFAULT_PROX_BUDGET, RestartRun, Scheme, lcr_fista
+from .restart import DEFAULT_PROX_BUDGET, RestartRun, Scheme, run_scheme
 
 __all__ = ["OracleError", "kkt_residual", "oracle_fstar", "oracle_mu"]
 
@@ -61,7 +61,7 @@ def oracle_fstar(
 ) -> tuple[float, np.ndarray]:
     """Reference optimal value and minimizer via an extra-tight solve.
 
-    Runs the lcr driver down to ``tight_eps`` (which must be tighter than
+    Runs the lcr scheme down to ``tight_eps`` (which must be tighter than
     any tolerance the oracle's consumers use) and validates the result
     against the first-order conditions when those apply.  Raises
     :class:`OracleError` when the budget runs out or validation fails, so
@@ -69,7 +69,7 @@ def oracle_fstar(
     """
     start = np.zeros(lp.n) if r0 is None else np.asarray(r0, dtype=np.float64)
     run = RestartRun(scheme=Scheme.LCR, epsilon=tight_eps, r0=start, budget=budget)
-    result = lcr_fista(lp.problem, run)
+    result = run_scheme(lp.problem, run)
     if result.exhausted:
         raise OracleError(
             f"optimal-value oracle exhausted its budget of {budget} prox calls"

@@ -1,4 +1,4 @@
-"""Restart drivers and their exit conditions.
+"""The restart driver and its exit conditions.
 
 Restarting re-invokes the accelerated loop from its latest iterate, which
 resets the momentum sequence to ``t_0 = 1`` and suppresses the oscillation
@@ -14,10 +14,11 @@ shipped:
   yields a linearly convergent method on problems with quadratic
   functional growth.
 
-All drivers stop once the composite gradient dual norm reaches the run's
-``epsilon``.  In early-exit mode (the default) every prox evaluation is
-checked and the run returns immediately on success; in strict mode only
-the between-restart check is performed, at the cost of one extra prox per
+One driver, :func:`run_scheme`, runs every scheme; it stops once the
+composite gradient dual norm reaches the run's ``epsilon``.  In
+early-exit mode (the default) every prox evaluation is checked and the
+run returns immediately on success; in strict mode only the
+between-restart check is performed, at the cost of one extra prox per
 restart.
 """
 
@@ -31,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .fista import (
-    FistaResult,
+    ExitCondition,
     IterationState,
     SolveTrace,
     fista,
@@ -50,9 +51,6 @@ __all__ = [
     "exit_gradient_scheme",
     "exit_optimal_value_scheme",
     "exit_lcr",
-    "no_restart_fista",
-    "restart_fista",
-    "lcr_fista",
     "run_scheme",
 ]
 
@@ -123,24 +121,19 @@ class RestartRun:
     ``early_exit`` selects the stopping style: when True every computed
     prox is tested against ``epsilon`` and the run aborts on success; when
     False the test happens only between restarts, via one extra counted
-    prox at each restart point.  ``k_min`` applies to the inner calls of
-    the function/gradient/optimal-value schemes (the lcr scheme manages
-    its own minimum via the doubling rule).
+    prox at each restart point.
     """
 
     scheme: Scheme
     epsilon: float
     r0: np.ndarray
     early_exit: bool = True
-    k_min: int = 0
     f_star: float | None = None
     budget: int = DEFAULT_PROX_BUDGET
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.k_min < 0:
-            raise ValueError("k_min must be >= 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.scheme is Scheme.OPTIMAL_VALUE:
@@ -214,179 +207,102 @@ class RestartResult:
         return self.trace.exhausted
 
 
-def _inner_budget(run: RestartRun, counter: ProxCounter) -> int:
-    # Reserve one prox for the initialization of the upcoming call.
-    return max(run.budget - counter.count - 1, 0)
+def _exit_test(run: RestartRun) -> ExitCondition:
+    """Exit test of the inner calls of ``run.scheme``.
 
-
-def _finish(run: RestartRun, r, trace: RestartTrace, counter: ProxCounter) -> RestartResult:
-    trace.total_prox_calls = counter.count
-    return RestartResult(r_star=r, trace=trace)
-
-
-def _append_call(trace: RestartTrace, j: int, res: FistaResult, n_eff: int) -> RestartRecord:
-    # The init prox of this call evaluates g at the previous restart point.
-    trace.records[-1].g_dual_norm = res.init_g_dual_norm
-    rec = RestartRecord(j=j, n_obs=res.n, n_eff=n_eff, f_r=res.f_final)
-    trace.records.append(rec)
-    trace.segments.append(res.trace)
-    return rec
-
-
-def no_restart_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
-    """Baseline: a single accelerated call stopped on the gradient norm."""
-    counter = ProxCounter()
-    trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
-                                                f_r=objective(problem, run.r0))])
-    res = fista(
-        problem,
-        run.r0,
-        k_min=run.k_min,
-        exit_condition=gradient_norm_below(run.epsilon),
-        budget=_inner_budget(run, counter),
-        abort_tol=run.epsilon if run.early_exit else None,
-        counter=counter,
-    )
-    _append_call(trace, 1, res, res.n)
-    trace.exhausted = res.exhausted
-    if not res.exhausted:
-        # Both stopping styles fire on g(y_{k-1}), whose norm is the last
-        # recorded one (or the init value when the start was already good).
-        trace.final_g_norm = res.last_g_dual_norm
-    return _finish(run, res.x, trace, counter)
-
-
-def restart_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
-    """Standard restart loop for the function/gradient/optimal-value schemes.
-
-    Repeatedly calls the inner solver from the latest restart point with
-    the scheme's exit condition until ``||g(r_j)||_* <= epsilon``.
+    "none" exits on the tolerance itself, so its single call ends the run.
+    The names are looked up at call time, so a wrapper put in their place
+    sees every test.
     """
+    if run.scheme is Scheme.NO_RESTART:
+        return gradient_norm_below(run.epsilon)
     if run.scheme is Scheme.FUNCTION:
-        condition = exit_function_scheme
-    elif run.scheme is Scheme.GRADIENT:
-        condition = exit_gradient_scheme
-    elif run.scheme is Scheme.OPTIMAL_VALUE:
-        condition = partial(exit_optimal_value_scheme, f_star=run.f_star)
-    else:
-        raise ValueError(f"restart_fista does not drive scheme {run.scheme}")
-
-    counter = ProxCounter()
-    abort_tol = run.epsilon if run.early_exit else None
-    r = np.asarray(run.r0, dtype=np.float64)
-    r_res = None  # A r - b under a declared least-squares form
-    trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
-                                                f_r=objective(problem, r))])
-    j = 0
-    while True:
-        if counter.count >= run.budget:
-            trace.exhausted = True
-            break
-        j += 1
-        res = fista(
-            problem, r,
-            k_min=run.k_min,
-            exit_condition=condition,
-            budget=_inner_budget(run, counter),
-            abort_tol=abort_tol,
-            counter=counter,
-            residual=r_res,
-        )
-        rec = _append_call(trace, j, res, res.n)
-        r, r_res = res.x, res.residual
-        if res.aborted:
-            trace.final_g_norm = res.last_g_dual_norm
-            break
-        if res.exhausted:
-            trace.exhausted = True
-            break
-        if not run.early_exit:
-            if counter.count >= run.budget:
-                trace.exhausted = True
-                break
-            check = composite_gradient_map(
-                problem, r, counter, grad=problem.smooth.grad_at_residual(r_res)
-            )
-            trace.outer_checks += 1
-            rec.g_dual_norm = check.g_dual_norm
-            if check.g_dual_norm <= run.epsilon:
-                trace.final_g_norm = check.g_dual_norm
-                break
-    return _finish(run, r, trace, counter)
-
-
-def lcr_fista(problem: CompositeProblem, run: RestartRun) -> RestartResult:
-    """Restart loop with the history-based exit condition and doubling rule.
-
-    The first call runs with ``k_min = 0``.  Each later call ``j`` runs
-    with ``k_min`` equal to the previous effective count ``n_{j-1}``;
-    whenever the decrease achieved by call ``j`` exceeds 1/e of the
-    previous call's decrease, the effective count doubles
-    (``n_j = 2 n_{j-1}``), which is what steers the restart period toward
-    the unknown optimal one.  Iteration counts actually observed are kept
-    separately from the effective ones so traces stay truthful.
-    """
-    counter = ProxCounter()
-    abort_tol = run.epsilon if run.early_exit else None
-    r = np.asarray(run.r0, dtype=np.float64)
-    r_res = None  # A r - b under a declared least-squares form
-    f_prev_gap: float | None = None  # f(r_{j-2}) - f(r_{j-1}) of the previous pair
-    trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
-                                                f_r=objective(problem, r))])
-    j = 0
-    n_eff = 0
-    while True:
-        if counter.count >= run.budget:
-            trace.exhausted = True
-            break
-        j += 1
-        f_before = trace.records[-1].f_r
-        res = fista(
-            problem, r,
-            k_min=n_eff,
-            exit_condition=exit_lcr,
-            budget=_inner_budget(run, counter),
-            abort_tol=abort_tol,
-            counter=counter,
-            residual=r_res,
-        )
-        decrease = f_before - res.f_final
-        r, r_res = res.x, res.residual
-        if res.aborted or res.exhausted:
-            # Truncated final call: no doubling decision is taken.
-            _append_call(trace, j, res, res.n)
-            if res.aborted:
-                trace.final_g_norm = res.last_g_dual_norm
-            else:
-                trace.exhausted = True
-            break
-        if j >= 2 and f_prev_gap is not None and decrease > f_prev_gap / math.e:
-            n_eff = 2 * n_eff
-        else:
-            n_eff = res.n
-        rec = _append_call(trace, j, res, n_eff)
-        f_prev_gap = decrease
-        if not run.early_exit and j >= 2:
-            # The literal loop shape checks the restart point only from the
-            # second call onward.
-            if counter.count >= run.budget:
-                trace.exhausted = True
-                break
-            check = composite_gradient_map(
-                problem, r, counter, grad=problem.smooth.grad_at_residual(r_res)
-            )
-            trace.outer_checks += 1
-            rec.g_dual_norm = check.g_dual_norm
-            if check.g_dual_norm <= run.epsilon:
-                trace.final_g_norm = check.g_dual_norm
-                break
-    return _finish(run, r, trace, counter)
+        return exit_function_scheme
+    if run.scheme is Scheme.GRADIENT:
+        return exit_gradient_scheme
+    if run.scheme is Scheme.OPTIMAL_VALUE:
+        return partial(exit_optimal_value_scheme, f_star=run.f_star)
+    return exit_lcr
 
 
 def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
-    """Dispatch a run to the driver matching its scheme."""
-    if run.scheme is Scheme.NO_RESTART:
-        return no_restart_fista(problem, run)
-    if run.scheme is Scheme.LCR:
-        return lcr_fista(problem, run)
-    return restart_fista(problem, run)
+    """Restarted FISTA: inner calls from the latest restart point until ``||g||_* <= epsilon``.
+
+    The schemes differ only in the exit test of the inner calls (see
+    :func:`_exit_test`) and in the ``k_min`` each call gets.  Every call
+    but the lcr scheme's runs with ``k_min = 0``.  The lcr scheme's first
+    call does too; each later call ``j`` runs with ``k_min`` equal to the
+    previous effective count ``n_{j-1}``, and whenever the decrease
+    achieved by call ``j`` exceeds 1/e of the previous call's decrease,
+    the effective count doubles (``n_j = 2 n_{j-1}``), which is what
+    steers the restart period toward the unknown optimal one.  A
+    truncated final call (aborted or out of budget) takes no doubling
+    decision.  Iteration counts actually observed are kept separately from
+    the effective ones so traces stay truthful.
+
+    In strict mode each completed call is followed by one counted prox at
+    the new restart point, which ends the run when it meets the tolerance;
+    the lcr scheme checks only from its second call onward, and "none"
+    never, since its call ends the run.  One prox per call is reserved
+    inside the budget for the call's initialization.
+    """
+    exit_test = _exit_test(run)
+    lcr = run.scheme is Scheme.LCR
+    counter = ProxCounter()
+    abort_tol = run.epsilon if run.early_exit else None
+    r = run.r0
+    r_res = None  # A r - b under a declared least-squares form
+    trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
+                                                f_r=objective(problem, r))])
+    k_min = 0
+    prev_decrease: float | None = None  # f(r_{j-2}) - f(r_{j-1}), lcr only
+    while True:
+        if counter.count >= run.budget:
+            trace.exhausted = True
+            break
+        j = trace.calls + 1
+        res = fista(
+            problem, r,
+            k_min=k_min,
+            exit_condition=exit_test,
+            budget=max(run.budget - counter.count - 1, 0),
+            abort_tol=abort_tol,
+            counter=counter,
+            residual=r_res,
+        )
+        decrease = trace.records[-1].f_r - res.f_final
+        r, r_res = res.x, res.residual
+        n_eff = res.n
+        if lcr and not (res.aborted or res.exhausted):
+            if prev_decrease is not None and decrease > prev_decrease / math.e:
+                n_eff = 2 * k_min
+            prev_decrease = decrease
+            k_min = n_eff
+        # The init prox of this call evaluates g at the previous restart point.
+        trace.records[-1].g_dual_norm = res.init_g_dual_norm
+        rec = RestartRecord(j=j, n_obs=res.n, n_eff=n_eff, f_r=res.f_final)
+        trace.records.append(rec)
+        trace.segments.append(res.trace)
+        if res.exhausted:
+            trace.exhausted = True
+            break
+        if res.aborted or run.scheme is Scheme.NO_RESTART:
+            # Both stopping styles fire on g(y_{k-1}), whose norm is the last
+            # recorded one (or the init value when the start was already good).
+            trace.final_g_norm = res.last_g_dual_norm
+            break
+        if run.early_exit or (lcr and j == 1):
+            continue
+        if counter.count >= run.budget:
+            trace.exhausted = True
+            break
+        check = composite_gradient_map(
+            problem, r, counter, grad=problem.smooth.grad_at_residual(r_res)
+        )
+        trace.outer_checks += 1
+        rec.g_dual_norm = check.g_dual_norm
+        if check.g_dual_norm <= run.epsilon:
+            trace.final_g_norm = check.g_dual_norm
+            break
+    trace.total_prox_calls = counter.count
+    return RestartResult(r_star=r, trace=trace)

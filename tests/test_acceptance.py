@@ -27,9 +27,9 @@ from fistakit import (
     fista,
     generate,
     generate_least_squares,
-    lcr_fista,
     oracle_fstar,
     oracle_mu,
+    run_scheme,
 )
 from fistakit.cli import ExperimentConfig, run_experiment
 from fistakit.fista import TSequence
@@ -192,7 +192,7 @@ def test_criterion_5_restart_decrease(lasso_family):
     with criterion(5, "half g(r_{j-1})^2 <= f(r_{j-1}) - f(r_j) for all lcr pairs"):
         for lp, f_star, x_star in lasso_family:
             run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(80))
-            out = lcr_fista(lp.problem, run)
+            out = run_scheme(lp.problem, run)
             assert not out.exhausted
             recs = out.trace.records
             for prev, curr in zip(recs, recs[1:]):
@@ -210,7 +210,7 @@ def test_criterion_6_inner_iteration_bound(quad_family):
         for lp, mu, f_star, x_star in quad_family:
             bound = math.ceil(4.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
             run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(20))
-            out = lcr_fista(lp.problem, run)
+            out = run_scheme(lp.problem, run)
             assert not out.exhausted
             for rec in out.trace.records:
                 assert rec.n_obs <= bound, f"mu={mu:.4f} j={rec.j} n={rec.n_obs}"
@@ -222,7 +222,7 @@ def test_criterion_7_total_iteration_bound(quad_family):
         for lp, mu, f_star, x_star in quad_family:
             r0 = np.zeros(20)
             run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=r0)
-            out = lcr_fista(lp.problem, run)
+            out = run_scheme(lp.problem, run)
             assert not out.exhausted
             gap0 = lp.problem.smooth.value(r0) - f_star
             bound = (16.0 / math.sqrt(mu)) * math.ceil(
@@ -292,7 +292,7 @@ def test_criterion_10_determinism(ranking_run, tmp_path):
         names += [
             f"traces/trial_{t:04d}{suffix}"
             for t in range(cfg.trials)
-            for suffix in (".csv", "_restarts.csv", "_lcr_nj.csv")
+            for suffix in (".csv", "_restarts.csv")
         ]
         for name in names:
             a = (cfg.out / name).read_bytes()
@@ -310,8 +310,6 @@ def test_criterion_11_prox_accounting(lasso_family):
                     early_exit=early,
                     f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
                 )
-                from fistakit.restart import run_scheme
-
                 trace = run_scheme(lp.problem, run).trace
                 assert trace.total_prox_calls == (
                     trace.total_iterations + trace.calls + trace.outer_checks

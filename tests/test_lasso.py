@@ -15,11 +15,11 @@ from fistakit import (
     generate_least_squares,
     gershgorin_metric,
     kkt_residual,
-    lcr_fista,
     load_problem,
     objective,
     oracle_fstar,
     oracle_mu,
+    run_scheme,
     save_problem,
 )
 from fistakit.model import check_descent_lemma
@@ -81,7 +81,7 @@ class TestGenerate:
         lp = generate(spec)
         assert np.all(lp.weights == 0.0)
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(3))
-        out = lcr_fista(lp.problem, run)
+        out = run_scheme(lp.problem, run)
         A = lp.A.toarray()
         x_pinv = np.linalg.pinv(A) @ lp.b
         f_pinv = 0.5 * np.sum((A @ x_pinv - lp.b) ** 2) / lp.N

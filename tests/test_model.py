@@ -15,11 +15,10 @@ from fistakit import (
     WeightedL1,
     Zero,
     composite_gradient_map,
-    dual_norm,
     objective,
     soft_threshold,
 )
-from fistakit.model import check_convexity, check_descent_lemma
+from fistakit.model import check_descent_lemma
 
 from conftest import make_quadratic, problem_zoo, random_spd, sample_feasible
 
@@ -81,14 +80,14 @@ class TestMetric:
 
     def test_identity_dual_norm(self):
         m = Metric([1.0, 1.0])
-        assert dual_norm(m, [3.0, 4.0]) == pytest.approx(5.0)
+        assert m.dual_norm([3.0, 4.0]) == pytest.approx(5.0)
 
     def test_scaled_dual_norm(self):
-        assert dual_norm(Metric([4.0]), [2.0]) == pytest.approx(1.0)
+        assert Metric([4.0]).dual_norm([2.0]) == pytest.approx(1.0)
 
     def test_dual_norm_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dual_norm(Metric([1.0, 2.0]), [1.0])
+            Metric([1.0, 2.0]).dual_norm([1.0])
 
     def test_dual_of_scaled_vector_is_primal_norm(self, rng):
         # ||R x||_* == ||x||_R, an algebraic identity.
@@ -96,7 +95,7 @@ class TestMetric:
             diag = rng.uniform(0.1, 10.0, 8)
             m = Metric(diag)
             x = rng.standard_normal(8)
-            assert dual_norm(m, diag * x) == pytest.approx(m.norm(x), rel=1e-12)
+            assert m.dual_norm(diag * x) == pytest.approx(m.norm(x), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -113,10 +112,15 @@ class TestMetric:
         diag = np.array([d for d, _ in data])
         x = np.array([v for _, v in data])
         m = Metric(diag)
-        # Cauchy-Schwarz: ||x||_R * ||x||_* >= ||x||_2^2
+        # Cauchy-Schwarz: ||x||_R * ||x||_* >= ||x||_2^2.  Float error is
+        # relative in the normal range but absolute among subnormals, where
+        # rounding d x^2 and x^2 / d loses up to about tiny (d + 1/d) / 2 per
+        # entry; the absolute term is below 1e-320 and changes nothing for
+        # normal-range inputs.
         lhs = m.norm(x) * m.dual_norm(x)
         rhs = float(x @ x)
-        assert lhs >= rhs * (1 - 1e-9)
+        tiny = np.finfo(float).smallest_subnormal
+        assert lhs >= rhs * (1 - 1e-9) - tiny * float(np.sum(diag + 1.0 / diag))
 
     def test_diag_is_readonly(self):
         m = Metric([1.0, 2.0])
@@ -309,8 +313,3 @@ class TestDiagnostics:
         Q = random_spd(rng, 5, cond=50.0)
         prob = make_quadratic(Q, np.zeros(5), metric_diag=1e-3 * np.ones(5))
         assert check_descent_lemma(prob, rng, samples=40) > 0.0
-
-    def test_convexity_check_passes(self, rng):
-        Q = random_spd(rng, 5)
-        prob = make_quadratic(Q, np.zeros(5))
-        assert check_convexity(prob, rng, samples=40) == 0.0

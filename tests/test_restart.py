@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fistakit import (
     LassoSpec,
@@ -14,15 +16,13 @@ from fistakit import (
     exit_optimal_value_scheme,
     fista,
     generate,
-    lcr_fista,
-    no_restart_fista,
+    objective,
     oracle_fstar,
-    restart_fista,
     run_scheme,
 )
 from fistakit.fista import IterationState
 
-from conftest import make_quadratic
+from conftest import make_quadratic, problem_zoo
 
 
 def state_with(f_history, k=None, x_prev=None, x_curr=None, g=None):
@@ -127,7 +127,7 @@ class TestRestartFista:
         for early in (True, False):
             run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-9,
                              r0=np.array([3.0]), early_exit=early)
-            out = restart_fista(prob, run)
+            out = run_scheme(prob, run)
             assert out.trace.total_iterations <= 1
             assert out.trace.final_g_norm <= 1e-9
             assert abs(out.r_star[0] - 3.0) <= 1e-9
@@ -136,15 +136,15 @@ class TestRestartFista:
         eps = 1e-9
         base = RestartRun(scheme=Scheme.NO_RESTART, epsilon=eps, r0=np.zeros(40))
         func = RestartRun(scheme=Scheme.FUNCTION, epsilon=eps, r0=np.zeros(40))
-        n_none = no_restart_fista(desk_lasso.problem, base).trace.total_iterations
-        n_func = restart_fista(desk_lasso.problem, func).trace.total_iterations
+        n_none = run_scheme(desk_lasso.problem, base).trace.total_iterations
+        n_func = run_scheme(desk_lasso.problem, func).trace.total_iterations
         assert n_func < n_none
 
     def test_both_heuristics_reach_tolerance(self, desk_lasso):
         eps = 1e-9
         for scheme in (Scheme.FUNCTION, Scheme.GRADIENT):
             run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(40))
-            out = restart_fista(desk_lasso.problem, run)
+            out = run_scheme(desk_lasso.problem, run)
             assert not out.exhausted
             assert out.trace.final_g_norm <= eps
 
@@ -152,7 +152,7 @@ class TestRestartFista:
         eps = 1e-7
         run = RestartRun(scheme=Scheme.GRADIENT, epsilon=eps, r0=np.zeros(40),
                          early_exit=False)
-        out = restart_fista(desk_lasso.problem, run)
+        out = run_scheme(desk_lasso.problem, run)
         trace = out.trace
         assert trace.final_g_norm <= eps
         assert trace.outer_checks == trace.calls
@@ -162,29 +162,20 @@ class TestRestartFista:
 
     def test_early_exit_accounting(self, desk_lasso):
         run = RestartRun(scheme=Scheme.GRADIENT, epsilon=1e-7, r0=np.zeros(40))
-        out = restart_fista(desk_lasso.problem, run)
+        out = run_scheme(desk_lasso.problem, run)
         trace = out.trace
         assert trace.outer_checks == 0
         assert trace.total_prox_calls == trace.total_iterations + trace.calls
 
     def test_budget_exhaustion_flagged(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-13, r0=np.zeros(40),
-                         budget=50)
-        out = restart_fista(desk_lasso.problem, run)
-        assert out.exhausted
-        assert out.trace.total_prox_calls <= 50
-
-    def test_dispatcher_matches_drivers(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-8, r0=np.zeros(40))
-        a = restart_fista(desk_lasso.problem, run)
-        b = run_scheme(desk_lasso.problem, run)
-        assert a.trace.total_iterations == b.trace.total_iterations
-        assert np.array_equal(a.r_star, b.r_star)
-
-    def test_wrong_scheme_rejected(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-8, r0=np.zeros(40))
-        with pytest.raises(ValueError):
-            restart_fista(desk_lasso.problem, run)
+        # One init prox per call is reserved inside the budget, in both modes.
+        for early in (True, False):
+            for budget in (1, 2, 50):
+                run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-13, r0=np.zeros(40),
+                                 early_exit=early, budget=budget)
+                out = run_scheme(desk_lasso.problem, run)
+                assert out.exhausted
+                assert out.trace.total_prox_calls <= budget
 
     def test_optimal_value_interval_within_rate_window(self):
         # On a growth instance, the e^2-contraction exit must fire within
@@ -200,7 +191,7 @@ class TestRestartFista:
             window = math.ceil(2.0 * math.e / math.sqrt(mu))
             run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9,
                              r0=np.zeros(20), f_star=f_star)
-            out = restart_fista(lp.problem, run)
+            out = run_scheme(lp.problem, run)
             assert not out.exhausted
             for rec in out.trace.records:
                 assert rec.n_obs <= window, f"seed={seed} j={rec.j}"
@@ -210,7 +201,7 @@ class TestLcrFista:
     def test_matched_curvature_single_call(self):
         prob = make_quadratic(np.array([[2.0]]), np.array([1.0]), metric_diag=[2.0])
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.array([5.0]))
-        out = lcr_fista(prob, run)
+        out = run_scheme(prob, run)
         # One productive call (plus at most an aborted zero-iteration one);
         # the doubling step never fires.
         productive = [r for r in out.trace.records if r.j >= 1 and r.n_obs > 0]
@@ -220,7 +211,7 @@ class TestLcrFista:
 
     def test_monotone_decrease_and_restart_inequality(self, desk_lasso):
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(40))
-        out = lcr_fista(desk_lasso.problem, run)
+        out = run_scheme(desk_lasso.problem, run)
         recs = out.trace.records
         assert not out.exhausted
         noise = 64 * np.finfo(float).eps
@@ -235,7 +226,7 @@ class TestLcrFista:
 
     def test_doubling_semantics(self, desk_lasso):
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40))
-        out = lcr_fista(desk_lasso.problem, run)
+        out = run_scheme(desk_lasso.problem, run)
         recs = [r for r in out.trace.records if r.j >= 1]
         doubled = 0
         for prev, curr in zip(recs, recs[1:]):
@@ -251,7 +242,7 @@ class TestLcrFista:
         # The final truncated call is allowed to be shorter; every earlier
         # pair must be nondecreasing on this family.
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(40))
-        out = lcr_fista(desk_lasso.problem, run)
+        out = run_scheme(desk_lasso.problem, run)
         ns = [r.n_obs for r in out.trace.records if r.j >= 1]
         body = ns[:-1]
         assert all(a <= b for a, b in zip(body, body[1:]))
@@ -259,7 +250,7 @@ class TestLcrFista:
     def test_strict_mode_reaches_tolerance(self, desk_lasso):
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-8, r0=np.zeros(40),
                          early_exit=False)
-        out = lcr_fista(desk_lasso.problem, run)
+        out = run_scheme(desk_lasso.problem, run)
         trace = out.trace
         assert trace.final_g_norm <= 1e-8
         # Outer checks start at the second call in strict mode.
@@ -269,10 +260,13 @@ class TestLcrFista:
         )
 
     def test_budget_exhaustion_flagged(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-13, r0=np.zeros(40), budget=30)
-        out = lcr_fista(desk_lasso.problem, run)
-        assert out.exhausted
-        assert out.trace.total_prox_calls <= 30
+        for early in (True, False):
+            for budget in (1, 2, 30):
+                run = RestartRun(scheme=Scheme.LCR, epsilon=1e-13, r0=np.zeros(40),
+                                 early_exit=early, budget=budget)
+                out = run_scheme(desk_lasso.problem, run)
+                assert out.exhausted
+                assert out.trace.total_prox_calls <= budget
 
 
 class TestConstrainedSolves:
@@ -286,7 +280,7 @@ class TestConstrainedSolves:
         box = Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
         prob = make_quadratic(np.diag(q), c, metric_diag=q * 1.5, constraint=box)
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(3))
-        out = lcr_fista(prob, run)
+        out = run_scheme(prob, run)
         expected = np.clip(c, box.lower, box.upper)
         assert np.allclose(out.r_star, expected, atol=1e-8)
         assert out.trace.final_g_norm <= 1e-10
@@ -304,7 +298,7 @@ class TestConstrainedSolves:
             nonsmooth=WeightedL1(w), constraint=box,
         )
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(2))
-        out = lcr_fista(prob, run)
+        out = run_scheme(prob, run)
         unconstrained = np.sign(c) * np.maximum(np.abs(c) - w / q, 0.0)
         expected = np.clip(unconstrained, box.lower, box.upper)
         assert np.allclose(out.r_star, expected, atol=1e-8)
@@ -316,7 +310,7 @@ class TestConstrainedSolves:
 
         def solve(eps):
             run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=np.zeros(40))
-            return lcr_fista(desk_lasso.problem, run)
+            return run_scheme(desk_lasso.problem, run)
 
         epss = [1e-7, 1e-8, 1e-9, 1e-10]
         sequential = [solve(e) for e in epss]
@@ -332,31 +326,122 @@ class TestNoRestart:
         for early in (True, False):
             run = RestartRun(scheme=Scheme.NO_RESTART, epsilon=1e-8,
                              r0=np.zeros(40), early_exit=early)
-            out = no_restart_fista(desk_lasso.problem, run)
+            out = run_scheme(desk_lasso.problem, run)
             assert out.trace.final_g_norm <= 1e-8
-            assert out.trace.calls == 1
+            assert out.trace.calls == 1 and out.trace.outer_checks == 0
 
     def test_lasso_with_l1_region_reaches_sparse_solution(self):
         # Strong l1 weights drive coordinates exactly to zero.
         lp = generate(LassoSpec(N=15, n=25, alpha=0.5, sparsity=0.3, seed=2))
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(25))
-        out = lcr_fista(lp.problem, run)
+        out = run_scheme(lp.problem, run)
         assert isinstance(lp.problem.nonsmooth, WeightedL1)
         assert np.sum(out.r_star == 0.0) > 0
 
 
-def test_pinned_iteration_counts():
-    """Iteration counts of every scheme on one fixed desk instance.
+class TestSchemeDifferences:
+    """What sets the schemes apart inside the one driver."""
 
-    These are the paper's quantity.  A change that moves one must say why;
-    the restart tests compare objective values, so arithmetic that differs
-    at rounding level can move the restarting schemes by a few iterations.
+    def test_no_restart_strict_runs_one_iteration_at_an_optimal_start(self):
+        prob = make_quadratic(np.array([[1.0]]), np.array([3.0]), metric_diag=[1.0])
+        for early, iterations in ((True, 0), (False, 1)):
+            run = RestartRun(scheme=Scheme.NO_RESTART, epsilon=1e-9,
+                             r0=np.array([3.0]), early_exit=early)
+            trace = run_scheme(prob, run).trace
+            assert trace.total_iterations == iterations
+            assert trace.calls == 1 and trace.outer_checks == 0
+            assert trace.final_g_norm <= 1e-9
+
+    def test_truncated_final_lcr_call_takes_no_doubling_decision(self, desk_lasso):
+        full = run_scheme(desk_lasso.problem,
+                          RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40)))
+        doubled = [r for r in full.trace.records if r.n_eff != r.n_obs]
+        assert doubled
+        # Cut the run inside the call after the first doubling.
+        cut = doubled[0].j + 1
+        used = sum(r.n_obs + 1 for r in full.trace.records if 1 <= r.j < cut)
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40), budget=used + 2)
+        last = run_scheme(desk_lasso.problem, run).trace.records[-1]
+        assert last.j == cut and last.n_obs == 1
+        assert last.n_eff == last.n_obs
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1e-6, 1e-7]))
+def test_generic_callables_reach_eps_in_every_scheme(seed, eps):
+    """The driver on plain callables: plain, l1, box, and l1 plus box problems.
+
+    The tolerances keep ``0.5 eps^2``, the decrease a restart guarantees,
+    far above the rounding of ``f`` (about 1e-15 here); below that,
+    strict mode can stall, see the next test.
+    """
+    for prob in problem_zoo(np.random.default_rng(seed)):
+        ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12,
+                                          r0=np.zeros(prob.dim)))
+        f_star = objective(prob, ref.r_star)
+        for scheme in Scheme:
+            for early in (True, False):
+                run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(prob.dim),
+                                 early_exit=early,
+                                 f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+                trace = run_scheme(prob, run).trace
+                label = f"{scheme.value} early_exit={early}"
+                assert not trace.exhausted, label
+                assert trace.final_g_norm <= eps, label
+                assert trace.total_prox_calls == (
+                    trace.total_iterations + trace.calls + trace.outer_checks
+                ), label
+                if scheme is not Scheme.LCR:
+                    continue
+                for prev, curr in zip(trace.records, trace.records[1:]):
+                    if math.isnan(prev.g_dual_norm):
+                        continue
+                    noise = 64 * np.finfo(float).eps * max(1.0, abs(prev.f_r), abs(curr.f_r))
+                    assert 0.5 * prev.g_dual_norm**2 <= prev.f_r - curr.f_r + noise, label
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: in strict mode an inner call whose "
+                   "exit test compares f values at rounding level may never exit")
+def test_strict_lcr_ends_when_f_cycles_at_rounding_level():
+    # On this box-constrained draw the last lcr call reaches g = 0 exactly,
+    # but f(x_k) then cycles through two adjacent doubles with period 3,
+    # f(x_0) being the lower one, and the pivot pattern of exit_lcr never
+    # sees f(x_m) and f(x_k) both low; only the budget stops the call.
+    prob = problem_zoo(np.random.default_rng(3882100052))[2]
+    run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(prob.dim),
+                     early_exit=False, budget=20_000)
+    trace = run_scheme(prob, run).trace
+    assert not trace.exhausted
+    assert trace.final_g_norm <= 1e-9
+
+
+def test_pinned_iteration_counts():
+    """Iteration and prox-call counts of every scheme on one fixed desk instance.
+
+    These are the paper's quantity, pinned in both exit modes.  A change
+    that moves one must say why; the restart tests compare objective
+    values, so arithmetic that differs at rounding level can move the
+    restarting schemes by a few iterations.
     """
     lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
     f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
     counts = {}
-    for scheme in Scheme:
-        run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(lp.n),
-                         f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
-        counts[scheme.value] = run_scheme(lp.problem, run).trace.total_iterations
-    assert counts == {"none": 1270, "func": 235, "grad": 231, "opt": 416, "lcr": 271}
+    for early in (True, False):
+        for scheme in Scheme:
+            run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(lp.n), early_exit=early,
+                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+            trace = run_scheme(lp.problem, run).trace
+            mode = "early" if early else "strict"
+            counts[mode, scheme.value] = (trace.total_iterations, trace.total_prox_calls)
+    assert counts == {
+        ("early", "none"): (1270, 1271),
+        ("early", "func"): (235, 241),
+        ("early", "grad"): (231, 237),
+        ("early", "opt"): (416, 433),
+        ("early", "lcr"): (271, 283),
+        ("strict", "none"): (1270, 1271),
+        ("strict", "func"): (235, 247),
+        ("strict", "grad"): (241, 253),
+        ("strict", "opt"): (420, 454),
+        ("strict", "lcr"): (327, 352),
+    }
