@@ -27,8 +27,10 @@ import math
 import multiprocessing
 import sys
 import traceback
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,7 +45,8 @@ from .lasso import (
 )
 from .model import composite_gradient_map, objective
 from .oracles import OracleError, kkt_residual, oracle_fstar, oracle_mu
-from .restart import DEFAULT_PROX_BUDGET, RestartRun, RestartTrace, Scheme, run_scheme
+from .restart import (DEFAULT_PROX_BUDGET, RestartRecord, RestartRun, RestartTrace, Scheme,
+                      run_scheme)
 
 __all__ = [
     "ExperimentConfig",
@@ -162,7 +165,8 @@ def _parse_schemes(text: str) -> tuple[Scheme, ...]:
 
 # Every run setting, once: its config-file key (``--key`` on the command
 # line, with '-' for '_'), its ExperimentConfig field, and the parser of its
-# text.  Flags, config files and run_meta.json all follow this table.
+# text.  Flags (of run, gen and solve), config files and run_meta.json all
+# follow this table, and ExperimentConfig holds every default.
 _CONFIG_KEYS = (
     ("N", "N", int),
     ("n", "n", int),
@@ -190,30 +194,53 @@ _FLAG_HELP = {
 # written or on parallelism.
 _UNRECORDED_KEYS = ("out", "jobs")
 
+# The settings each command takes as flags.
+_RUN_KEYS = tuple(key for key, _, _ in _CONFIG_KEYS)
+_GEN_KEYS = ("N", "n", "alpha", "sparsity", "family", "seed")
+_SOLVE_KEYS = ("eps", "oracle_eps", "strict_exit", "budget")
+
+
+def _parse_settings(settings: dict[str, str]) -> dict:
+    """ExperimentConfig field -> value: the defaults, with ``settings``
+    (config key -> text) read by the table's parsers."""
+    parsers = {key: (name, parse) for key, name, parse in _CONFIG_KEYS}
+    values = {f.name: f.default for f in fields(ExperimentConfig)}
+    for key, raw in settings.items():
+        if key not in parsers:
+            raise ValueError(f"unknown config key {key!r}")
+        name, parse = parsers[key]
+        values[name] = parse(raw)
+    return values
+
 
 def build_config(file_map: dict[str, str] | None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Parse ``key = value`` settings; ``overrides`` (field name -> value) win."""
-    parsers = {key: (name, parse) for key, name, parse in _CONFIG_KEYS}
-    kwargs = {}
-    for key, raw in (file_map or {}).items():
-        if key not in parsers:
-            raise ValueError(f"unknown config key {key!r}")
-        name, parse = parsers[key]
-        kwargs[name] = parse(raw)
+    values = _parse_settings(file_map or {})
     for name, value in (overrides or {}).items():
         if value is not None:
-            kwargs[name] = value
-    return ExperimentConfig(**kwargs)
+            values[name] = value
+    return ExperimentConfig(**values)
 
 
 # ----------------------------------------------------------------------
-# trace export
+# CSV output
+
+_TRACE_HEADER = "scheme,k,f,g_dual_norm"
+_RESTART_HEADER = "j,n_obs,n_eff,f_r,g_dual_norm"
 
 
-def _write_trace_rows(fh, scheme: str, trace: RestartTrace) -> None:
-    for k, f_val, g_val in trace.iteration_rows():
-        fh.write(f"{scheme},{k},{fmt(f_val)},{fmt(g_val)}\n")
+def _write_csv(path, header: str, lines) -> None:
+    """Write a header line and then each already formatted line."""
+    Path(path).write_text("\n".join([header, *lines]) + "\n", newline="\n")
+
+
+def _trace_lines(scheme: str, trace: RestartTrace):
+    return (f"{scheme},{k},{fmt(f_val)},{fmt(g_val)}" for k, f_val, g_val in trace.iteration_rows())
+
+
+def _restart_line(rec: RestartRecord) -> str:
+    return f"{rec.j},{rec.n_obs},{rec.n_eff},{fmt(rec.f_r)},{fmt(rec.g_dual_norm)}"
 
 
 def export_trace(trace: RestartTrace, path, scheme: str) -> None:
@@ -221,25 +248,16 @@ def export_trace(trace: RestartTrace, path, scheme: str) -> None:
 
     An empty trace produces a header-only file.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write("scheme,k,f,g_dual_norm\n")
-        _write_trace_rows(fh, scheme, trace)
+    _write_csv(path, _TRACE_HEADER, _trace_lines(scheme, trace))
 
 
 def _write_trial_traces(out_dir: Path, trial: int, results: dict[str, RestartTrace]) -> None:
     traces = out_dir / "traces"
-    with open(traces / f"trial_{trial:04d}.csv", "w", newline="\n") as fh:
-        fh.write("scheme,k,f,g_dual_norm\n")
-        for name, trace in results.items():
-            _write_trace_rows(fh, name, trace)
-    with open(traces / f"trial_{trial:04d}_restarts.csv", "w", newline="\n") as fh:
-        fh.write("scheme,j,n_obs,n_eff,f_r,g_dual_norm\n")
-        for name, trace in results.items():
-            for rec in trace.records:
-                fh.write(
-                    f"{name},{rec.j},{rec.n_obs},{rec.n_eff},"
-                    f"{fmt(rec.f_r)},{fmt(rec.g_dual_norm)}\n"
-                )
+    _write_csv(traces / f"trial_{trial:04d}.csv", _TRACE_HEADER,
+               (line for name, trace in results.items() for line in _trace_lines(name, trace)))
+    _write_csv(traces / f"trial_{trial:04d}_restarts.csv", "scheme," + _RESTART_HEADER,
+               (f"{name},{_restart_line(rec)}"
+                for name, trace in results.items() for rec in trace.records))
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +277,13 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         print(f"trial {trial} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
         return {"trial": trial, "valid": False, "reason": f"{type(exc).__name__}: {exc}",
                 "schemes": {}, "oracle": None}
+
+
+def _restart_run(settings, scheme: Scheme, n: int, f_star: float | None) -> RestartRun:
+    """The run from zero that ``settings`` (a config, or solve's flags) ask for."""
+    return RestartRun(scheme=scheme, epsilon=settings.epsilon, r0=np.zeros(n),
+                      early_exit=not settings.strict_exit, f_star=f_star,
+                      budget=settings.budget)
 
 
 def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
@@ -288,14 +313,8 @@ def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
 
     results: dict[str, RestartTrace] = {}
     for scheme in config.schemes:
-        run = RestartRun(
-            scheme=scheme,
-            epsilon=config.epsilon,
-            r0=r0,
-            early_exit=not config.strict_exit,
-            f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
-            budget=config.budget,
-        )
+        run = _restart_run(config, scheme, lp.n,
+                           f_star if scheme is Scheme.OPTIMAL_VALUE else None)
         outcome = run_scheme(lp.problem, run)
         trace = outcome.trace
         results[scheme.value] = trace
@@ -362,9 +381,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
     meta = {key: getattr(config, name) for key, name, _ in _CONFIG_KEYS
             if key not in _UNRECORDED_KEYS}
     meta["schemes"] = [s.value for s in config.schemes]
-    with open(out / "run_meta.json", "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                                       newline="\n")
 
     jobs = min(config.jobs, config.trials)
     if jobs > 1:
@@ -373,47 +391,32 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
     else:
         summaries = [_run_trial(config, i) for i in range(config.trials)]
 
-    with open(out / "trials.csv", "w", newline="\n") as fh:
-        fh.write("trial,scheme,iterations,prox_calls,final_g_dual_norm,f_final,status\n")
-        for s in summaries:
-            for name, row in s["schemes"].items():
-                status = "exhausted" if row["exhausted"] else "ok"
-                fh.write(
-                    f"{s['trial']},{name},{row['iterations']},{row['prox_calls']},"
-                    f"{fmt(row['final_g_dual_norm'])},{fmt(row['f_final'])},{status}\n"
-                )
-
-    with open(out / "oracles.csv", "w", newline="\n") as fh:
-        fh.write("trial,f_star,kkt_residual,f_r0,f_x0,x0_dist_r,mu\n")
-        for s in summaries:
-            o = s["oracle"]
-            if o is None:
-                continue
-            fh.write(
-                f"{s['trial']},{fmt(o['f_star'])},{fmt(o['kkt_residual'])},"
-                f"{fmt(o['f_r0'])},{fmt(o['f_x0'])},{fmt(o['x0_dist_r'])},{fmt(o['mu'])}\n"
-            )
+    _write_csv(out / "trials.csv",
+               "trial,scheme,iterations,prox_calls,final_g_dual_norm,f_final,status",
+               (f"{s['trial']},{name},{row['iterations']},{row['prox_calls']},"
+                f"{fmt(row['final_g_dual_norm'])},{fmt(row['f_final'])},"
+                f"{'exhausted' if row['exhausted'] else 'ok'}"
+                for s in summaries for name, row in s["schemes"].items()))
+    _write_csv(out / "oracles.csv", "trial,f_star,kkt_residual,f_r0,f_x0,x0_dist_r,mu",
+               (f"{s['trial']},{fmt(o['f_star'])},{fmt(o['kkt_residual'])},"
+                f"{fmt(o['f_r0'])},{fmt(o['f_x0'])},{fmt(o['x0_dist_r'])},{fmt(o['mu'])}"
+                for s in summaries if (o := s["oracle"]) is not None))
 
     invalid = [s for s in summaries if not s["valid"]]
     if invalid:
-        with open(out / "invalid.csv", "w", newline="\n") as fh:
-            fh.write("trial,reason\n")
-            for s in invalid:
-                reason = " ".join(s["reason"].replace(",", ";").split())
-                fh.write(f"{s['trial']},{reason}\n")
+        _write_csv(out / "invalid.csv", "trial,reason",
+                   (f"{s['trial']},{' '.join(s['reason'].replace(',', ';').split())}"
+                    for s in invalid))
 
     stats = _aggregate(config, summaries)
-    with open(out / "stats.csv", "w", newline="\n") as fh:
-        fh.write("scheme,avg_iterations,median_iterations,max_iterations,"
-                 "min_iterations,avg_prox_calls,valid_trials\n")
-        for st in stats:
-            fh.write(
-                f"{st.scheme.value},{fmt(st.average)},{fmt(st.median)},"
-                f"{st.maximum},{st.minimum},{fmt(st.average_prox_calls)},{st.trials}\n"
-            )
+    _write_csv(out / "stats.csv",
+               "scheme,avg_iterations,median_iterations,max_iterations,"
+               "min_iterations,avg_prox_calls,valid_trials",
+               (f"{st.scheme.value},{fmt(st.average)},{fmt(st.median)},"
+                f"{st.maximum},{st.minimum},{fmt(st.average_prox_calls)},{st.trials}"
+                for st in stats))
     text = _stats_text(stats)
-    with open(out / "stats.txt", "w", newline="\n") as fh:
-        fh.write(text)
+    (out / "stats.txt").write_text(text, newline="\n")
     print(text, end="")
     for s in invalid:
         print(f"invalid trial {s['trial']}: {s['reason']}", file=sys.stderr)
@@ -452,15 +455,31 @@ class BoundCheck:
         return " ".join(parts)
 
 
-def _rate_allowance(bound: float) -> float:
-    return bound * (1.0 + BOUND_REL) + BOUND_ABS
-
-
 def _float_noise(*values: float) -> float:
     # Allowance for the evaluation error of objective differences read
     # back from file: a few ulps of the largest magnitude involved.
     scale = max([1.0, *map(abs, values)])
     return 64.0 * np.finfo(float).eps * scale
+
+
+def _rate_check(trial: int, name: str, rows, bound_at) -> BoundCheck:
+    """Check ``observed <= bound_at(k)``, within its allowance, on every
+    ``(k, observed)`` row; reports the row of largest margin."""
+    worst = None
+    for k, observed in rows:
+        bound = bound_at(k)
+        margin = observed - (bound * (1.0 + BOUND_REL) + BOUND_ABS)
+        if worst is None or margin > worst[0]:
+            worst = (margin, k, observed, bound)
+    margin, k, observed, bound = worst
+    return BoundCheck(trial, name, "PASS" if margin <= 0 else "FAIL",
+                      bound=bound, observed=observed, detail=f"worst_k={k}")
+
+
+def _claim_check(trial: int, name: str, violations: list[float], **extra) -> BoundCheck:
+    """FAIL when a claim has violations, observing the largest one."""
+    return BoundCheck(trial, name, "FAIL" if violations else "PASS",
+                      observed=max(violations, default=math.nan), **extra)
 
 
 def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
@@ -490,101 +509,55 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
         f_x0 = float(o["f_x0"])
         f_r0 = float(o["f_r0"])
         mu = float(o["mu"])
-        trace_rows = _read_csv(out / "traces" / f"trial_{trial:04d}.csv")
-        restart_rows = _read_csv(out / "traces" / f"trial_{trial:04d}_restarts.csv")
+        nr = [(int(r["k"]), float(r["f"]), float(r["g_dual_norm"]))
+              for r in _read_csv(out / "traces" / f"trial_{trial:04d}.csv")
+              if r["scheme"] == "none"]
+        lcr = sorted(  # by j
+            (int(r["j"]), int(r["n_obs"]), float(r["f_r"]), float(r["g_dual_norm"]))
+            for r in _read_csv(out / "traces" / f"trial_{trial:04d}_restarts.csv")
+            if r["scheme"] == "lcr"
+        )
 
-        by_scheme: dict[str, list[dict[str, str]]] = {}
-        for row in trace_rows:
-            by_scheme.setdefault(row["scheme"], []).append(row)
-        restarts_by_scheme: dict[str, list[dict[str, str]]] = {}
-        for row in restart_rows:
-            restarts_by_scheme.setdefault(row["scheme"], []).append(row)
-
-        nr = by_scheme.get("none")
         if nr:
-            worst = None
-            for row in nr:
-                k = int(row["k"])
-                gap = float(row["f"]) - f_star
-                bound = 2.0 * dist * dist / (k + 1) ** 2
-                margin = gap - _rate_allowance(bound)
-                if worst is None or margin > worst[0]:
-                    worst = (margin, k, gap, bound)
-            margin, k, gap, bound = worst
-            checks.append(BoundCheck(
-                trial, "nr-objective-rate", "PASS" if margin <= 0 else "FAIL",
-                bound=bound, observed=gap, detail=f"worst_k={k}",
-            ))
-            worst = None
-            for row in nr:
-                k = int(row["k"])
-                g_val = float(row["g_dual_norm"])
-                bound = 4.0 * dist / (k + 1)  # g at y_{k-1}: (k-1) + 2
-                margin = g_val - _rate_allowance(bound)
-                if worst is None or margin > worst[0]:
-                    worst = (margin, k, g_val, bound)
-            margin, k, g_val, bound = worst
-            checks.append(BoundCheck(
-                trial, "nr-gradient-rate", "PASS" if margin <= 0 else "FAIL",
-                bound=bound, observed=g_val, detail=f"worst_k={k}",
-            ))
+            checks.append(_rate_check(trial, "nr-objective-rate",
+                                      ((k, f - f_star) for k, f, _ in nr),
+                                      lambda k: 2.0 * dist * dist / (k + 1) ** 2))
+            # g at y_{k-1}: (k-1) + 2
+            checks.append(_rate_check(trial, "nr-gradient-rate", ((k, g) for k, _, g in nr),
+                                      lambda k: 4.0 * dist / (k + 1)))
             if not math.isfinite(mu):
                 checks.append(BoundCheck(trial, "nr-growth-checks", "SKIP",
                                          detail="no growth parameter"))
             else:
                 k_mono = math.floor(2.0 / math.sqrt(mu))
                 k_contr = math.floor(2.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
-                bad = [
-                    (int(r["k"]), float(r["f"]))
-                    for r in nr
-                    if int(r["k"]) >= k_mono
-                    and float(r["f"]) > f_x0 + _float_noise(f_x0, float(r["f"]))
-                ]
-                checks.append(BoundCheck(
-                    trial, "nr-monotone-after", "PASS" if not bad else "FAIL",
-                    bound=f_x0,
-                    observed=max((f for _, f in bad), default=math.nan),
-                    detail=f"k_min={k_mono}",
+                checks.append(_claim_check(
+                    trial, "nr-monotone-after",
+                    [f for k, f, _ in nr if k >= k_mono and f > f_x0 + _float_noise(f_x0, f)],
+                    bound=f_x0, detail=f"k_min={k_mono}",
                 ))
-                bad = []
-                for r in nr:
-                    k = int(r["k"])
-                    if k < k_contr:
-                        continue
-                    f_k = float(r["f"])
-                    lhs = f_k - f_star
-                    rhs = (f_x0 - f_k) / math.e
-                    if lhs > rhs + _float_noise(f_x0, f_k):
-                        bad.append((k, lhs - rhs))
-                checks.append(BoundCheck(
-                    trial, "nr-contraction-after", "PASS" if not bad else "FAIL",
-                    observed=max((d for _, d in bad), default=math.nan),
+                checks.append(_claim_check(
+                    trial, "nr-contraction-after",
+                    [(f - f_star) - (f_x0 - f) / math.e for k, f, _ in nr
+                     if k >= k_contr and f - f_star > (f_x0 - f) / math.e + _float_noise(f_x0, f)],
                     detail=f"k_min={k_contr}",
                 ))
 
-        lcr = restarts_by_scheme.get("lcr")
         if lcr:
-            lcr = sorted(lcr, key=lambda r: int(r["j"]))
-            bad = []
-            for prev, curr in zip(lcr, lcr[1:]):
-                g_prev = float(prev["g_dual_norm"])
-                if math.isnan(g_prev):
-                    continue
-                lhs = 0.5 * g_prev * g_prev
-                rhs = float(prev["f_r"]) - float(curr["f_r"])
-                if lhs > rhs + _float_noise(float(prev["f_r"]), float(curr["f_r"])):
-                    bad.append((int(curr["j"]), lhs - rhs))
-            checks.append(BoundCheck(
-                trial, "lcr-restart-decrease", "PASS" if not bad else "FAIL",
-                observed=max((d for _, d in bad), default=math.nan),
-                detail=f"pairs={max(len(lcr) - 1, 0)}",
+            checks.append(_claim_check(
+                trial, "lcr-restart-decrease",
+                [0.5 * g * g - (f_prev - f_curr)
+                 for (_, _, f_prev, g), (_, _, f_curr, _) in zip(lcr, lcr[1:])
+                 if not math.isnan(g)
+                 and 0.5 * g * g > (f_prev - f_curr) + _float_noise(f_prev, f_curr)],
+                detail=f"pairs={len(lcr) - 1}",
             ))
             if not math.isfinite(mu):
                 checks.append(BoundCheck(trial, "lcr-growth-checks", "SKIP",
                                          detail="no growth parameter"))
             else:
                 nj_bound = math.ceil(4.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
-                worst_n = max(int(r["n_obs"]) for r in lcr)
+                worst_n = max(n_obs for _, n_obs, _, _ in lcr)
                 checks.append(BoundCheck(
                     trial, "lcr-iteration-bound",
                     "PASS" if worst_n <= nj_bound else "FAIL",
@@ -609,11 +582,12 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
 # argparse front end
 
 
-def _add_run_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="flat key = value config file")
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     # Values stay text here and are parsed with the config file's, so that
     # bad input is a config error rather than an argparse one.
     for key, _, parse in _CONFIG_KEYS:
+        if key not in keys:
+            continue
         flag, help_text = "--" + key.replace("_", "-"), _FLAG_HELP.get(key)
         if parse is _parse_bool:
             p.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
@@ -621,17 +595,15 @@ def _add_run_overrides(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, dest=key, help=help_text)
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    settings = parse_config_file(args.config) if args.config else {}
-    for key, _, _ in _CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    return build_config(settings)
+def _flag_settings(args, keys) -> dict[str, str]:
+    """Config key -> text of each of the ``keys`` flags given on the command line."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _cmd_run(args) -> int:
     try:
-        config = _config_from_args(args)
+        settings = parse_config_file(args.config) if args.config else {}
+        config = build_config(settings | _flag_settings(args, _RUN_KEYS))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -641,16 +613,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        if args.family == "lasso":
-            spec = LassoSpec(N=args.N, n=args.n, alpha=args.alpha,
-                             sparsity=args.sparsity, seed=args.seed)
-            lp = generate(spec)
-        else:
-            lp = generate_least_squares(args.N, args.n, seed=args.seed,
-                                        sparsity=args.sparsity)
+        config = build_config(_flag_settings(args, _GEN_KEYS))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    lp = config.instance(0)
     save_problem(lp, args.out)
     print(f"wrote {args.out} (N={lp.N}, n={lp.n}, nnz={lp.A.nnz})")
     return 0
@@ -658,26 +625,26 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     try:
+        # Not an ExperimentConfig: solve lets eps be as tight as oracle_eps.
+        settings = SimpleNamespace(**_parse_settings(_flag_settings(args, _SOLVE_KEYS)))
         lp = load_problem(args.problem)
         scheme = Scheme.from_name(args.scheme)
+        needs_oracle = scheme is Scheme.OPTIMAL_VALUE and args.f_star is None
+        if needs_oracle and not settings.oracle_epsilon > 0:
+            raise ValueError("oracle_epsilon must be > 0")
+        # f_star 0 stands in for the oracle's, so that bad settings stop
+        # solve before the oracle runs.
+        run = _restart_run(settings, scheme, lp.n, 0.0 if needs_oracle else args.f_star)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    f_star = args.f_star
-    if scheme is Scheme.OPTIMAL_VALUE and f_star is None:
+    if needs_oracle:
         try:
-            f_star, _ = oracle_fstar(lp, tight_eps=args.oracle_eps, budget=args.budget)
+            f_star, _ = oracle_fstar(lp, tight_eps=settings.oracle_epsilon, budget=run.budget)
         except OracleError as exc:
             print(f"oracle failure: {exc}", file=sys.stderr)
             return 1
-    run = RestartRun(
-        scheme=scheme,
-        epsilon=args.eps,
-        r0=np.zeros(lp.n),
-        early_exit=not args.strict_exit,
-        f_star=f_star,
-        budget=args.budget,
-    )
+        run = replace(run, f_star=f_star)
     outcome = run_scheme(lp.problem, run)
     trace = outcome.trace
     print(f"scheme={scheme.value} iterations={trace.total_iterations} "
@@ -687,11 +654,7 @@ def _cmd_solve(args) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         export_trace(trace, args.out / "trace.csv", scheme.value)
-        with open(args.out / "restarts.csv", "w", newline="\n") as fh:
-            fh.write("j,n_obs,n_eff,f_r,g_dual_norm\n")
-            for rec in trace.records:
-                fh.write(f"{rec.j},{rec.n_obs},{rec.n_eff},"
-                         f"{fmt(rec.f_r)},{fmt(rec.g_dual_norm)}\n")
+        _write_csv(args.out / "restarts.csv", _RESTART_HEADER, map(_restart_line, trace.records))
     return 1 if trace.exhausted else 0
 
 
@@ -702,12 +665,9 @@ def _cmd_verify(args) -> int:
         print(f"config error: cannot read run output: {exc}", file=sys.stderr)
         return 2
     report = "\n".join(c.line() for c in checks) + "\n"
-    with open(Path(args.out) / "bound_report.txt", "w", newline="\n") as fh:
-        fh.write(report)
+    (Path(args.out) / "bound_report.txt").write_text(report, newline="\n")
     print(report, end="")
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for c in checks:
-        counts[c.status] += 1
+    counts = Counter(c.status for c in checks)
     print(f"{counts['PASS']} passed, {counts['FAIL']} failed, {counts['SKIP']} skipped")
     return 1 if failures else 0
 
@@ -720,16 +680,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a full experiment from a config")
-    _add_run_overrides(p_run)
+    p_run.add_argument("--config", type=Path, help="flat key = value config file")
+    _add_config_flags(p_run, _RUN_KEYS)
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate one problem file")
-    p_gen.add_argument("--N", type=int, default=600)
-    p_gen.add_argument("--n", type=int, default=800)
-    p_gen.add_argument("--alpha", type=float, default=0.01)
-    p_gen.add_argument("--sparsity", type=float, default=0.9)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--family", choices=["lasso", "least-squares"], default="lasso")
+    _add_config_flags(p_gen, _GEN_KEYS)
     p_gen.add_argument("--out", type=Path, required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -737,11 +693,8 @@ def main(argv=None) -> int:
     p_solve.add_argument("problem", type=Path)
     p_solve.add_argument("--scheme", required=True,
                          choices=[s.value for s in Scheme])
-    p_solve.add_argument("--eps", type=float, default=1e-11)
-    p_solve.add_argument("--oracle-eps", type=float, default=1e-12, dest="oracle_eps")
+    _add_config_flags(p_solve, _SOLVE_KEYS)
     p_solve.add_argument("--f-star", type=float, default=None, dest="f_star")
-    p_solve.add_argument("--strict-exit", action="store_true", dest="strict_exit")
-    p_solve.add_argument("--budget", type=int, default=DEFAULT_PROX_BUDGET)
     p_solve.add_argument("--out", type=Path, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -132,12 +132,12 @@ class LassoProblem:
         return cls(A=A, b=b, weights=w, metric=metric, problem=problem, spec=spec)
 
 
-def gershgorin_metric(A, N: int, floor_rel: float = METRIC_FLOOR_REL) -> Metric:
+def gershgorin_metric(A, N: int) -> Metric:
     """Diagonal metric with ``R_ii = sum_j |H_ij|`` for ``H = A^T A / N``.
 
     ``H`` is symmetric, so the row sums equal the column sums, which are
     accumulated block-wise without ever materializing ``H``.  Entries are
-    floored at ``floor_rel`` times the largest row sum so a fully zero
+    floored at ``METRIC_FLOOR_REL`` times the largest row sum so a fully zero
     column of ``A`` still yields a positive definite metric (an all-zero
     ``A`` falls back to the identity).
     """
@@ -154,12 +154,17 @@ def gershgorin_metric(A, N: int, floor_rel: float = METRIC_FLOOR_REL) -> Metric:
     top = sums.max() if n else 0.0
     if top <= 0.0:
         return Metric(np.ones(n))
-    return Metric(np.maximum(sums, floor_rel * top))
+    return Metric(np.maximum(sums, METRIC_FLOOR_REL * top))
 
 
-def _streams(seed: int, count: int):
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(s) for s in children]
+def _draw(seed: int, N: int, n: int, sparsity: float):
+    """``A``, ``b`` and the weights' stream, as :func:`generate` describes."""
+    children = np.random.SeedSequence(seed).spawn(4)
+    rng_mask, rng_vals, rng_b, rng_w = (np.random.default_rng(s) for s in children)
+    keep = rng_mask.random((N, n)) >= sparsity
+    vals = rng_vals.standard_normal((N, n))
+    A = sparse.csc_array(np.where(keep, vals, 0.0))
+    return A, rng_b.standard_normal(N), rng_w
 
 
 def generate(spec: LassoSpec) -> LassoProblem:
@@ -168,11 +173,7 @@ def generate(spec: LassoSpec) -> LassoProblem:
     Deterministic given the seed: the pattern, values, right-hand side and
     weights each consume their own child stream, in that order.
     """
-    rng_mask, rng_vals, rng_b, rng_w = _streams(spec.seed, 4)
-    keep = rng_mask.random((spec.N, spec.n)) >= spec.sparsity
-    vals = rng_vals.standard_normal((spec.N, spec.n))
-    A = sparse.csc_array(np.where(keep, vals, 0.0))
-    b = rng_b.standard_normal(spec.N)
+    A, b, rng_w = _draw(spec.seed, spec.N, spec.n, spec.sparsity)
     w = rng_w.uniform(0.0, spec.alpha, spec.n)
     return LassoProblem.build(A, b, weights=w, spec=spec)
 
@@ -185,11 +186,7 @@ def generate_least_squares(N: int, n: int, seed: int, sparsity: float = 0.0) -> 
     with probability one.
     """
     check_least_squares_args(N, n, sparsity)
-    rng_mask, rng_vals, rng_b = _streams(seed, 3)
-    keep = rng_mask.random((N, n)) >= sparsity
-    vals = rng_vals.standard_normal((N, n))
-    A = sparse.csc_array(np.where(keep, vals, 0.0))
-    b = rng_b.standard_normal(N)
+    A, b, _ = _draw(seed, N, n, sparsity)
     return LassoProblem.build(A, b, weights=None)
 
 

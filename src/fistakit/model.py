@@ -417,26 +417,28 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     return float(h) + float(psi)
 
 
+# Relative descent-lemma violations up to this size count as rounding.
+DESCENT_REL_TOL = 1e-9
+
+
 def check_descent_lemma(
     problem: CompositeProblem,
     rng: np.random.Generator,
     samples: int = 50,
-    scale: float = 1.0,
-    rel_tol: float = 1e-9,
 ) -> float:
     """Spot-check the quadratic upper bound of ``h`` against the metric.
 
     Samples point pairs and returns the worst relative violation of
     ``h(x) <= h(y) + <grad h(y), x - y> + 0.5 ||x - y||_R^2`` (0.0 when the
-    bound holds everywhere sampled).  A positive return larger than
-    ``rel_tol`` means the metric does not dominate the curvature of ``h``;
-    the check only diagnoses, it does not repair the metric.
+    bound holds everywhere sampled, up to ``DESCENT_REL_TOL``).  A positive
+    return means the metric does not dominate the curvature of ``h``; the
+    check only diagnoses, it does not repair the metric.
     """
     n = problem.dim
     worst = 0.0
     for _ in range(samples):
-        x = scale * rng.standard_normal(n)
-        y = scale * rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
         hx = problem.smooth.value(x)
         hy = problem.smooth.value(y)
         gy = problem.smooth.grad(y)
@@ -444,5 +446,5 @@ def check_descent_lemma(
         bound = hy + float(np.dot(gy, d)) + 0.5 * float(np.dot(problem.metric.diag * d, d))
         denom = max(abs(hx), abs(bound), 1.0)
         worst = max(worst, (hx - bound) / denom)
-    return worst if worst > rel_tol else 0.0
+    return worst if worst > DESCENT_REL_TOL else 0.0
 

@@ -21,6 +21,13 @@ from .restart import DEFAULT_PROX_BUDGET, RestartRun, Scheme, run_scheme
 __all__ = ["OracleError", "kkt_residual", "oracle_fstar", "oracle_mu"]
 
 
+# Largest KKT residual an optimal-value reference may keep.
+KKT_TOL = 1e-6
+# An instance counts as rank deficient when its smallest eigenvalue is at
+# most this times the largest (or times 1, if that is larger).
+RANK_TOL = 1e-10
+
+
 class OracleError(RuntimeError):
     """An oracle could not produce a trustworthy value."""
 
@@ -55,20 +62,17 @@ def kkt_residual(lp: LassoProblem, x) -> float:
 def oracle_fstar(
     lp: LassoProblem,
     tight_eps: float = 1e-12,
-    r0=None,
     budget: int = DEFAULT_PROX_BUDGET,
-    kkt_tol: float = 1e-6,
 ) -> tuple[float, np.ndarray]:
     """Reference optimal value and minimizer via an extra-tight solve.
 
-    Runs the lcr scheme down to ``tight_eps`` (which must be tighter than
-    any tolerance the oracle's consumers use) and validates the result
-    against the first-order conditions when those apply.  Raises
-    :class:`OracleError` when the budget runs out or validation fails, so
-    callers can skip rather than trust a bad reference.
+    Runs the lcr scheme from zero down to ``tight_eps`` (which must be
+    tighter than any tolerance the oracle's consumers use) and validates
+    the result against the first-order conditions when those apply.
+    Raises :class:`OracleError` when the budget runs out or validation
+    fails, so callers can skip rather than trust a bad reference.
     """
-    start = np.zeros(lp.n) if r0 is None else np.asarray(r0, dtype=np.float64)
-    run = RestartRun(scheme=Scheme.LCR, epsilon=tight_eps, r0=start, budget=budget)
+    run = RestartRun(scheme=Scheme.LCR, epsilon=tight_eps, r0=np.zeros(lp.n), budget=budget)
     result = run_scheme(lp.problem, run)
     if result.exhausted:
         raise OracleError(
@@ -78,15 +82,15 @@ def oracle_fstar(
     f_star = objective(lp.problem, x_star)
     if lp.problem.constraint is None and isinstance(lp.problem.nonsmooth, (Zero, WeightedL1)):
         resid = kkt_residual(lp, x_star)
-        if resid > kkt_tol:
+        if resid > KKT_TOL:
             raise OracleError(
                 f"oracle solution fails the optimality check: residual {resid:.3e} "
-                f"> {kkt_tol:.1e}"
+                f"> {KKT_TOL:.1e}"
             )
     return float(f_star), x_star
 
 
-def oracle_mu(lp: LassoProblem, rank_tol: float = 1e-10) -> float:
+def oracle_mu(lp: LassoProblem) -> float:
     """Quadratic growth parameter of a strongly convex instance.
 
     For a plain least-squares instance (no l1 term, no constraint, full
@@ -110,6 +114,6 @@ def oracle_mu(lp: LassoProblem, rank_tol: float = 1e-10) -> float:
     M = H * np.outer(inv_sqrt, inv_sqrt)
     evals = linalg.eigvalsh(M)
     mu = float(evals[0])
-    if not math.isfinite(mu) or mu <= rank_tol * max(float(evals[-1]), 1.0):
+    if not math.isfinite(mu) or mu <= RANK_TOL * max(float(evals[-1]), 1.0):
         raise OracleError(f"instance is rank deficient (smallest eigenvalue {mu:.3e})")
     return mu

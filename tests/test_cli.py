@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ from fistakit.restart import RestartTrace
 
 TINY = dict(N=15, n=22, alpha=0.01, sparsity=0.5, trials=3,
             epsilon=1e-7, oracle_epsilon=1e-9, seed=42)
+TINY_LSQ = dict(family="least-squares", N=30, n=12, sparsity=0.0, trials=1,
+                epsilon=1e-8, oracle_epsilon=1e-10, seed=5)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +37,14 @@ def tiny_run(tmp_path_factory):
     cfg = ExperimentConfig(out=out, **TINY)
     stats, code = run_experiment(cfg)
     return out, cfg, stats, code
+
+
+@pytest.fixture(scope="module")
+def tiny_lsq_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_lsq_run")
+    stats, code = run_experiment(ExperimentConfig(out=out, **TINY_LSQ))
+    assert code == 0
+    return out
 
 
 class TestConfigHandling:
@@ -80,19 +95,38 @@ class TestConfigHandling:
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--N", "90", "--n", "80"],
-        ["--sparsity", "1.5"],
-        ["--eps", "-1", "--oracle-eps", "-2"],
-        ["--eps", "1e-9", "--oracle-eps", "-1"],
-        ["--alpha", "nan"],
-        ["--budget", "0"],
-        ["--family", "least-squares", "--N", "20", "--n", "30"],
-        ["--family", "foo"],
-        ["--schemes", "none,bogus"],
+        ["run", "--N", "90", "--n", "80"],
+        ["run", "--sparsity", "1.5"],
+        ["run", "--eps", "-1", "--oracle-eps", "-2"],
+        ["run", "--eps", "1e-9", "--oracle-eps", "-1"],
+        ["run", "--alpha", "nan"],
+        ["run", "--budget", "0"],
+        ["run", "--family", "least-squares", "--N", "20", "--n", "30"],
+        ["run", "--family", "foo"],
+        ["run", "--schemes", "none,bogus"],
+        ["gen", "--family", "foo"],
+        ["gen", "--N", "abc"],
+        ["solve", "--scheme", "lcr", "--eps", "-1"],
+        ["solve", "--scheme", "lcr", "--eps", "nan"],
+        ["solve", "--scheme", "lcr", "--budget", "0"],
+        ["solve", "--scheme", "opt", "--f-star", "nan"],
+        ["solve", "--scheme", "opt", "--eps", "-1"],
+        ["solve", "--scheme", "opt", "--oracle-eps", "-1"],
     ])
-    def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, flags):
+    def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                       flags):
+        # run, gen and solve: exit 2 with a config error, before the oracle
+        # runs and before anything is written.
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "oracle_fstar", no_oracle)
+        problem = tmp_path / "inst.lasso"
+        save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
+        command, *rest = flags
+        lead = {"run": ["--trials", "1"], "gen": [], "solve": [str(problem)]}[command]
         out = tmp_path / "out"
-        assert main(["run", "--trials", "1", "--out", str(out), *flags]) == 2
+        assert main([command, *lead, "--out", str(out), *rest]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -224,6 +258,47 @@ class TestDeterminism:
                   if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
         assert differ == []
 
+    def test_gen_and_solve_match_golden_digests(self, tmp_path):
+        # SHA-256 of the files `gen` (both families, and every default) and
+        # `solve --out` (lcr and opt, both exit modes) write, in the style of
+        # the run digests above.
+        lasso, lsq, default = (tmp_path / name for name in ("l.lasso", "ls.lasso", "d.lasso"))
+        assert main(["gen", "--N", "15", "--n", "22", "--sparsity", "0.5", "--seed", "7",
+                     "--out", str(lasso)]) == 0
+        assert main(["gen", "--family", "least-squares", "--N", "30", "--n", "12",
+                     "--seed", "5", "--out", str(lsq)]) == 0
+        assert main(["gen", "--out", str(default)]) == 0
+        for scheme in ("lcr", "opt"):
+            for mode in ("early", "strict"):
+                flags = ["--strict-exit"] if mode == "strict" else []
+                assert main(["solve", str(lasso), "--scheme", scheme, "--eps", "1e-8",
+                             "--oracle-eps", "1e-10", "--out", str(tmp_path / f"{scheme}_{mode}"),
+                             *flags]) == 0
+        golden = {
+            "l.lasso": "6aa0375d8e59a328d4e2bb7cf16536884ae362b37b5450b362d6aff1f8cd1265",
+            "ls.lasso": "de4685badfd8d18abeb803c3994e5b4a25b75ee9eaa472812d0b6459667ccaa0",
+            "d.lasso": "674d84f679ff17efaa22f8b150a038b48d4e84b544b4aac7994d825e46264bcb",
+            "lcr_early/trace.csv":
+                "d6729b5bc0da1676548194a64ef202ca82814fe35d58e01ad408bd156fe25bae",
+            "lcr_early/restarts.csv":
+                "f6f55bb6a7c5c63ddb3aa921b38ff1b4c97bdfc1210032d05f56cdf1c31d8db0",
+            "lcr_strict/trace.csv":
+                "24bb3dc0c5f64f869587d9207f865fd02e2443488d8bfae88d10113533e4705b",
+            "lcr_strict/restarts.csv":
+                "f717287ffee3b3c44c74f42b2b6788d144dfdb8b239b6c7b4fd2523c44d1bf17",
+            "opt_early/trace.csv":
+                "731d0d4a7ddba64b7301a27cbeafe433ffb8a6f4e5270079ba99bd1afbb738b3",
+            "opt_early/restarts.csv":
+                "d795671db413554f272955e0aa19edd54a703e1768e1157ae19d94443a1b27f7",
+            "opt_strict/trace.csv":
+                "00f2e9d8e44af083f5d8393b403623fa7b50df96e1889c49ac0038c527ab8949",
+            "opt_strict/restarts.csv":
+                "235266b89c85919989bd21719d428e394de1b3a44d16acdd91c58925284951ad",
+        }
+        differ = [name for name, digest in golden.items()
+                  if _sha256(tmp_path / name) != digest]
+        assert differ == []
+
     def test_jobs_do_not_change_outputs(self, tmp_path):
         cfg_a = ExperimentConfig(out=tmp_path / "a", jobs=1, **TINY)
         cfg_b = ExperimentConfig(out=tmp_path / "b", jobs=3, **TINY)
@@ -311,6 +386,8 @@ class TestCommands:
                      "--eps", "1e-8", "--out", str(out_dir)]) == 0
         assert (out_dir / "trace.csv").exists()
         assert (out_dir / "restarts.csv").exists()
+        # run's rule oracle_eps < eps does not apply to solve.
+        assert main(["solve", str(problem_file), "--scheme", "lcr", "--eps", "1e-12"]) == 0
 
     def test_solve_opt_computes_oracle(self, tmp_path):
         problem_file = tmp_path / "inst.lasso"
@@ -342,7 +419,8 @@ class TestCommands:
     def test_verify_command_writes_report(self, tiny_run):
         out, _, _, _ = tiny_run
         assert main(["verify", "--out", str(out)]) == 0
-        assert (out / "bound_report.txt").exists()
+        assert _sha256(out / "bound_report.txt") == (
+            "f4d641d4176808ba7f334c2dde08d502c8e59a0369aa7f82035748cfade38b42")
 
     def test_verify_on_missing_dir(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "nope")]) == 2
@@ -360,3 +438,62 @@ class TestCommands:
         names = {c.name for c in checks}
         assert {"lcr-iteration-bound", "lcr-total-bound",
                 "nr-monotone-after", "nr-contraction-after"} <= names
+
+
+def _edit_csv(path, key: dict[str, str], column: str, value: str) -> None:
+    """Set ``column`` to ``value`` in the one row of ``path`` that matches ``key``."""
+    header, *lines = path.read_text().splitlines()
+    names = header.split(",")
+    rows = [line.split(",") for line in lines]
+    hits = [row for row in rows if all(row[names.index(k)] == v for k, v in key.items())]
+    assert len(hits) == 1
+    hits[0][names.index(column)] = value
+    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+
+
+class TestVerifyFailures:
+    # One edited value per case breaks one check of trial 0.  On an exact
+    # least-squares instance the growth parameter makes any f_k that breaks
+    # the monotone or contraction bound also break the O(1/k^2) bound at the
+    # same k.  So the monotone case edits f_x0 in oracles.csv instead, and the
+    # contraction case accepts the rate failure: on this run, an f_x0 low
+    # enough to break contraction also breaks monotonicity.
+    @pytest.mark.parametrize("run, name, key, column, value, failing, line", [
+        ("lasso", "traces/trial_0000.csv", {"scheme": "none", "k": "100"}, "f", "1",
+         {"nr-objective-rate"},
+         "trial=0000 check=nr-objective-rate status=FAIL bound=1.079226e-02 observed=9.536305e-01 "
+         "worst_k=100"),
+        ("lasso", "traces/trial_0000.csv", {"scheme": "none", "k": "100"}, "g_dual_norm", "1",
+         {"nr-gradient-rate"},
+         "trial=0000 check=nr-gradient-rate status=FAIL bound=2.938335e-01 observed=1.000000e+00 "
+         "worst_k=100"),
+        ("lasso", "traces/trial_0000_restarts.csv", {"scheme": "lcr", "j": "1"}, "f_r", "1",
+         {"lcr-restart-decrease"},
+         "trial=0000 check=lcr-restart-decrease status=FAIL observed=5.231405e-01 pairs=9"),
+        ("lsq", "oracles.csv", {"trial": "0"}, "f_x0", "0.185",
+         {"nr-monotone-after"},
+         "trial=0000 check=nr-monotone-after status=FAIL bound=1.850000e-01 observed=1.872919e-01 "
+         "k_min=7"),
+        ("lsq", "traces/trial_0000.csv", {"scheme": "none", "k": "20"}, "f", "0.2",
+         {"nr-contraction-after", "nr-objective-rate"},
+         "trial=0000 check=nr-contraction-after status=FAIL observed=5.367057e-03 k_min=15"),
+        ("lsq", "traces/trial_0000_restarts.csv", {"scheme": "lcr", "j": "7"}, "n_obs", "40",
+         {"lcr-iteration-bound"},
+         "trial=0000 check=lcr-iteration-bound status=FAIL bound=3.100000e+01 "
+         "observed=4.000000e+01"),
+        ("lsq", "trials.csv", {"trial": "0", "scheme": "lcr"}, "prox_calls", "5000",
+         {"lcr-total-bound"},
+         "trial=0000 check=lcr-total-bound status=FAIL bound=2.247629e+03 observed=5.000000e+03"),
+    ], ids=["objective-rate", "gradient-rate", "restart-decrease", "monotone", "contraction",
+            "iteration-bound", "total-bound"])
+    def test_edited_value_fails_its_check(self, tiny_run, tiny_lsq_run, tmp_path,
+                                          run, name, key, column, value, failing, line):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_run[0] if run == "lasso" else tiny_lsq_run, out)
+        _edit_csv(out / name, key, column, value)
+        assert main(["verify", "--out", str(out)]) == 1
+        report = (out / "bound_report.txt").read_text().splitlines()
+        assert {r.split()[1].removeprefix("check=") for r in report
+                if "status=FAIL" in r} == failing
+        assert all(r.startswith("trial=0000") for r in report if "status=FAIL" in r)
+        assert line in report
