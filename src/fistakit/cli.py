@@ -101,6 +101,9 @@ class ExperimentConfig:
         if self.family == "lasso":
             LassoSpec(N=self.N, n=self.n, alpha=self.alpha, sparsity=self.sparsity)
         elif self.family == "least-squares":
+            if self.N < self.n:
+                raise ValueError("the least-squares family needs --N and --n with N >= n, "
+                                 f"got N={self.N}, n={self.n}")
             check_least_squares_args(self.N, self.n, self.sparsity)
         else:
             raise ValueError("family must be 'lasso' or 'least-squares'")

@@ -114,7 +114,6 @@ class IterationState:
     k: int
     x_prev: np.ndarray
     x_curr: np.ndarray
-    y_curr: np.ndarray
     f_history: list[float]
     last_prox: ProxStep
 
@@ -160,7 +159,7 @@ class SolveTrace:
 class FistaResult:
     """Outcome of one solver call: ``x`` is the final iterate, ``n`` its index.
 
-    ``prox_calls`` is always ``n + 1`` (the iterations plus the
+    The call took ``n + 1`` prox evaluations (the iterations plus the
     initialization prox at z).  ``aborted`` marks an early exit on the
     gradient tolerance; ``exhausted`` marks a budget stop.  ``residual``
     is ``A x - b`` under a declared least-squares form (None otherwise),
@@ -173,7 +172,6 @@ class FistaResult:
     aborted: bool
     exhausted: bool
     init_g_dual_norm: float
-    prox_calls: int
     residual: np.ndarray | None = None
 
     @property
@@ -244,11 +242,11 @@ def fista(
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
         return FistaResult(
             x=x, n=0, trace=trace, aborted=True, exhausted=False,
-            init_g_dual_norm=init.g_dual_norm, prox_calls=1, residual=r_x,
+            init_g_dual_norm=init.g_dual_norm, residual=r_x,
         )
 
     state = IterationState(
-        k=0, x_prev=x, x_curr=x, y_curr=x, f_history=trace.f_history, last_prox=init
+        k=0, x_prev=x, x_curr=x, f_history=trace.f_history, last_prox=init
     )
     ts = TSequence()
     y = x
@@ -282,12 +280,11 @@ def fista(
         state.k = k
         state.x_prev = x_prev
         state.x_curr = x
-        state.y_curr = y
         state.last_prox = prox
         if exit_condition is not None and k >= k_min and exit_condition(state):
             break
 
     return FistaResult(
         x=x, n=k, trace=trace, aborted=aborted, exhausted=exhausted,
-        init_g_dual_norm=init.g_dual_norm, prox_calls=k + 1, residual=r_x,
+        init_g_dual_norm=init.g_dual_norm, residual=r_x,
     )

@@ -19,8 +19,9 @@ concurrent solver runs; all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -299,6 +300,11 @@ class CompositeProblem:
             inner = self.nonsmooth.box
             feasible = inner if feasible is None else feasible.intersect(inner)
         object.__setattr__(self, "_feasible_box", feasible)
+        # The soft-threshold level of the weighted-l1 prox, computed once.
+        threshold = None
+        if isinstance(self.nonsmooth, WeightedL1):
+            threshold = _as_locked_vector(self.nonsmooth.weights / self.metric.diag, "threshold")
+        object.__setattr__(self, "_l1_threshold", threshold)
 
     @property
     def dim(self) -> int:
@@ -310,12 +316,12 @@ class CompositeProblem:
         return self._feasible_box
 
 
-@dataclass(frozen=True)
-class ProxStep:
+class ProxStep(NamedTuple):
     """Result of one composite gradient map evaluation at a point y.
 
     ``g = R (y - y_plus)`` exactly, and ``y_plus`` is feasible (it lies in
-    the intersection of X with dom(psi)).
+    the intersection of X with dom(psi)).  A named tuple, because the
+    FISTA loop builds one per step.
     """
 
     y_plus: np.ndarray
@@ -339,7 +345,7 @@ def _validate_point(problem: CompositeProblem, x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (problem.dim,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({problem.dim},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -378,13 +384,13 @@ def composite_gradient_map(
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != y.shape:
         raise ValueError("gradient shape disagrees with problem dim")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("gradient is non-finite at the query point")
 
     diag = problem.metric.diag
     u = y - grad / diag
-    if isinstance(problem.nonsmooth, WeightedL1):
-        u = soft_threshold(u, problem.nonsmooth.weights / diag)
+    if problem._l1_threshold is not None:
+        u = soft_threshold(u, problem._l1_threshold)
     box = problem.feasible_box
     if box is not None:
         u = box.clip(u)
@@ -408,7 +414,7 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     if problem.constraint is not None and not problem.constraint.contains(x):
         return np.inf
     psi = problem.nonsmooth.value(x)
-    if np.isposinf(psi):
+    if psi == math.inf:
         return np.inf
     if residual is None:
         h = problem.smooth.value(x)

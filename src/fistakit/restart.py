@@ -106,8 +106,11 @@ def exit_lcr(state: IterationState) -> bool:
     ``f(x_k) <= f(x_0)``.  At ``k = 1`` the pivot equals ``k`` and the
     first inequality degenerates to ``0 <= (f(x_0) - f(x_1)) / e``, so the
     condition can fire after a single decreasing iteration; the formula is
-    applied literally.
+    applied literally.  It also holds when the last prox has ``||g||_* = 0``:
+    ``x_k`` is then a fixed point, whose ``f`` may cycle at rounding level.
     """
+    if state.last_prox.g_dual_norm == 0.0:
+        return True
     fh = state.f_history
     k = state.k
     m = k // 2 + 1

@@ -112,6 +112,8 @@ class TestConfigHandling:
         ["solve", "--scheme", "opt", "--f-star", "nan"],
         ["solve", "--scheme", "opt", "--eps", "-1"],
         ["solve", "--scheme", "opt", "--oracle-eps", "-1"],
+        ["run", "--family", "least-squares"],
+        ["gen", "--family", "least-squares"],
     ])
     def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        flags):
@@ -127,7 +129,11 @@ class TestConfigHandling:
         lead = {"run": ["--trials", "1"], "gen": [], "solve": [str(problem)]}[command]
         out = tmp_path / "out"
         assert main([command, *lead, "--out", str(out), *rest]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        if "least-squares" in rest:
+            # Its shape must be set, since the default 600 x 800 has N < n.
+            assert "the least-squares family needs --N and --n with N >= n" in err
         assert not out.exists()
 
     def test_run_from_config_file(self, tmp_path):

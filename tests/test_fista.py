@@ -12,6 +12,7 @@ from fistakit import (
     RestartRun,
     Scheme,
     SmoothPart,
+    composite_gradient_map,
     fista,
     generate,
     generate_least_squares,
@@ -76,8 +77,7 @@ class TestFistaBasics:
         res = fista(prob, np.array([5.0, 5.0]), budget=37, counter=counter)
         assert res.exhausted
         assert res.n == 37
-        assert res.prox_calls == res.n + 1
-        assert counter.count == res.prox_calls
+        assert counter.count == res.n + 1
 
     def test_f_history_shape(self):
         prob = ill_conditioned_quadratic()
@@ -104,26 +104,33 @@ class TestFistaBasics:
         assert seen == [1, 2, 3, 4, 5]
 
     def test_momentum_update_reconstructible(self):
-        # y_k = x_k + ((t_{k-1} - 1)/t_k)(x_k - x_{k-1}) holds for the
-        # state exposed to exit conditions.
+        # x_k is the prox step at y_{k-1} = x_{k-1} + ((t_{k-2} - 1)/t_{k-1})
+        # (x_{k-1} - x_{k-2}), rebuilt from the states exposed to exit conditions.
         prob = ill_conditioned_quadratic()
         ts = TSequence.generate(30)
+        iterates = []
 
         def check(state):
             k = state.k
-            coeff = (ts[k - 1] - 1.0) / ts[k]
-            expect = state.x_curr + coeff * (state.x_curr - state.x_prev)
-            assert np.allclose(state.y_curr, expect, rtol=0, atol=1e-14)
+            if k >= 2:
+                x1, x2 = iterates[-1], state.x_prev
+                coeff = (ts[k - 2] - 1.0) / ts[k - 1]
+                y = x2 + coeff * (x2 - x1)
+                step = composite_gradient_map(prob, y)
+                assert np.allclose(step.y_plus, state.x_curr, rtol=0, atol=1e-14)
+            iterates.append(state.x_prev.copy())
             return False
 
-        fista(prob, np.array([5.0, 5.0]), exit_condition=check, budget=30)
+        res = fista(prob, np.array([5.0, 5.0]), exit_condition=check, budget=30)
+        assert len(iterates) == res.n == 30
 
     def test_abort_at_initialization(self):
         prob = make_quadratic(np.array([[1.0]]), np.array([2.0]), metric_diag=[1.0])
-        res = fista(prob, np.array([2.0]), abort_tol=1e-9)
+        counter = ProxCounter()
+        res = fista(prob, np.array([2.0]), abort_tol=1e-9, counter=counter)
         assert res.aborted
         assert res.n == 0
-        assert res.prox_calls == 1
+        assert counter.count == 1
         assert res.init_g_dual_norm <= 1e-9
         assert res.x[0] == pytest.approx(2.0)
 
@@ -275,11 +282,11 @@ class TestDeclaredLeastSquares:
     def test_two_matvecs_per_prox(self, name):
         problem, tally = counting_problem(declared_instances()[name])
         res = fista(problem, np.zeros(problem.dim), budget=50)
-        # A^T inside each prox, A x for the point it returns, plus A z.
-        assert tally[0] == 2 * res.prox_calls + 1
+        # A^T inside each prox (n + 1 per call), A x for the point it returns, plus A z.
+        assert tally[0] == 2 * (res.n + 1) + 1
         tally[0] = 0
         carried = fista(problem, res.x, budget=50, residual=res.residual)
-        assert tally[0] == 2 * carried.prox_calls
+        assert tally[0] == 2 * (carried.n + 1)
         again = fista(problem, res.x, budget=50)
         assert again.trace.f_vals == carried.trace.f_vals
 

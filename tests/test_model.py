@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -256,6 +257,63 @@ class TestObjective:
     def test_constraint_violation_is_infinite(self):
         prob = one_dim_problem(constraint=Box([0.0], [1.0]))
         assert objective(prob, np.array([2.0])) == np.inf
+
+
+def lsq_problem(nonsmooth, metric=(4.0, 2.0)):
+    """Two-dimensional problem with a declared least-squares smooth part."""
+    A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+    return CompositeProblem(smooth=SmoothPart.from_least_squares(A, np.ones(3)),
+                            nonsmooth=nonsmooth, metric=Metric(metric))
+
+
+class TestCheckedInput:
+    """The prox and the objective reject bad input on every path the FISTA loop takes."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda p: composite_gradient_map(p, [np.nan, 0.0]),
+                     "y contains non-finite", id="y-nan"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, -np.inf]),
+                     "y contains non-finite", id="y-inf"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[np.nan, 0.0]),
+                     "gradient is non-finite", id="grad-nan"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[0.0, np.inf]),
+                     "gradient is non-finite", id="grad-inf"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[0.0, 0.0, 0.0]),
+                     "gradient shape", id="grad-shape"),
+        pytest.param(lambda p: objective(p, [0.0, np.nan]),
+                     "x contains non-finite", id="x-nan"),
+        pytest.param(lambda p: objective(p, [0.0, np.nan], residual=np.zeros(3)),
+                     "x contains non-finite", id="x-nan-residual"),
+    ])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(lsq_problem(WeightedL1([0.1, 0.2])))
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_objective_infinite_outside_indicator(self, carried):
+        prob = lsq_problem(BoxIndicator(Box([-1.0, -1.0], [1.0, 1.0])))
+        for x in ([2.0, 0.0], [0.0, -1.5]):
+            x = np.array(x)
+            residual = prob.smooth.residual(x) if carried else None
+            assert objective(prob, x, residual=residual) == math.inf
+        inside = np.array([0.5, -0.5])
+        assert math.isfinite(objective(prob, inside))
+
+    @pytest.mark.parametrize("nonsmooth", [
+        lambda: WeightedL1([0.1, 0.2]),
+        Zero,
+        lambda: BoxIndicator(Box([-1.0, -1.0], [1.0, 1.0])),
+    ], ids=["l1", "zero", "box"])
+    def test_replaced_metric_gives_the_fresh_prox(self, nonsmooth):
+        # Derived data of a problem follows a metric swapped in by dataclasses.replace.
+        other = (0.05, 9.0)
+        replaced = dataclasses.replace(lsq_problem(nonsmooth()), metric=Metric(other))
+        fresh = lsq_problem(nonsmooth(), metric=other)
+        y = np.array([0.3, -0.8])
+        got, want = composite_gradient_map(replaced, y), composite_gradient_map(fresh, y)
+        assert np.array_equal(got.y_plus, want.y_plus)
+        assert np.array_equal(got.g, want.g)
+        assert got.g_dual_norm == want.g_dual_norm
 
 
 class TestCompositeGradientProperties:
