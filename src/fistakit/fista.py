@@ -137,11 +137,10 @@ class SolveTrace:
     """Per-iteration record of one solver call.
 
     ``f_history[k]`` is the objective at ``x_k`` for ``k = 0..n``, where
-    ``x0`` is the post-prox start point ``x_0 = z_plus``.  ``g_norms[i]``
-    belongs to iteration ``k = i + 1``: ``||g(y_{k-1})||_*``.
+    ``x_0 = z_plus`` is the post-prox start point.  ``g_norms[i]`` belongs
+    to iteration ``k = i + 1``: ``||g(y_{k-1})||_*``.
     """
 
-    x0: np.ndarray
     f_history: list[float]
     g_norms: list[float] = field(default_factory=list)
 
@@ -226,18 +225,22 @@ def fista(
         raise ValueError("k_min must be >= 0")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    # The form's own methods skip SmoothPart's dispatch; without a declared
+    # form, SmoothPart's give None for every residual and its gradient.
     smooth = problem.smooth
+    form = smooth if smooth.least_squares is None else smooth.least_squares
+    residual_of, grad_at = form.residual, form.grad_at_residual
     z = _validate_point(problem, z, "z")
     if residual is None:
-        residual = smooth.residual(z)
+        residual = residual_of(z)
 
-    init = composite_gradient_map(problem, z, counter, grad=smooth.grad_at_residual(residual))
+    init = composite_gradient_map(problem, z, counter, grad=grad_at(residual))
     x = init.y_plus
-    r_x = smooth.residual(x)
+    r_x = residual_of(x)
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
-    trace = SolveTrace(x0=x, f_history=[f0])
+    trace = SolveTrace(f_history=[f0])
 
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
         return FistaResult(
@@ -261,9 +264,9 @@ def fista(
             exhausted = True
             break
         k += 1
-        prox = composite_gradient_map(problem, y, counter, grad=smooth.grad_at_residual(r_y))
+        prox = composite_gradient_map(problem, y, counter, grad=grad_at(r_y))
         x_prev, x = x, prox.y_plus
-        r_prev, r_x = r_x, smooth.residual(x)
+        r_prev, r_x = r_x, residual_of(x)
         fk = objective(problem, x, r_x)
         if not math.isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Metric",
@@ -58,6 +61,21 @@ def soft_threshold(t, lam):
     of a (weighted) l1 term under a diagonal metric.
     """
     return np.sign(t) * np.maximum(np.abs(t) - lam, 0.0)
+
+
+def _csr_matvec(M, v) -> np.ndarray:
+    """``M @ v`` for a float64 CSR matrix ``M``, by the compiled kernel that ``@`` calls.
+
+    The kernel reads ``v`` without checking its length, so the shape is
+    checked here first.
+    """
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    n_row, n_col = M.shape
+    if v.shape != (n_col,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({n_col},)")
+    out = np.zeros(n_row)
+    _sparsetools.csr_matvec(n_row, n_col, M.indptr, M.indices, M.data, v, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,6 +159,11 @@ class LeastSquares:
     affine in ``x``, so a solver that forms a point as a linear
     combination of points whose residuals it holds gets that point's
     residual by the same combination, without a matvec.
+
+    When ``A`` is a float64 scipy CSR or CSC matrix, both products skip
+    ``@`` and call scipy's compiled kernel ``_sparsetools.csr_matvec``
+    (a private name) on CSR forms of ``A`` and ``A^T``, which the first
+    product builds.  ``A`` must not be mutated after construction.
     """
 
     A: object
@@ -161,9 +184,19 @@ class LeastSquares:
     def dim(self) -> int:
         return self.A.shape[1]
 
+    @cached_property
+    def _csr(self):
+        """``(A, A^T)`` as CSR matrices for :func:`_csr_matvec`, or None for ``@``."""
+        A = self.A
+        if not (sparse.issparse(A) and A.format in ("csr", "csc") and A.dtype == np.float64):
+            return None
+        return A.tocsr(), self.AT.tocsr()
+
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
-        return self.A @ x - self.b
+        csr = self._csr
+        Ax = self.A @ x if csr is None else _csr_matvec(csr[0], x)
+        return Ax - self.b
 
     def value_at_residual(self, r) -> float:
         """``||r||^2 / (2N)``, the value at the point whose residual is ``r``."""
@@ -171,7 +204,9 @@ class LeastSquares:
 
     def grad_at_residual(self, r) -> np.ndarray:
         """``A^T r / N`` (one matvec), the gradient at the point whose residual is ``r``."""
-        return (self.AT @ r) / self.A.shape[0]
+        csr = self._csr
+        ATr = self.AT @ r if csr is None else _csr_matvec(csr[1], r)
+        return ATr / self.A.shape[0]
 
     def value(self, x) -> float:
         return self.value_at_residual(self.residual(x))

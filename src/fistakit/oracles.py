@@ -74,7 +74,7 @@ def oracle_fstar(
     """
     run = RestartRun(scheme=Scheme.LCR, epsilon=tight_eps, r0=np.zeros(lp.n), budget=budget)
     result = run_scheme(lp.problem, run)
-    if result.exhausted:
+    if result.trace.exhausted:
         raise OracleError(
             f"optimal-value oracle exhausted its budget of {budget} prox calls"
         )

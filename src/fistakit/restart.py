@@ -94,8 +94,13 @@ def exit_optimal_value_scheme(state: IterationState, f_star: float) -> bool:
     """True iff ``f(x_k) - f_star <= (f(x_0) - f_star) / e^2``.
 
     Requires the optimal value; the call contracts the optimality gap by
-    at least e^2 before restarting.
+    at least e^2 before restarting.  Like :func:`exit_lcr`, it also holds
+    when the last prox has ``||g||_* = 0``: ``x_k`` is then a fixed point,
+    and with ``f(x_0)`` a rounding step below ``f_star`` the gap test
+    could never hold.
     """
+    if state.last_prox.g_dual_norm == 0.0:
+        return True
     return state.f_history[state.k] - f_star <= (state.f_history[0] - f_star) / (math.e ** 2)
 
 
@@ -204,10 +209,6 @@ class RestartResult:
 
     r_star: np.ndarray
     trace: RestartTrace
-
-    @property
-    def exhausted(self) -> bool:
-        return self.trace.exhausted
 
 
 def _exit_test(run: RestartRun) -> ExitCondition:

@@ -37,6 +37,26 @@ def random_spd(rng, n, cond=10.0):
     return (basis * evals) @ basis.T
 
 
+class CountingMatrix:
+    """Matrix wrapper that counts products with it and with its transpose."""
+
+    def __init__(self, M, tally):
+        self.M = M
+        self.tally = tally
+
+    @property
+    def shape(self):
+        return self.M.shape
+
+    @property
+    def T(self):
+        return CountingMatrix(self.M.T, self.tally)
+
+    def __matmul__(self, x):
+        self.tally[0] += 1
+        return self.M @ x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -168,7 +168,8 @@ def test_criterion_2_prox_grid_equivalence():
 def test_criterion_3_objective_rate(free_runs):
     with criterion(3, "objective gap <= 2 d^2/(k+1)^2 at every k on 50 instances"):
         for lp, f_star, x_star, res in free_runs:
-            dist = lp.metric.norm(res.trace.x0 - x_star)
+            x0 = composite_gradient_map(lp.problem, np.zeros(80)).y_plus
+            dist = lp.metric.norm(x0 - x_star)
             for i, f_val in enumerate(res.trace.f_vals):
                 k = i + 1
                 bound = 2.0 * dist * dist / (k + 1) ** 2
@@ -180,7 +181,8 @@ def test_criterion_3_objective_rate(free_runs):
 def test_criterion_4_gradient_rate(free_runs):
     with criterion(4, "gradient dual norm <= 4 d/(k+2) at every k on 50 instances"):
         for lp, f_star, x_star, res in free_runs:
-            dist = lp.metric.norm(res.trace.x0 - x_star)
+            x0 = composite_gradient_map(lp.problem, np.zeros(80)).y_plus
+            dist = lp.metric.norm(x0 - x_star)
             for i, g_val in enumerate(res.trace.g_norms):
                 bound = 4.0 * dist / (i + 2)  # g evaluated at y_i
                 assert g_val <= bound * (1 + 1e-8) + 1e-12, (
@@ -193,7 +195,7 @@ def test_criterion_5_restart_decrease(lasso_family):
         for lp, f_star, x_star in lasso_family:
             run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(80))
             out = run_scheme(lp.problem, run)
-            assert not out.exhausted
+            assert not out.trace.exhausted
             recs = out.trace.records
             for prev, curr in zip(recs, recs[1:]):
                 if math.isnan(prev.g_dual_norm):
@@ -211,7 +213,7 @@ def test_criterion_6_inner_iteration_bound(quad_family):
             bound = math.ceil(4.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
             run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(20))
             out = run_scheme(lp.problem, run)
-            assert not out.exhausted
+            assert not out.trace.exhausted
             for rec in out.trace.records:
                 assert rec.n_obs <= bound, f"mu={mu:.4f} j={rec.j} n={rec.n_obs}"
 
@@ -223,7 +225,7 @@ def test_criterion_7_total_iteration_bound(quad_family):
             r0 = np.zeros(20)
             run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=r0)
             out = run_scheme(lp.problem, run)
-            assert not out.exhausted
+            assert not out.trace.exhausted
             gap0 = lp.problem.smooth.value(r0) - f_star
             bound = (16.0 / math.sqrt(mu)) * math.ceil(
                 math.log1p(2.0 * gap0 / (eps * eps))

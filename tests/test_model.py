@@ -1,27 +1,34 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from fistakit import (
     Box,
     BoxIndicator,
     CompositeProblem,
+    LassoSpec,
+    LeastSquares,
     Metric,
     ProxCounter,
     SmoothPart,
     WeightedL1,
     Zero,
     composite_gradient_map,
+    fista,
+    generate,
+    model,
     objective,
     soft_threshold,
 )
 from fistakit.model import check_descent_lemma
 
-from conftest import make_quadratic, problem_zoo, random_spd, sample_feasible
+from conftest import CountingMatrix, make_quadratic, problem_zoo, random_spd, sample_feasible
 
 
 def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, constraint=None):
@@ -314,6 +321,107 @@ class TestCheckedInput:
         assert np.array_equal(got.y_plus, want.y_plus)
         assert np.array_equal(got.g, want.g)
         assert got.g_dual_norm == want.g_dual_norm
+
+
+def count_kernel_calls(monkeypatch):
+    """Wrap ``model._csr_matvec`` so that each call adds one to the returned tally."""
+    tally = [0]
+    kernel = model._csr_matvec
+
+    def counting(M, v):
+        tally[0] += 1
+        return kernel(M, v)
+
+    monkeypatch.setattr(model, "_csr_matvec", counting)
+    return tally
+
+
+def with_index_dtype(M, dtype):
+    """``M`` with its index arrays cast to ``dtype`` (scipy picks int32 when they fit)."""
+    M = M.copy()
+    M.indices = M.indices.astype(dtype)
+    M.indptr = M.indptr.astype(dtype)
+    return M
+
+
+def sparse_with_empty_lines(fmt):
+    """A 7x5 matrix with an empty row and an empty column."""
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.6)
+    dense[2, :] = 0.0
+    dense[:, 3] = 0.0
+    return sparse.csc_array(dense) if fmt == "csc" else sparse.csr_array(dense)
+
+
+class TestLeastSquaresKernel:
+    """``A x`` and ``A^T r`` of a float64 CSR or CSC ``A`` go through ``model._csr_matvec``."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("matrix", [
+        pytest.param(lambda: sparse_with_empty_lines("csc"), id="csc-empty-lines"),
+        pytest.param(lambda: sparse_with_empty_lines("csr"), id="csr-empty-lines"),
+        pytest.param(lambda: sparse.csc_array(np.array([[-2.5]])), id="csc-1x1"),
+        pytest.param(lambda: sparse.csr_array(np.array([[0.0]])), id="csr-1x1-empty"),
+    ])
+    def test_products_bit_identical_to_matmul(self, monkeypatch, matrix, index_dtype):
+        A = with_index_dtype(matrix(), index_dtype)
+        assert A.indices.dtype == index_dtype
+        N, n = A.shape
+        rng = np.random.default_rng(5)
+        b, x, r = rng.standard_normal(N), rng.standard_normal(n), rng.standard_normal(N)
+        tally = count_kernel_calls(monkeypatch)
+        form = LeastSquares(A, b)
+        assert np.array_equal(form.residual(x), A @ x - b)
+        assert np.array_equal(form.grad_at_residual(r), (A.T @ r) / N)
+        assert tally[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["csc", "csr"])
+    @pytest.mark.parametrize("product", ["residual", "grad_at_residual"])
+    def test_bad_vector_rejected_before_the_kernel(self, monkeypatch, fmt, product):
+        A = sparse_with_empty_lines(fmt)
+        form = LeastSquares(A, np.ones(A.shape[0]))
+        size = A.shape[1] if product == "residual" else A.shape[0]
+
+        def kernel_must_not_run(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(model, "_sparsetools",
+                            types.SimpleNamespace(csr_matvec=kernel_must_not_run))
+        for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
+                    np.ones((1, size)), [1.0] * (size + 1), [[1.0] * size]):
+            with pytest.raises(ValueError, match="vector has shape"):
+                getattr(form, product)(bad)
+
+    def test_non_contiguous_vector_accepted(self):
+        A = sparse_with_empty_lines("csc")
+        form = LeastSquares(A, np.zeros(7))
+        x = np.arange(10.0)[::2]
+        r = np.arange(14.0)[::2]
+        assert not x.flags.c_contiguous
+        assert np.array_equal(form.residual(x), A @ x)
+        assert np.array_equal(form.grad_at_residual(r), (A.T @ r) / 7)
+
+    @pytest.mark.parametrize("matrix", [
+        pytest.param(lambda A: A.toarray(), id="dense"),
+        pytest.param(lambda A: A.astype(np.float32), id="float32"),
+        pytest.param(lambda A: CountingMatrix(A, [0]), id="counting"),
+    ])
+    def test_other_matrices_take_matmul(self, monkeypatch, matrix):
+        A = matrix(sparse_with_empty_lines("csc"))
+        x, r = np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 7)
+        tally = count_kernel_calls(monkeypatch)
+        form = LeastSquares(A, np.ones(7))
+        assert np.array_equal(form.residual(x), A @ x - 1.0)
+        assert np.array_equal(form.grad_at_residual(r), (A.T @ r) / 7)
+        assert tally[0] == 0
+
+    def test_generated_instance_takes_the_kernel(self, monkeypatch):
+        # Fails, rather than silently slowing down, if the private kernel goes.
+        lp = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000))
+        tally = count_kernel_calls(monkeypatch)
+        res = fista(lp.problem, np.zeros(lp.n), budget=50)
+        # A z, then per prox A^T r_y and A x for the point it returns.
+        assert tally[0] == 2 * (res.n + 1) + 1
 
 
 class TestCompositeGradientProperties:

@@ -60,8 +60,11 @@ class TestExitConditions:
 
     def test_optimal_value_boundary(self):
         e2 = math.e ** 2
-        assert exit_optimal_value_scheme(state_with([e2, 1.0]), f_star=0.0)
-        assert not exit_optimal_value_scheme(state_with([e2, 1.01]), f_star=0.0)
+        g = [1.0]
+        assert exit_optimal_value_scheme(state_with([e2, 1.0], g=g), f_star=0.0)
+        assert not exit_optimal_value_scheme(state_with([e2, 1.01], g=g), f_star=0.0)
+        # g = 0 exactly: x_k is a fixed point, even above the given f_star.
+        assert exit_optimal_value_scheme(state_with([e2, 1.01], g=[0.0]), f_star=0.0)
 
     def test_lcr_examples(self):
         g = [1.0]
@@ -148,7 +151,7 @@ class TestRestartFista:
         for scheme in (Scheme.FUNCTION, Scheme.GRADIENT):
             run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(40))
             out = run_scheme(desk_lasso.problem, run)
-            assert not out.exhausted
+            assert not out.trace.exhausted
             assert out.trace.final_g_norm <= eps
 
     def test_strict_mode_counts_outer_checks(self, desk_lasso):
@@ -177,7 +180,7 @@ class TestRestartFista:
                 run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-13, r0=np.zeros(40),
                                  early_exit=early, budget=budget)
                 out = run_scheme(desk_lasso.problem, run)
-                assert out.exhausted
+                assert out.trace.exhausted
                 assert out.trace.total_prox_calls <= budget
 
     def test_optimal_value_interval_within_rate_window(self):
@@ -195,7 +198,7 @@ class TestRestartFista:
             run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9,
                              r0=np.zeros(20), f_star=f_star)
             out = run_scheme(lp.problem, run)
-            assert not out.exhausted
+            assert not out.trace.exhausted
             for rec in out.trace.records:
                 assert rec.n_obs <= window, f"seed={seed} j={rec.j}"
 
@@ -216,7 +219,7 @@ class TestLcrFista:
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(40))
         out = run_scheme(desk_lasso.problem, run)
         recs = out.trace.records
-        assert not out.exhausted
+        assert not out.trace.exhausted
         noise = 64 * np.finfo(float).eps
         for prev, curr in zip(recs, recs[1:]):
             scale = max(1.0, abs(prev.f_r), abs(curr.f_r))
@@ -268,7 +271,7 @@ class TestLcrFista:
                 run = RestartRun(scheme=Scheme.LCR, epsilon=1e-13, r0=np.zeros(40),
                                  early_exit=early, budget=budget)
                 out = run_scheme(desk_lasso.problem, run)
-                assert out.exhausted
+                assert out.trace.exhausted
                 assert out.trace.total_prox_calls <= budget
 
 
@@ -412,6 +415,20 @@ def test_strict_lcr_ends_when_f_cycles_at_rounding_level():
     prob = problem_zoo(np.random.default_rng(3882100052))[2]
     run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(prob.dim),
                      early_exit=False, budget=20_000)
+    trace = run_scheme(prob, run).trace
+    assert not trace.exhausted
+    assert trace.final_g_norm <= 1e-9
+
+
+def test_strict_opt_ends_at_a_fixed_point_above_f_star():
+    # On this l1-plus-box draw the last opt call starts at f(x_0) a rounding
+    # step below the reference f_star and reaches g = 0 exactly, so the gap
+    # test, whose right side is then negative, never fires; without the
+    # g = 0 test in exit_optimal_value_scheme only the budget stops the call.
+    prob = problem_zoo(np.random.default_rng(3554955570))[3]
+    ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim)))
+    run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(prob.dim),
+                     early_exit=False, f_star=objective(prob, ref.r_star), budget=20_000)
     trace = run_scheme(prob, run).trace
     assert not trace.exhausted
     assert trace.final_g_norm <= 1e-9
