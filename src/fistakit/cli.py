@@ -239,7 +239,23 @@ def _write_csv(path, header: str, lines) -> None:
 
 
 def _trace_lines(scheme: str, trace: RestartTrace):
-    return (f"{scheme},{k},{fmt(f_val)},{fmt(g_val)}" for k, f_val, g_val in trace.iteration_rows())
+    """Yield the rows ``scheme,k,f(x_k),||g(y_{k-1})||_*`` of each inner call as one string.
+
+    ``k`` counts across restarts.  Each call's rows take one ``%`` over a
+    flat tuple (``%.17g`` is :func:`fmt`); a call without rows yields
+    nothing, so that no blank line is written.
+    """
+    row = scheme.replace("%", "%%") + ",%d,%.17g,%.17g"
+    k = 0
+    for seg in trace.segments:
+        n = len(seg.g_norms)
+        if n:
+            flat = [None] * (3 * n)
+            flat[0::3] = range(k + 1, k + n + 1)
+            flat[1::3] = seg.f_vals
+            flat[2::3] = seg.g_norms
+            yield "\n".join([row] * n) % tuple(flat)
+            k += n
 
 
 def _restart_line(rec: RestartRecord) -> str:

@@ -259,6 +259,8 @@ def fista(
     aborted = False
     exhausted = False
 
+    f_append, g_append = trace.f_history.append, trace.g_norms.append
+    isfinite = math.isfinite
     while True:
         if k >= budget:
             exhausted = True
@@ -268,11 +270,12 @@ def fista(
         x_prev, x = x, prox.y_plus
         r_prev, r_x = r_x, residual_of(x)
         fk = objective(problem, x, r_x)
-        if not math.isfinite(fk):
+        if not isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
-        trace.f_history.append(fk)
-        trace.g_norms.append(prox.g_dual_norm)
-        if abort_tol is not None and prox.g_dual_norm <= abort_tol:
+        f_append(fk)
+        g_norm = prox.g_dual_norm
+        g_append(g_norm)
+        if abort_tol is not None and g_norm <= abort_tol:
             aborted = True
             break
         ts.step()
@@ -280,12 +283,14 @@ def fista(
         y = x + beta * (x - x_prev)
         if r_x is not None:
             r_y = r_x + beta * (r_x - r_prev)
-        state.k = k
-        state.x_prev = x_prev
-        state.x_curr = x
-        state.last_prox = prox
-        if exit_condition is not None and k >= k_min and exit_condition(state):
-            break
+        if exit_condition is not None and k >= k_min:
+            # The state is filled only for a test that runs.
+            state.k = k
+            state.x_prev = x_prev
+            state.x_curr = x
+            state.last_prox = prox
+            if exit_condition(state):
+                break
 
     return FistaResult(
         x=x, n=k, trace=trace, aborted=aborted, exhausted=exhausted,

@@ -42,7 +42,6 @@ __all__ = [
     "soft_threshold",
     "composite_gradient_map",
     "objective",
-    "check_descent_lemma",
 ]
 
 
@@ -221,8 +220,7 @@ class SmoothPart:
 
     The callables must be pure: ``value(x) -> float`` and
     ``grad(x) -> ndarray`` of length ``dim``.  Smoothness with respect to
-    the problem metric is the caller's responsibility; see
-    :func:`check_descent_lemma` for a diagnostic.
+    the problem metric is the caller's responsibility.
 
     A smooth part may also declare the least-squares form
     ``h(x) = ||A x - b||^2 / (2N)`` (see :meth:`from_least_squares`).  The
@@ -251,10 +249,6 @@ class SmoothPart:
     def residual(self, x) -> np.ndarray | None:
         """``A x - b`` under a declared least-squares form, else None."""
         return None if self.least_squares is None else self.least_squares.residual(x)
-
-    def value_at_residual(self, r) -> float:
-        """``h`` at the point whose residual is ``r``."""
-        return self._declared().value_at_residual(r)
 
     def grad_at_residual(self, r) -> np.ndarray | None:
         """Gradient at the point whose residual is ``r``; None when ``r`` is None."""
@@ -372,15 +366,17 @@ class ProxCounter:
     def __init__(self):
         self.count = 0
 
-    def add(self, k: int = 1):
-        self.count += k
+
+def _all_finite(v: np.ndarray) -> bool:
+    """``np.isfinite(v).all()`` by a count, which skips the Python-level ``.all()``."""
+    return np.count_nonzero(np.isfinite(v)) == v.size
 
 
 def _validate_point(problem: CompositeProblem, x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (problem.dim,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({problem.dim},)")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -419,20 +415,21 @@ def composite_gradient_map(
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != y.shape:
         raise ValueError("gradient shape disagrees with problem dim")
-    if not np.isfinite(grad).all():
+    if not _all_finite(grad):
         raise ValueError("gradient is non-finite at the query point")
 
+    # Box.clip and Metric.dual_norm inline, since this runs once per step.
     diag = problem.metric.diag
     u = y - grad / diag
     if problem._l1_threshold is not None:
         u = soft_threshold(u, problem._l1_threshold)
-    box = problem.feasible_box
+    box = problem._feasible_box
     if box is not None:
-        u = box.clip(u)
+        u = np.clip(u, box.lower, box.upper)
     g = diag * (y - u)
-    step = ProxStep(y_plus=u, g=g, g_dual_norm=problem.metric.dual_norm(g))
+    step = ProxStep(u, g, math.sqrt(np.dot(g / diag, g)))
     if counter is not None:
-        counter.add()
+        counter.count += 1
     return step
 
 
@@ -451,41 +448,11 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     psi = problem.nonsmooth.value(x)
     if psi == math.inf:
         return np.inf
+    smooth = problem.smooth
     if residual is None:
-        h = problem.smooth.value(x)
+        h = smooth.value(x)
     else:
-        h = problem.smooth.value_at_residual(residual)
+        # The declared form itself; _declared() only runs to raise when there is none.
+        h = (smooth.least_squares or smooth._declared()).value_at_residual(residual)
     return float(h) + float(psi)
-
-
-# Relative descent-lemma violations up to this size count as rounding.
-DESCENT_REL_TOL = 1e-9
-
-
-def check_descent_lemma(
-    problem: CompositeProblem,
-    rng: np.random.Generator,
-    samples: int = 50,
-) -> float:
-    """Spot-check the quadratic upper bound of ``h`` against the metric.
-
-    Samples point pairs and returns the worst relative violation of
-    ``h(x) <= h(y) + <grad h(y), x - y> + 0.5 ||x - y||_R^2`` (0.0 when the
-    bound holds everywhere sampled, up to ``DESCENT_REL_TOL``).  A positive
-    return means the metric does not dominate the curvature of ``h``; the
-    check only diagnoses, it does not repair the metric.
-    """
-    n = problem.dim
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        hx = problem.smooth.value(x)
-        hy = problem.smooth.value(y)
-        gy = problem.smooth.grad(y)
-        d = x - y
-        bound = hy + float(np.dot(gy, d)) + 0.5 * float(np.dot(problem.metric.diag * d, d))
-        denom = max(abs(hx), abs(bound), 1.0)
-        worst = max(worst, (hx - bound) / denom)
-    return worst if worst > DESCENT_REL_TOL else 0.0
 

@@ -194,14 +194,6 @@ class RestartTrace:
         """Number of inner solver invocations (each costs one init prox)."""
         return len(self.segments)
 
-    def iteration_rows(self):
-        """Yield ``(k, f(x_k), ||g(y_{k-1})||_*)`` with a global k across restarts."""
-        k = 0
-        for seg in self.segments:
-            for f_val, g_val in zip(seg.f_vals, seg.g_norms):
-                k += 1
-                yield k, f_val, g_val
-
 
 @dataclass
 class RestartResult:

@@ -57,6 +57,33 @@ class CountingMatrix:
         return self.M @ x
 
 
+# Relative descent-lemma violations up to this size count as rounding.
+DESCENT_REL_TOL = 1e-9
+
+
+def check_descent_lemma(problem, rng, samples=50):
+    """Spot-check the quadratic upper bound of ``h`` against the metric.
+
+    Samples point pairs and returns the worst relative violation of
+    ``h(x) <= h(y) + <grad h(y), x - y> + 0.5 ||x - y||_R^2`` (0.0 when the
+    bound holds everywhere sampled, up to ``DESCENT_REL_TOL``).  A positive
+    return means the metric does not dominate the curvature of ``h``.
+    """
+    n = problem.dim
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        hx = problem.smooth.value(x)
+        hy = problem.smooth.value(y)
+        gy = problem.smooth.grad(y)
+        d = x - y
+        bound = hy + float(np.dot(gy, d)) + 0.5 * float(np.dot(problem.metric.diag * d, d))
+        denom = max(abs(hx), abs(bound), 1.0)
+        worst = max(worst, (hx - bound) / denom)
+    return worst if worst > DESCENT_REL_TOL else 0.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -104,6 +104,29 @@ class TestFistaBasics:
         fista(prob, np.array([5.0, 5.0]), exit_condition=spy, budget=5)
         assert seen == [1, 2, 3, 4, 5]
 
+    def test_exit_state_matches_the_step_it_follows(self):
+        # The loop fills the state only for a test that runs (k >= k_min).
+        problem = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000)).problem
+        z = np.zeros(problem.dim)
+        k_min, n_calls = 7, 12
+        calls = []
+
+        def record(state):
+            calls.append((state.k, state.x_prev, state.x_curr, state.last_prox,
+                          state.f_history[state.k], objective(problem, state.x_curr)))
+            return len(calls) == n_calls
+
+        res = fista(problem, z, k_min=k_min, exit_condition=record)
+        assert [call[0] for call in calls] == list(range(k_min, k_min + n_calls))
+        assert res.n == calls[-1][0] and res.x is calls[-1][2]
+        for _, _, x_curr, prox, f_k, f_fresh in calls:
+            assert x_curr is prox.y_plus
+            assert f_k == f_fresh
+        for before, after in zip(calls, calls[1:]):
+            assert after[1] is before[2]
+        # The first test sees x_{k_min - 1}: the end point of a call whose budget stops there.
+        assert np.array_equal(calls[0][1], fista(problem, z, budget=k_min - 1).x)
+
     def test_momentum_update_reconstructible(self):
         # x_k is the prox step at y_{k-1} = x_{k-1} + ((t_{k-2} - 1)/t_{k-1})
         # (x_{k-1} - x_{k-2}), rebuilt from the states exposed to exit conditions.

@@ -22,7 +22,8 @@ from fistakit import (
     run_scheme,
     save_problem,
 )
-from fistakit.model import check_descent_lemma
+
+from conftest import check_descent_lemma
 
 
 class TestSpecValidation:

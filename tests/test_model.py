@@ -26,9 +26,9 @@ from fistakit import (
     objective,
     soft_threshold,
 )
-from fistakit.model import check_descent_lemma
 
-from conftest import CountingMatrix, make_quadratic, problem_zoo, random_spd, sample_feasible
+from conftest import (CountingMatrix, check_descent_lemma, make_quadratic, problem_zoo, random_spd,
+                      sample_feasible)
 
 
 def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, constraint=None):
@@ -273,6 +273,17 @@ def lsq_problem(nonsmooth, metric=(4.0, 2.0)):
                             nonsmooth=nonsmooth, metric=Metric(metric))
 
 
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+               1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64)), max_size=50))
+def test_all_finite_agrees_with_isfinite_all(values):
+    v = np.array(values, dtype=np.float64)
+    assert model._all_finite(v) == bool(np.isfinite(v).all())
+
+
 class TestCheckedInput:
     """The prox and the objective reject bad input on every path the FISTA loop takes."""
 
@@ -281,10 +292,16 @@ class TestCheckedInput:
                      "y contains non-finite", id="y-nan"),
         pytest.param(lambda p: composite_gradient_map(p, [0.0, -np.inf]),
                      "y contains non-finite", id="y-inf"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, np.nan]),
+                     "y contains non-finite", id="y-nan-last"),
         pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[np.nan, 0.0]),
                      "gradient is non-finite", id="grad-nan"),
         pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[0.0, np.inf]),
                      "gradient is non-finite", id="grad-inf"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[0.0, -np.inf]),
+                     "gradient is non-finite", id="grad-minus-inf"),
+        pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[0.0, np.nan]),
+                     "gradient is non-finite", id="grad-nan-last"),
         pytest.param(lambda p: composite_gradient_map(p, [0.0, 0.0], grad=[0.0, 0.0, 0.0]),
                      "gradient shape", id="grad-shape"),
         pytest.param(lambda p: objective(p, [0.0, np.nan]),
@@ -295,6 +312,22 @@ class TestCheckedInput:
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call(lsq_problem(WeightedL1([0.1, 0.2])))
+
+    @pytest.mark.parametrize("nonsmooth", [
+        lambda: WeightedL1([0.1, 0.2]),
+        Zero,
+        lambda: BoxIndicator(Box([-1e308, -1e308], [1e308, 1e308])),
+    ], ids=["l1", "zero", "box"])
+    def test_huge_finite_entries_accepted(self, nonsmooth):
+        # Entries near the float64 limit are finite and pass both checks without a
+        # warning (pytest turns warnings into errors); the large metric keeps the
+        # step itself in range.
+        prob = lsq_problem(nonsmooth(), metric=(1e300, 1e300))
+        y = np.array([1e308, -1e308])
+        step = composite_gradient_map(prob, y, grad=[1e308, -1e308])
+        assert np.array_equal(step.y_plus, y)
+        assert step.g_dual_norm == 0.0
+        assert math.isfinite(objective(prob, y, residual=np.zeros(3)))
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_objective_infinite_outside_indicator(self, carried):
