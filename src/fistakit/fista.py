@@ -280,9 +280,14 @@ def fista(
             break
         ts.step()
         beta = ts.momentum
-        y = x + beta * (x - x_prev)
+        # x + beta * (x - x_prev) with one temporary; the same bits.
+        y = x - x_prev
+        y *= beta
+        y += x
         if r_x is not None:
-            r_y = r_x + beta * (r_x - r_prev)
+            r_y = r_x - r_prev
+            r_y *= beta
+            r_y += r_x
         if exit_condition is not None and k >= k_min:
             # The state is filled only for a test that runs.
             state.k = k

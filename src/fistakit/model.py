@@ -56,24 +56,28 @@ def _as_locked_vector(v, name: str) -> np.ndarray:
 def soft_threshold(t, lam):
     """Shrinkage operator ``sign(t) * max(|t| - lam, 0)``, elementwise.
 
-    Ties at ``|t| == lam`` map to 0 exactly.  This is the closed-form prox
-    of a (weighted) l1 term under a diagonal metric.
+    Computed as ``t - clip(t, -lam, lam)``, which has the same value on
+    every entry.  Entries in ``[-lam, lam]`` map to +0, ties at
+    ``|t| == lam`` included; only ``t = -0`` may keep its sign, and only
+    when ``lam`` is 0.  This is the closed-form prox of a (weighted) l1
+    term under a diagonal metric.
     """
-    return np.sign(t) * np.maximum(np.abs(t) - lam, 0.0)
+    return t - np.minimum(np.maximum(t, -lam), lam)
 
 
 def _csr_matvec(M, v) -> np.ndarray:
-    """``M @ v`` for a float64 CSR matrix ``M``, by the compiled kernel that ``@`` calls.
+    """``M @ v`` for a float64 CSR matrix given as ``(n_row, n_col, indptr, indices, data)``.
 
-    The kernel reads ``v`` without checking its length, so the shape is
-    checked here first.
+    This is the compiled kernel that ``@`` calls, reached without reading
+    scipy's properties.  The kernel reads ``v`` without checking its
+    length, so the shape is checked here first.
     """
+    n_row, n_col, indptr, indices, data = M
     v = np.ascontiguousarray(v, dtype=np.float64)
-    n_row, n_col = M.shape
     if v.shape != (n_col,):
         raise ValueError(f"vector has shape {v.shape}, expected ({n_col},)")
     out = np.zeros(n_row)
-    _sparsetools.csr_matvec(n_row, n_col, M.indptr, M.indices, M.data, v, out)
+    _sparsetools.csr_matvec(n_row, n_col, indptr, indices, data, v, out)
     return out
 
 
@@ -141,9 +145,6 @@ class Box:
         x = np.asarray(x, dtype=np.float64)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
     def intersect(self, other: "Box") -> "Box":
         return Box(np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper))
 
@@ -168,6 +169,7 @@ class LeastSquares:
     A: object
     b: np.ndarray
     AT: object = field(init=False, repr=False)
+    _N: float = field(init=False, repr=False)  # N as a float, for the divisions
 
     def __post_init__(self):
         shape = getattr(self.A, "shape", ())
@@ -178,6 +180,7 @@ class LeastSquares:
             raise ValueError(f"b has shape {b.shape}, expected ({shape[0]},)")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "AT", self.A.T)
+        object.__setattr__(self, "_N", float(shape[0]))
 
     @property
     def dim(self) -> int:
@@ -185,11 +188,11 @@ class LeastSquares:
 
     @cached_property
     def _csr(self):
-        """``(A, A^T)`` as CSR matrices for :func:`_csr_matvec`, or None for ``@``."""
+        """``(A, A^T)`` as CSR operands for :func:`_csr_matvec`, or None for ``@``."""
         A = self.A
         if not (sparse.issparse(A) and A.format in ("csr", "csc") and A.dtype == np.float64):
             return None
-        return A.tocsr(), self.AT.tocsr()
+        return tuple((*M.shape, M.indptr, M.indices, M.data) for M in (A.tocsr(), self.AT.tocsr()))
 
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
@@ -199,13 +202,13 @@ class LeastSquares:
 
     def value_at_residual(self, r) -> float:
         """``||r||^2 / (2N)``, the value at the point whose residual is ``r``."""
-        return 0.5 * float(np.dot(r, r)) / self.A.shape[0]
+        return 0.5 * float(r.dot(r)) / self._N
 
     def grad_at_residual(self, r) -> np.ndarray:
         """``A^T r / N`` (one matvec), the gradient at the point whose residual is ``r``."""
         csr = self._csr
         ATr = self.AT @ r if csr is None else _csr_matvec(csr[1], r)
-        return ATr / self.A.shape[0]
+        return ATr / self._N
 
     def value(self, x) -> float:
         return self.value_at_residual(self.residual(x))
@@ -283,7 +286,7 @@ class WeightedL1:
         object.__setattr__(self, "weights", w)
 
     def value(self, x) -> float:
-        return float(np.dot(self.weights, np.abs(x)))
+        return float(self.weights.dot(np.abs(x)))
 
 
 @dataclass(frozen=True)
@@ -329,11 +332,14 @@ class CompositeProblem:
             inner = self.nonsmooth.box
             feasible = inner if feasible is None else feasible.intersect(inner)
         object.__setattr__(self, "_feasible_box", feasible)
-        # The soft-threshold level of the weighted-l1 prox, computed once.
-        threshold = None
+        # The soft-threshold level of the weighted-l1 prox and its negative,
+        # computed once.
+        threshold = neg_threshold = None
         if isinstance(self.nonsmooth, WeightedL1):
             threshold = _as_locked_vector(self.nonsmooth.weights / self.metric.diag, "threshold")
+            neg_threshold = _as_locked_vector(-threshold, "threshold")
         object.__setattr__(self, "_l1_threshold", threshold)
+        object.__setattr__(self, "_l1_neg_threshold", neg_threshold)
 
     @property
     def dim(self) -> int:
@@ -418,16 +424,18 @@ def composite_gradient_map(
     if not _all_finite(grad):
         raise ValueError("gradient is non-finite at the query point")
 
-    # Box.clip and Metric.dual_norm inline, since this runs once per step.
+    # soft_threshold, the clip to the box and Metric.dual_norm inline, by
+    # ufuncs without np.clip's Python wrapper, since this runs once per step.
     diag = problem.metric.diag
     u = y - grad / diag
-    if problem._l1_threshold is not None:
-        u = soft_threshold(u, problem._l1_threshold)
+    threshold = problem._l1_threshold
+    if threshold is not None:
+        u -= np.minimum(np.maximum(u, problem._l1_neg_threshold), threshold)
     box = problem._feasible_box
     if box is not None:
-        u = np.clip(u, box.lower, box.upper)
+        u = np.minimum(np.maximum(u, box.lower), box.upper)
     g = diag * (y - u)
-    step = ProxStep(u, g, math.sqrt(np.dot(g / diag, g)))
+    step = ProxStep(u, g, math.sqrt((g / diag).dot(g)))
     if counter is not None:
         counter.count += 1
     return step

@@ -203,15 +203,17 @@ class RestartResult:
     trace: RestartTrace
 
 
-def _exit_test(run: RestartRun) -> ExitCondition:
+def _exit_test(run: RestartRun) -> ExitCondition | None:
     """Exit test of the inner calls of ``run.scheme``.
 
     "none" exits on the tolerance itself, so its single call ends the run.
-    The names are looked up at call time, so a wrapper put in their place
-    sees every test.
+    In early-exit mode it needs no test: the abort on ``abort_tol =
+    epsilon`` checks the same ``||g||_*`` first and so always fires
+    before it.  The names are looked up at call time, so a wrapper put in
+    their place sees every test.
     """
     if run.scheme is Scheme.NO_RESTART:
-        return gradient_norm_below(run.epsilon)
+        return None if run.early_exit else gradient_norm_below(run.epsilon)
     if run.scheme is Scheme.FUNCTION:
         return exit_function_scheme
     if run.scheme is Scheme.GRADIENT:

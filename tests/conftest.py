@@ -100,7 +100,7 @@ def sample_feasible(rng, problem, scale=2.0):
     """Random point inside the problem's feasible set."""
     x = scale * rng.standard_normal(problem.dim)
     box = problem.feasible_box
-    return x if box is None else box.clip(x)
+    return x if box is None else np.clip(x, box.lower, box.upper)
 
 
 def problem_zoo(rng, n=6):

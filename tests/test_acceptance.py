@@ -193,7 +193,7 @@ def test_criterion_4_gradient_rate(free_runs):
 def test_criterion_5_restart_decrease(lasso_family):
     with criterion(5, "half g(r_{j-1})^2 <= f(r_{j-1}) - f(r_j) for all lcr pairs"):
         for lp, f_star, x_star in lasso_family:
-            run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(80))
+            run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(80), budget=4_000)
             out = run_scheme(lp.problem, run)
             assert not out.trace.exhausted
             recs = out.trace.records
@@ -211,7 +211,7 @@ def test_criterion_6_inner_iteration_bound(quad_family):
     with criterion(6, "observed n_j <= ceil(4 sqrt(e+1)/sqrt(mu)) on growth family"):
         for lp, mu, f_star, x_star in quad_family:
             bound = math.ceil(4.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
-            run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(20))
+            run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(20), budget=1_000)
             out = run_scheme(lp.problem, run)
             assert not out.trace.exhausted
             for rec in out.trace.records:
@@ -223,7 +223,7 @@ def test_criterion_7_total_iteration_bound(quad_family):
         eps = 1e-9
         for lp, mu, f_star, x_star in quad_family:
             r0 = np.zeros(20)
-            run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=r0)
+            run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=r0, budget=1_000)
             out = run_scheme(lp.problem, run)
             assert not out.trace.exhausted
             gap0 = lp.problem.smooth.value(r0) - f_star
@@ -311,6 +311,7 @@ def test_criterion_11_prox_accounting(lasso_family):
                     scheme=scheme, epsilon=1e-8, r0=np.zeros(80),
                     early_exit=early,
                     f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                    budget=10_000,
                 )
                 trace = run_scheme(lp.problem, run).trace
                 assert trace.total_prox_calls == (

@@ -354,7 +354,7 @@ class TestInvalidTrials:
 
 class TestStrictExit:
     def test_strict_mode_experiment(self, tmp_path):
-        cfg = ExperimentConfig(out=tmp_path, strict_exit=True, **TINY)
+        cfg = ExperimentConfig(out=tmp_path, strict_exit=True, budget=10_000, **TINY)
         stats, code = run_experiment(cfg)
         assert code == 0
         rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
@@ -409,7 +409,7 @@ class TestCommands:
         lp = LassoProblem.build(A, np.zeros(3))
         problem_file = tmp_path / "zero.lasso"
         save_problem(lp, problem_file)
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(3))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(3), budget=10)
         out = run_scheme(lp.problem, run)
         rows = [r for r in out.trace.records if r.j >= 1]
         assert len(rows) == 1

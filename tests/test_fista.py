@@ -66,7 +66,7 @@ class TestTSequence:
 class TestFistaBasics:
     def test_exact_curvature_converges_in_one_iteration(self):
         prob = make_quadratic(np.array([[1.0]]), np.array([0.0]), metric_diag=[1.0])
-        res = fista(prob, np.array([7.0]), exit_condition=gradient_norm_below(1e-9))
+        res = fista(prob, np.array([7.0]), exit_condition=gradient_norm_below(1e-9), budget=10)
         assert abs(res.x[0]) <= 1e-9
         assert res.n == 1
         assert not res.aborted and not res.exhausted
@@ -90,7 +90,7 @@ class TestFistaBasics:
     def test_k_min_respected(self):
         prob = ill_conditioned_quadratic()
         always = lambda state: True
-        res = fista(prob, np.array([5.0, 5.0]), k_min=9, exit_condition=always)
+        res = fista(prob, np.array([5.0, 5.0]), k_min=9, exit_condition=always, budget=50)
         assert res.n == 9
 
     def test_exit_condition_first_evaluated_at_k1(self):
@@ -116,7 +116,7 @@ class TestFistaBasics:
                           state.f_history[state.k], objective(problem, state.x_curr)))
             return len(calls) == n_calls
 
-        res = fista(problem, z, k_min=k_min, exit_condition=record)
+        res = fista(problem, z, k_min=k_min, exit_condition=record, budget=100)
         assert [call[0] for call in calls] == list(range(k_min, k_min + n_calls))
         assert res.n == calls[-1][0] and res.x is calls[-1][2]
         for _, _, x_curr, prox, f_k, f_fresh in calls:
@@ -151,7 +151,7 @@ class TestFistaBasics:
     def test_abort_at_initialization(self):
         prob = make_quadratic(np.array([[1.0]]), np.array([2.0]), metric_diag=[1.0])
         counter = ProxCounter()
-        res = fista(prob, np.array([2.0]), abort_tol=1e-9, counter=counter)
+        res = fista(prob, np.array([2.0]), abort_tol=1e-9, counter=counter, budget=10)
         assert res.aborted
         assert res.n == 0
         assert counter.count == 1

@@ -81,7 +81,7 @@ class TestGenerate:
         spec = LassoSpec(N=2, n=3, alpha=0.0, sparsity=0.0, seed=8)
         lp = generate(spec)
         assert np.all(lp.weights == 0.0)
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(3))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(3), budget=500)
         out = run_scheme(lp.problem, run)
         A = lp.A.toarray()
         x_pinv = np.linalg.pinv(A) @ lp.b

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,85 @@ EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
 def test_all_finite_agrees_with_isfinite_all(values):
     v = np.array(values, dtype=np.float64)
     assert model._all_finite(v) == bool(np.isfinite(v).all())
+
+
+THRESHOLDS = [0.0, 5e-324, 2.2e-308, 1.0, 1e308, np.finfo(np.float64).max]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64)),
+    st.one_of(st.sampled_from(THRESHOLDS), st.floats(0.0, allow_infinity=False)),
+), min_size=1, max_size=50))
+def test_soft_threshold_clip_form_equals_sign_form(pairs):
+    # t - clip(t, -lam, lam) has the value of sign(t) * max(|t| - lam, 0) on every
+    # entry, NaN for NaN, and raises no warning; inside [-lam, lam] it gives +0,
+    # except that t = -0 may stay -0 at lam = 0.
+    t, lam = (np.array(column, dtype=np.float64) for column in zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = soft_threshold(t, lam)
+    sign_form = np.sign(t) * np.maximum(np.abs(t) - lam, 0.0)
+    assert np.array_equal(out, sign_form, equal_nan=True)
+    inside = (np.abs(t) <= lam) & ~(np.signbit(t) & (lam == 0.0))
+    assert not np.signbit(out[inside]).any()
+
+
+def prox_sign_form(problem, y, grad):
+    """Reference composite gradient map: the sign-form shrink, then ``np.clip``."""
+    diag = problem.metric.diag
+    u = y - grad / diag
+    if isinstance(problem.nonsmooth, WeightedL1):
+        lam = problem.nonsmooth.weights / diag
+        u = np.sign(u) * np.maximum(np.abs(u) - lam, 0.0)
+    box = problem.feasible_box
+    if box is not None:
+        u = np.clip(u, box.lower, box.upper)
+    g = diag * (y - u)
+    return u, g, math.sqrt(np.dot(g / diag, g))
+
+
+POINT_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                          st.floats(-1e6, 1e6))
+BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, np.inf]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def prox_cases(draw, kind):
+    """A problem of ``kind`` with a point ``y`` and a gradient at it, all drawn."""
+    n = draw(st.integers(1, 8))
+    y = np.array(draw(st.lists(POINT_ENTRIES, min_size=n, max_size=n)))
+    grad = np.array(draw(st.lists(POINT_ENTRIES, min_size=n, max_size=n)))
+    diag = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    nonsmooth, constraint = Zero(), None
+    if kind in ("l1", "l1-box"):
+        weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+                                min_size=n, max_size=n))
+        nonsmooth = WeightedL1(weights)
+    if kind in ("box", "l1-box"):
+        ends = [sorted(draw(st.lists(BOUNDS, min_size=2, max_size=2))) for _ in range(n)]
+        box = Box([lo for lo, _ in ends], [hi for _, hi in ends])
+        if kind == "box":
+            nonsmooth = BoxIndicator(box)
+        else:
+            constraint = box
+    smooth = SmoothPart(value=lambda x: 0.0, grad=lambda x: np.zeros(n), dim=n)
+    problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=Metric(diag),
+                               constraint=constraint)
+    return problem, y, grad
+
+
+@pytest.mark.parametrize("kind", ["l1", "zero", "box", "l1-box"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prox_equals_the_sign_form_prox(kind, data):
+    problem, y, grad = data.draw(prox_cases(kind))
+    step = composite_gradient_map(problem, y, grad=grad)
+    y_plus, g, g_dual_norm = prox_sign_form(problem, y, grad)
+    # Equal values; a zero entry may differ in sign, which no later value sees.
+    assert np.array_equal(step.y_plus, y_plus)
+    assert np.array_equal(step.g, g)
+    assert step.g_dual_norm == g_dual_norm
 
 
 class TestCheckedInput:

@@ -17,6 +17,7 @@ from fistakit import (
     exit_optimal_value_scheme,
     fista,
     generate,
+    gradient_norm_below,
     objective,
     oracle_fstar,
     run_scheme,
@@ -132,7 +133,7 @@ class TestRestartFista:
         prob = make_quadratic(np.array([[1.0]]), np.array([3.0]), metric_diag=[1.0])
         for early in (True, False):
             run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-9,
-                             r0=np.array([3.0]), early_exit=early)
+                             r0=np.array([3.0]), early_exit=early, budget=20)
             out = run_scheme(prob, run)
             assert out.trace.total_iterations <= 1
             assert out.trace.final_g_norm <= 1e-9
@@ -140,8 +141,8 @@ class TestRestartFista:
 
     def test_function_scheme_beats_no_restart(self, desk_lasso):
         eps = 1e-9
-        base = RestartRun(scheme=Scheme.NO_RESTART, epsilon=eps, r0=np.zeros(40))
-        func = RestartRun(scheme=Scheme.FUNCTION, epsilon=eps, r0=np.zeros(40))
+        base = RestartRun(scheme=Scheme.NO_RESTART, epsilon=eps, r0=np.zeros(40), budget=20_000)
+        func = RestartRun(scheme=Scheme.FUNCTION, epsilon=eps, r0=np.zeros(40), budget=2_000)
         n_none = run_scheme(desk_lasso.problem, base).trace.total_iterations
         n_func = run_scheme(desk_lasso.problem, func).trace.total_iterations
         assert n_func < n_none
@@ -149,7 +150,7 @@ class TestRestartFista:
     def test_both_heuristics_reach_tolerance(self, desk_lasso):
         eps = 1e-9
         for scheme in (Scheme.FUNCTION, Scheme.GRADIENT):
-            run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(40))
+            run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(40), budget=2_000)
             out = run_scheme(desk_lasso.problem, run)
             assert not out.trace.exhausted
             assert out.trace.final_g_norm <= eps
@@ -157,7 +158,7 @@ class TestRestartFista:
     def test_strict_mode_counts_outer_checks(self, desk_lasso):
         eps = 1e-7
         run = RestartRun(scheme=Scheme.GRADIENT, epsilon=eps, r0=np.zeros(40),
-                         early_exit=False)
+                         early_exit=False, budget=2_000)
         out = run_scheme(desk_lasso.problem, run)
         trace = out.trace
         assert trace.final_g_norm <= eps
@@ -167,7 +168,7 @@ class TestRestartFista:
         )
 
     def test_early_exit_accounting(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.GRADIENT, epsilon=1e-7, r0=np.zeros(40))
+        run = RestartRun(scheme=Scheme.GRADIENT, epsilon=1e-7, r0=np.zeros(40), budget=2_000)
         out = run_scheme(desk_lasso.problem, run)
         trace = out.trace
         assert trace.outer_checks == 0
@@ -196,7 +197,7 @@ class TestRestartFista:
             f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
             window = math.ceil(2.0 * math.e / math.sqrt(mu))
             run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9,
-                             r0=np.zeros(20), f_star=f_star)
+                             r0=np.zeros(20), f_star=f_star, budget=1_000)
             out = run_scheme(lp.problem, run)
             assert not out.trace.exhausted
             for rec in out.trace.records:
@@ -206,7 +207,7 @@ class TestRestartFista:
 class TestLcrFista:
     def test_matched_curvature_single_call(self):
         prob = make_quadratic(np.array([[2.0]]), np.array([1.0]), metric_diag=[2.0])
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.array([5.0]))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.array([5.0]), budget=20)
         out = run_scheme(prob, run)
         # One productive call (plus at most an aborted zero-iteration one);
         # the doubling step never fires.
@@ -216,7 +217,7 @@ class TestLcrFista:
         assert abs(out.r_star[0] - 1.0) <= 1e-9
 
     def test_monotone_decrease_and_restart_inequality(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(40))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(40), budget=3_000)
         out = run_scheme(desk_lasso.problem, run)
         recs = out.trace.records
         assert not out.trace.exhausted
@@ -231,7 +232,7 @@ class TestLcrFista:
                 assert lhs <= (prev.f_r - curr.f_r) + noise * scale
 
     def test_doubling_semantics(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40), budget=3_000)
         out = run_scheme(desk_lasso.problem, run)
         recs = [r for r in out.trace.records if r.j >= 1]
         doubled = 0
@@ -247,7 +248,7 @@ class TestLcrFista:
     def test_observed_counts_nondecreasing_until_final(self, desk_lasso):
         # The final truncated call is allowed to be shorter; every earlier
         # pair must be nondecreasing on this family.
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(40))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(40), budget=3_000)
         out = run_scheme(desk_lasso.problem, run)
         ns = [r.n_obs for r in out.trace.records if r.j >= 1]
         body = ns[:-1]
@@ -255,7 +256,7 @@ class TestLcrFista:
 
     def test_strict_mode_reaches_tolerance(self, desk_lasso):
         run = RestartRun(scheme=Scheme.LCR, epsilon=1e-8, r0=np.zeros(40),
-                         early_exit=False)
+                         early_exit=False, budget=3_000)
         out = run_scheme(desk_lasso.problem, run)
         trace = out.trace
         assert trace.final_g_norm <= 1e-8
@@ -285,7 +286,7 @@ class TestConstrainedSolves:
         c = np.array([3.0, -4.0, 0.2])
         box = Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
         prob = make_quadratic(np.diag(q), c, metric_diag=q * 1.5, constraint=box)
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(3))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(3), budget=200)
         out = run_scheme(prob, run)
         expected = np.clip(c, box.lower, box.upper)
         assert np.allclose(out.r_star, expected, atol=1e-8)
@@ -303,7 +304,7 @@ class TestConstrainedSolves:
             np.diag(q), c, metric_diag=q * 2.0,
             nonsmooth=WeightedL1(w), constraint=box,
         )
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(2))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(2), budget=50)
         out = run_scheme(prob, run)
         unconstrained = np.sign(c) * np.maximum(np.abs(c) - w / q, 0.0)
         expected = np.clip(unconstrained, box.lower, box.upper)
@@ -315,7 +316,7 @@ class TestConstrainedSolves:
         from concurrent.futures import ThreadPoolExecutor
 
         def solve(eps):
-            run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=np.zeros(40))
+            run = RestartRun(scheme=Scheme.LCR, epsilon=eps, r0=np.zeros(40), budget=3_000)
             return run_scheme(desk_lasso.problem, run)
 
         epss = [1e-7, 1e-8, 1e-9, 1e-10]
@@ -331,15 +332,50 @@ class TestNoRestart:
     def test_reaches_tolerance_both_modes(self, desk_lasso):
         for early in (True, False):
             run = RestartRun(scheme=Scheme.NO_RESTART, epsilon=1e-8,
-                             r0=np.zeros(40), early_exit=early)
+                             r0=np.zeros(40), early_exit=early, budget=10_000)
             out = run_scheme(desk_lasso.problem, run)
             assert out.trace.final_g_norm <= 1e-8
             assert out.trace.calls == 1 and out.trace.outer_checks == 0
 
+    @pytest.mark.parametrize("case", ["converges", "truncated", "good-start"])
+    def test_early_exit_trace_equals_a_run_with_the_per_step_test(self, monkeypatch,
+                                                                   desk_lasso, case):
+        # Early-exit "none" runs without an exit test: the abort on epsilon tests
+        # the same ||g||_* first.  Putting gradient_norm_below back changes nothing.
+        r0 = np.zeros(40)
+        if case == "good-start":
+            tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=r0, budget=3_000)
+            r0 = run_scheme(desk_lasso.problem, tight).r_star
+        run = RestartRun(scheme=Scheme.NO_RESTART, epsilon=1e-9, r0=r0,
+                         budget=100 if case == "truncated" else 20_000)
+        lean = run_scheme(desk_lasso.problem, run)
+        tested = []
+
+        def per_step_test(run):
+            below = gradient_norm_below(run.epsilon)
+
+            def test(state):
+                tested.append(state.k)
+                return below(state)
+            return test
+
+        monkeypatch.setattr(importlib.import_module("fistakit.restart"), "_exit_test",
+                            per_step_test)
+        kept = run_scheme(desk_lasso.problem, run)
+        assert repr(lean.trace.records) == repr(kept.trace.records)
+        same_trace = repr(lean.trace) == repr(kept.trace)  # every f and ||g||_*, bit for bit
+        assert same_trace
+        assert lean.r_star.tobytes() == kept.r_star.tobytes()
+        n = lean.trace.total_iterations
+        assert lean.trace.exhausted == (case == "truncated")
+        # The test ran after every step but an aborting one.
+        assert tested == list(range(1, n if case == "converges" else n + 1))
+        assert (n == 0) == (case == "good-start")
+
     def test_lasso_with_l1_region_reaches_sparse_solution(self):
         # Strong l1 weights drive coordinates exactly to zero.
         lp = generate(LassoSpec(N=15, n=25, alpha=0.5, sparsity=0.3, seed=2))
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(25))
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-10, r0=np.zeros(25), budget=1_000)
         out = run_scheme(lp.problem, run)
         assert isinstance(lp.problem.nonsmooth, WeightedL1)
         assert np.sum(out.r_star == 0.0) > 0
@@ -352,7 +388,7 @@ class TestSchemeDifferences:
         prob = make_quadratic(np.array([[1.0]]), np.array([3.0]), metric_diag=[1.0])
         for early, iterations in ((True, 0), (False, 1)):
             run = RestartRun(scheme=Scheme.NO_RESTART, epsilon=1e-9,
-                             r0=np.array([3.0]), early_exit=early)
+                             r0=np.array([3.0]), early_exit=early, budget=20)
             trace = run_scheme(prob, run).trace
             assert trace.total_iterations == iterations
             assert trace.calls == 1 and trace.outer_checks == 0
@@ -360,7 +396,8 @@ class TestSchemeDifferences:
 
     def test_truncated_final_lcr_call_takes_no_doubling_decision(self, desk_lasso):
         full = run_scheme(desk_lasso.problem,
-                          RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40)))
+                          RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40),
+                                     budget=3_000))
         doubled = [r for r in full.trace.records if r.n_eff != r.n_obs]
         assert doubled
         # Cut the run inside the call after the first doubling.
@@ -383,13 +420,14 @@ def test_generic_callables_reach_eps_in_every_scheme(seed, eps):
     """
     for prob in problem_zoo(np.random.default_rng(seed)):
         ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12,
-                                          r0=np.zeros(prob.dim)))
+                                          r0=np.zeros(prob.dim), budget=5_000))
         f_star = objective(prob, ref.r_star)
         for scheme in Scheme:
             for early in (True, False):
                 run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(prob.dim),
                                  early_exit=early,
-                                 f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+                                 f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                                 budget=5_000)
                 trace = run_scheme(prob, run).trace
                 label = f"{scheme.value} early_exit={early}"
                 assert not trace.exhausted, label
@@ -426,7 +464,8 @@ def test_strict_opt_ends_at_a_fixed_point_above_f_star():
     # test, whose right side is then negative, never fires; without the
     # g = 0 test in exit_optimal_value_scheme only the budget stops the call.
     prob = problem_zoo(np.random.default_rng(3554955570))[3]
-    ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim)))
+    ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim),
+                                      budget=500))
     run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(prob.dim),
                      early_exit=False, f_star=objective(prob, ref.r_star), budget=20_000)
     trace = run_scheme(prob, run).trace
@@ -454,7 +493,8 @@ def test_loop_calls_prox_and_objective_through_fista_module(monkeypatch, early):
     monkeypatch.setattr(fista_module, "objective",
                         counting("objective", fista_module.objective))
     lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
-    run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(lp.n), early_exit=early)
+    run = RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros(lp.n), early_exit=early,
+                     budget=2_000)
     trace = run_scheme(lp.problem, run).trace
     assert trace.calls > 1 and (early or trace.outer_checks > 0)
     assert tally["prox"] == trace.total_prox_calls - trace.outer_checks
