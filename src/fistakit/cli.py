@@ -474,31 +474,87 @@ class BoundCheck:
         return " ".join(parts)
 
 
-def _float_noise(*values: float) -> float:
-    # Allowance for the evaluation error of objective differences read
-    # back from file: a few ulps of the largest magnitude involved.
-    scale = max([1.0, *map(abs, values)])
-    return 64.0 * np.finfo(float).eps * scale
+# Allowance for the evaluation error of objective differences read back
+# from file: this many ulps (64 eps) of the largest magnitude involved.
+FLOAT_NOISE = 64.0 * np.finfo(float).eps
+
+# One ``none`` row of a trace CSV: k, f(x_k) and ||g(y_{k-1})||_*.
+_NONE_ROW = np.dtype([("k", np.int64), ("f", np.float64), ("g_dual_norm", np.float64)])
 
 
-def _rate_check(trial: int, name: str, rows, bound_at) -> BoundCheck:
-    """Check ``observed <= bound_at(k)``, within its allowance, on every
-    ``(k, observed)`` row; reports the row of largest margin."""
-    worst = None
-    for k, observed in rows:
-        bound = bound_at(k)
-        margin = observed - (bound * (1.0 + BOUND_REL) + BOUND_ABS)
-        if worst is None or margin > worst[0]:
-            worst = (margin, k, observed, bound)
-    margin, k, observed, bound = worst
-    return BoundCheck(trial, name, "PASS" if margin <= 0 else "FAIL",
-                      bound=bound, observed=observed, detail=f"worst_k={k}")
+def _float_noise(a, b):
+    """``FLOAT_NOISE * max(1, |a|, |b|)``, elementwise; a NaN is passed over."""
+    return FLOAT_NOISE * np.fmax(np.fmax(1.0, np.abs(a)), np.abs(b))
+
+
+def _none_rows(path) -> np.ndarray:
+    """The rows of scheme ``none`` of a trace CSV, in file order, as ``_NONE_ROW`` records.
+
+    Rows of other schemes are not parsed.  A ``none`` row with a field
+    missing, a non-numeric ``f`` or ``g_dual_norm`` or a non-integer ``k``
+    raises ``ValueError``.
+    """
+    lines = Path(path).read_text().splitlines()
+    if lines and lines[0] != _TRACE_HEADER:
+        raise ValueError(f"{path}: header is not {_TRACE_HEADER!r}")
+    rows = [line for line in lines[1:] if line.startswith("none,") or line == "none"]
+    if not rows:
+        return np.empty(0, _NONE_ROW)
+    return np.loadtxt(rows, dtype=_NONE_ROW, delimiter=",", usecols=(1, 2, 3),
+                      comments=None, ndmin=1)
+
+
+def _rate_check(trial: int, name: str, k, observed, bound) -> BoundCheck:
+    """Check ``observed <= bound``, within its allowance, on every row.
+
+    Reports the first row of largest margin.  A NaN margin in row 0 is
+    reported (and fails); a NaN margin in a later row is passed over.
+    """
+    margin = observed - (bound * (1.0 + BOUND_REL) + BOUND_ABS)
+    i = 0 if math.isnan(margin[0]) else int(np.nanargmax(margin))
+    return BoundCheck(trial, name, "PASS" if margin[i] <= 0 else "FAIL",
+                      bound=float(bound[i]), observed=float(observed[i]),
+                      detail=f"worst_k={k[i]}")
 
 
 def _claim_check(trial: int, name: str, violations: list[float], **extra) -> BoundCheck:
     """FAIL when a claim has violations, observing the largest one."""
     return BoundCheck(trial, name, "FAIL" if violations else "PASS",
                       observed=max(violations, default=math.nan), **extra)
+
+
+def _none_checks(trial: int, nr: np.ndarray, f_star: float, dist: float, f_x0: float,
+                 mu: float) -> list[BoundCheck]:
+    """The ``nr-*`` checks of one trial from its ``none`` rows (see :func:`_none_rows`).
+
+    An empty trace has none.
+    """
+    if not nr.size:
+        return []
+    k, f, g = nr["k"], nr["f"], nr["g_dual_norm"]
+    # inf and NaN pass through silently, as in Python float arithmetic.
+    with np.errstate(all="ignore"):
+        checks = [
+            _rate_check(trial, "nr-objective-rate", k, f - f_star,
+                        2.0 * dist * dist / (k + 1) ** 2),
+            # g at y_{k-1}: (k-1) + 2
+            _rate_check(trial, "nr-gradient-rate", k, g, 4.0 * dist / (k + 1)),
+        ]
+        if not math.isfinite(mu):
+            checks.append(BoundCheck(trial, "nr-growth-checks", "SKIP",
+                                     detail="no growth parameter"))
+            return checks
+        k_mono = math.floor(2.0 / math.sqrt(mu))
+        k_contr = math.floor(2.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
+        noise = _float_noise(f_x0, f)
+        monotone = f[(k >= k_mono) & (f > f_x0 + noise)]
+        gap, drop = f - f_star, (f_x0 - f) / math.e
+        excess = (gap - drop)[(k >= k_contr) & (gap > drop + noise)]
+    checks.append(_claim_check(trial, "nr-monotone-after", monotone.tolist(),
+                               bound=f_x0, detail=f"k_min={k_mono}"))
+    checks.append(_claim_check(trial, "nr-contraction-after", excess.tolist(),
+                               detail=f"k_min={k_contr}"))
+    return checks
 
 
 def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
@@ -528,39 +584,14 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
         f_x0 = float(o["f_x0"])
         f_r0 = float(o["f_r0"])
         mu = float(o["mu"])
-        nr = [(int(r["k"]), float(r["f"]), float(r["g_dual_norm"]))
-              for r in _read_csv(out / "traces" / f"trial_{trial:04d}.csv")
-              if r["scheme"] == "none"]
+        nr = _none_rows(out / "traces" / f"trial_{trial:04d}.csv")
         lcr = sorted(  # by j
             (int(r["j"]), int(r["n_obs"]), float(r["f_r"]), float(r["g_dual_norm"]))
             for r in _read_csv(out / "traces" / f"trial_{trial:04d}_restarts.csv")
             if r["scheme"] == "lcr"
         )
 
-        if nr:
-            checks.append(_rate_check(trial, "nr-objective-rate",
-                                      ((k, f - f_star) for k, f, _ in nr),
-                                      lambda k: 2.0 * dist * dist / (k + 1) ** 2))
-            # g at y_{k-1}: (k-1) + 2
-            checks.append(_rate_check(trial, "nr-gradient-rate", ((k, g) for k, _, g in nr),
-                                      lambda k: 4.0 * dist / (k + 1)))
-            if not math.isfinite(mu):
-                checks.append(BoundCheck(trial, "nr-growth-checks", "SKIP",
-                                         detail="no growth parameter"))
-            else:
-                k_mono = math.floor(2.0 / math.sqrt(mu))
-                k_contr = math.floor(2.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
-                checks.append(_claim_check(
-                    trial, "nr-monotone-after",
-                    [f for k, f, _ in nr if k >= k_mono and f > f_x0 + _float_noise(f_x0, f)],
-                    bound=f_x0, detail=f"k_min={k_mono}",
-                ))
-                checks.append(_claim_check(
-                    trial, "nr-contraction-after",
-                    [(f - f_star) - (f_x0 - f) / math.e for k, f, _ in nr
-                     if k >= k_contr and f - f_star > (f_x0 - f) / math.e + _float_noise(f_x0, f)],
-                    detail=f"k_min={k_contr}",
-                ))
+        checks += _none_checks(trial, nr, f_star, dist, f_x0, mu)
 
         if lcr:
             checks.append(_claim_check(

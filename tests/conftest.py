@@ -1,7 +1,11 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fistakit import Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero
+from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
 
 
 def make_quadratic(Q, c, metric_diag=None, nonsmooth=None, constraint=None):
@@ -82,6 +86,72 @@ def check_descent_lemma(problem, rng, samples=50):
         denom = max(abs(hx), abs(bound), 1.0)
         worst = max(worst, (hx - bound) / denom)
     return worst if worst > DESCENT_REL_TOL else 0.0
+
+
+def reference_none_rows(path):
+    """``(k, f, g_dual_norm)`` of each ``none`` row of a trace CSV, read row by row."""
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    return [(int(r["k"]), float(r["f"]), float(r["g_dual_norm"]))
+            for r in rows if r["scheme"] == "none"]
+
+
+def _reference_float_noise(*values):
+    scale = max([1.0, *map(abs, values)])
+    return 64.0 * np.finfo(float).eps * scale
+
+
+def _reference_rate_check(trial, name, rows, bound_at):
+    worst = None
+    for k, observed in rows:
+        bound = bound_at(k)
+        margin = observed - (bound * (1.0 + BOUND_REL) + BOUND_ABS)
+        if worst is None or margin > worst[0]:
+            worst = (margin, k, observed, bound)
+    margin, k, observed, bound = worst
+    return BoundCheck(trial, name, "PASS" if margin <= 0 else "FAIL",
+                      bound=bound, observed=observed, detail=f"worst_k={k}")
+
+
+def _reference_claim_check(trial, name, violations, **extra):
+    return BoundCheck(trial, name, "FAIL" if violations else "PASS",
+                      observed=max(violations, default=math.nan), **extra)
+
+
+def reference_none_checks(trial, nr, f_star, dist, f_x0, mu):
+    """The ``nr-*`` checks of ``verify_bounds`` in scalar form, one Python float per row.
+
+    ``nr`` is a list of ``(k, f, g_dual_norm)`` tuples.  This is the row by
+    row form the array checks of ``fistakit.cli`` replace, kept as their
+    reference: they must give the same records on every input.
+    """
+    if not nr:
+        return []
+    checks = [
+        _reference_rate_check(trial, "nr-objective-rate", ((k, f - f_star) for k, f, _ in nr),
+                              lambda k: 2.0 * dist * dist / (k + 1) ** 2),
+        _reference_rate_check(trial, "nr-gradient-rate", ((k, g) for k, _, g in nr),
+                              lambda k: 4.0 * dist / (k + 1)),
+    ]
+    if not math.isfinite(mu):
+        checks.append(BoundCheck(trial, "nr-growth-checks", "SKIP", detail="no growth parameter"))
+        return checks
+    k_mono = math.floor(2.0 / math.sqrt(mu))
+    k_contr = math.floor(2.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
+    # The allowance is a numpy scalar, which warns on overflow where a float
+    # would not; the values are those of the unwarned arithmetic.
+    with np.errstate(all="ignore"):
+        monotone = [f for k, f, _ in nr
+                    if k >= k_mono and f > f_x0 + _reference_float_noise(f_x0, f)]
+        excess = [(f - f_star) - (f_x0 - f) / math.e for k, f, _ in nr
+                  if k >= k_contr
+                  and f - f_star > (f_x0 - f) / math.e + _reference_float_noise(f_x0, f)]
+    checks.append(_reference_claim_check(trial, "nr-monotone-after", monotone,
+                                         bound=f_x0, detail=f"k_min={k_mono}"))
+    checks.append(_reference_claim_check(trial, "nr-contraction-after", excess,
+                                         detail=f"k_min={k_contr}"))
+    return checks
 
 
 @pytest.fixture

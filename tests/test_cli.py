@@ -1,9 +1,13 @@
 import hashlib
 import json
+import math
 import shutil
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from fistakit import LassoProblem, RestartRun, Scheme, run_scheme, save_problem
@@ -19,6 +23,8 @@ from fistakit.cli import (
     verify_bounds,
 )
 from fistakit.restart import RestartTrace
+
+from conftest import reference_none_checks, reference_none_rows
 
 
 TINY = dict(N=15, n=22, alpha=0.01, sparsity=0.5, trials=3,
@@ -503,3 +509,102 @@ class TestVerifyFailures:
                 if "status=FAIL" in r} == failing
         assert all(r.startswith("trial=0000") for r in report if "status=FAIL" in r)
         assert line in report
+
+
+def _edit_trace_row(path, scheme: str, k: str, edit) -> None:
+    """Replace the fields of the one row of ``scheme`` at ``k`` in a trace CSV by ``edit(fields)``."""
+    header, *lines = path.read_text().splitlines()
+    hits = [i for i, line in enumerate(lines) if line.split(",")[:2] == [scheme, k]]
+    assert len(hits) == 1
+    lines[hits[0]] = ",".join(edit(lines[hits[0]].split(",")))
+    path.write_text("\n".join([header, *lines]) + "\n")
+
+
+class TestVerifyTraceRows:
+    @pytest.mark.parametrize("edit", [
+        lambda fields: fields[:3],
+        lambda fields: [*fields[:2], "abc", fields[3]],
+        lambda fields: [fields[0], "1.5", *fields[2:]],
+    ], ids=["missing-field", "non-numeric-f", "non-integer-k"])
+    @pytest.mark.parametrize("scheme, code", [("none", 2), ("lcr", 0)])
+    def test_unreadable_none_row_is_a_config_error(self, tiny_run, tmp_path, capsys,
+                                                   edit, scheme, code):
+        # Only rows of scheme none are parsed; an edited row of another
+        # scheme leaves the report as it was.
+        out = tmp_path / "run"
+        shutil.copytree(tiny_run[0], out)
+        (out / "bound_report.txt").unlink(missing_ok=True)
+        _edit_trace_row(out / "traces" / "trial_0001.csv", scheme, "5", edit)
+        assert main(["verify", "--out", str(out)]) == code
+        if code == 2:
+            assert "config error: cannot read run output" in capsys.readouterr().err
+            assert not (out / "bound_report.txt").exists()
+        else:
+            assert _sha256(out / "bound_report.txt") == (
+                "f4d641d4176808ba7f334c2dde08d502c8e59a0369aa7f82035748cfade38b42")
+
+    def test_foreign_trace_header_is_a_config_error(self, tiny_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_run[0], out)
+        trace = out / "traces" / "trial_0002.csv"
+        header, rest = trace.read_text().split("\n", 1)
+        trace.write_text("scheme,k,g_dual_norm,f\n" + rest)
+        assert main(["verify", "--out", str(out)]) == 2
+        assert "config error: cannot read run output" in capsys.readouterr().err
+
+    def test_none_checks_do_not_depend_on_scheme_order(self, tiny_run, tmp_path):
+        def nr_lines(out):
+            return [c.line() for c in verify_bounds(out)[0] if c.name.startswith("nr-")]
+
+        out = tmp_path / "lcr_none"
+        # TINY's settings, with lcr's rows written before none's.
+        assert main(["run", "--schemes", "lcr,none", "--out", str(out), "--N", "15", "--n", "22",
+                     "--alpha", "0.01", "--sparsity", "0.5", "--trials", "3", "--eps", "1e-7",
+                     "--oracle-eps", "1e-9", "--seed", "42"]) == 0
+        assert (out / "traces" / "trial_0000.csv").read_text().splitlines()[1].startswith("lcr,")
+        assert nr_lines(out) == nr_lines(tiny_run[0])
+        assert len(nr_lines(out)) == 3 * 3
+
+        lcr_only = tmp_path / "lcr"
+        run_experiment(ExperimentConfig(out=lcr_only, **(TINY | {"schemes": (Scheme.LCR,)})))
+        checks, failures = verify_bounds(lcr_only)
+        assert failures == 0
+        assert not [c for c in checks if c.name.startswith("nr-")]
+        assert any(c.name == "lcr-restart-decrease" for c in checks)
+
+
+# Values at the edges of the checks: signed zeros, 1 and its successor (within
+# the noise allowance of 1), the allowance at scale 1 (2**-46), the largest
+# floats, infinities and NaN.
+EDGE_VALUES = [0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), 2.0 ** -46, 1e308, -1e308,
+               sys.float_info.max, math.inf, -math.inf, math.nan]
+edge_floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
+none_rows = st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6)),
+                      edge_floats, edge_floats)
+# Rows of other schemes, which the parse must pass over unread.
+OTHER_ROWS = ["lcr,1,0.5,0.25", "func,1.5,abc", "opt", "", "nonesuch,1,2,3"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=st.lists(st.one_of(none_rows, st.sampled_from(OTHER_ROWS)), max_size=12),
+    f_star=edge_floats, dist=edge_floats, f_x0=edge_floats,
+    mu=st.one_of(st.sampled_from([math.nan, math.inf, 1.0, 0.01]),
+                 st.floats(min_value=0.0, exclude_min=True)),
+)
+def test_none_checks_match_the_scalar_reference(tmp_path_factory, lines, f_star, dist, f_x0,
+                                                mu):
+    # The array checks of verify_bounds give the records of the row by row
+    # checks they replace, bit for bit, on a trace written as run writes it.
+    path = tmp_path_factory.getbasetemp() / "none_rows_trial.csv"
+    path.write_text("\n".join(["scheme,k,f,g_dual_norm",
+                               *(line if isinstance(line, str) else "none,%d,%.17g,%.17g" % line
+                                 for line in lines)]) + "\n")
+    nr = cli._none_rows(path)
+    expected_rows = reference_none_rows(path)
+    assert repr(nr.tolist()) == repr(expected_rows)
+    checks = cli._none_checks(7, nr, f_star, dist, f_x0, mu)
+    expected = reference_none_checks(7, expected_rows, f_star, dist, f_x0, mu)
+    assert [c.line() for c in checks] == [c.line() for c in expected]
+    assert [c.status for c in checks] == [c.status for c in expected]
+    assert repr(checks) == repr(expected)

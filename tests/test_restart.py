@@ -509,13 +509,17 @@ def test_pinned_iteration_counts():
     values, so arithmetic that differs at rounding level can move the
     restarting schemes by a few iterations.
     """
+    # About 8 times the largest pinned count (the oracle takes 412 prox
+    # calls), so that a broken exit test fails in seconds.
+    budget = 10_000
     lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
-    f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
+    f_star, _ = oracle_fstar(lp, tight_eps=1e-12, budget=budget)
     counts = {}
     for early in (True, False):
         for scheme in Scheme:
             run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(lp.n), early_exit=early,
-                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             budget=budget)
             trace = run_scheme(lp.problem, run).trace
             mode = "early" if early else "strict"
             counts[mode, scheme.value] = (trace.total_iterations, trace.total_prox_calls)
