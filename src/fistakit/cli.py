@@ -34,6 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .fista import DEFAULT_ITERATION_BUDGET
 from .lasso import (
     LassoProblem,
     LassoSpec,
@@ -45,8 +46,7 @@ from .lasso import (
 )
 from .model import composite_gradient_map, objective
 from .oracles import OracleError, kkt_residual, oracle_fstar, oracle_mu
-from .restart import (DEFAULT_PROX_BUDGET, RestartRecord, RestartRun, RestartTrace, Scheme,
-                      run_scheme)
+from .restart import RestartRecord, RestartRun, RestartTrace, Scheme, run_scheme
 
 __all__ = [
     "ExperimentConfig",
@@ -87,7 +87,7 @@ class ExperimentConfig:
     out: Path = Path("out")
     jobs: int = 1
     strict_exit: bool = False
-    budget: int = DEFAULT_PROX_BUDGET
+    budget: int = DEFAULT_ITERATION_BUDGET
 
     def __post_init__(self):
         if self.trials < 1:
@@ -507,11 +507,11 @@ def _none_rows(path) -> np.ndarray:
 def _rate_check(trial: int, name: str, k, observed, bound) -> BoundCheck:
     """Check ``observed <= bound``, within its allowance, on every row.
 
-    Reports the first row of largest margin.  A NaN margin in row 0 is
-    reported (and fails); a NaN margin in a later row is passed over.
+    Reports the first row of largest margin.  A NaN margin in any row
+    fails, and the first such row is reported.
     """
     margin = observed - (bound * (1.0 + BOUND_REL) + BOUND_ABS)
-    i = 0 if math.isnan(margin[0]) else int(np.nanargmax(margin))
+    i = int(np.argmax(margin))  # argmax takes the first NaN as the largest
     return BoundCheck(trial, name, "PASS" if margin[i] <= 0 else "FAIL",
                       bound=float(bound[i]), observed=float(observed[i]),
                       detail=f"worst_k={k[i]}")
@@ -563,6 +563,7 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
     Produces one record per (trial, inequality): the binding bound value,
     the worst observed value, and PASS/FAIL (SKIP when an oracle quantity
     is unavailable).  Returns the records and the number of failures.
+    A growth parameter ``mu <= 0`` in ``oracles.csv`` raises ``ValueError``.
     """
     out = Path(out_dir)
     meta = json.loads((out / "run_meta.json").read_text())
@@ -584,6 +585,8 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
         f_x0 = float(o["f_x0"])
         f_r0 = float(o["f_r0"])
         mu = float(o["mu"])
+        if mu <= 0.0:
+            raise ValueError(f"trial {trial}: growth parameter mu must be > 0, got {o['mu']}")
         nr = _none_rows(out / "traces" / f"trial_{trial:04d}.csv")
         lcr = sorted(  # by j
             (int(r["j"]), int(r["n_obs"]), float(r["f_r"]), float(r["g_dual_norm"]))

@@ -145,10 +145,6 @@ class SolveTrace:
     g_norms: list[float] = field(default_factory=list)
 
     @property
-    def f0(self) -> float:
-        return self.f_history[0]
-
-    @property
     def f_vals(self) -> list[float]:
         """``[f(x_1), ..., f(x_n)]``, one per iteration."""
         return self.f_history[1:]

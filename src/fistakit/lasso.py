@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from .model import Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero
+from .model import CompositeProblem, Metric, SmoothPart, WeightedL1, Zero
 
 __all__ = [
     "LassoSpec",
@@ -83,14 +83,32 @@ def check_least_squares_args(N: int, n: int, sparsity: float) -> None:
 
 @dataclass(frozen=True)
 class LassoProblem:
-    """A generated instance: data matrices plus the derived composite problem."""
+    """A generated instance: its composite problem and the spec it was drawn from.
 
-    A: sparse.csc_array
-    b: np.ndarray
-    weights: np.ndarray | None
-    metric: Metric
+    ``A``, ``b``, ``weights`` and ``metric`` read through ``problem``, so
+    each datum is held once, in the locked form the solver uses.
+    """
+
     problem: CompositeProblem
     spec: LassoSpec | None = None
+
+    @property
+    def A(self) -> sparse.csc_array:
+        return self.problem.smooth.least_squares.A
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.problem.smooth.least_squares.b
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """The l1 weights, or None when there is no l1 term."""
+        nonsmooth = self.problem.nonsmooth
+        return nonsmooth.weights if isinstance(nonsmooth, WeightedL1) else None
+
+    @property
+    def metric(self) -> Metric:
+        return self.problem.metric
 
     @property
     def N(self) -> int:
@@ -101,35 +119,18 @@ class LassoProblem:
         return self.A.shape[1]
 
     @classmethod
-    def build(
-        cls,
-        A,
-        b,
-        weights=None,
-        metric: Metric | None = None,
-        constraint: Box | None = None,
-        spec: LassoSpec | None = None,
-    ) -> "LassoProblem":
-        """Assemble the composite problem for given data.
+    def build(cls, A, b, weights=None, spec: LassoSpec | None = None) -> "LassoProblem":
+        """Assemble the composite problem for given data, under the Gershgorin metric of ``A``.
 
-        ``metric=None`` computes the Gershgorin metric from ``A``.
         ``weights=None`` drops the l1 term entirely (plain least squares).
         """
         A = sparse.csc_array(A, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        smooth = SmoothPart.from_least_squares(A, b)
-        if metric is None:
-            metric = gershgorin_metric(A, A.shape[0])
-        if weights is None:
-            nonsmooth = Zero()
-            w = None
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            nonsmooth = WeightedL1(w)
         problem = CompositeProblem(
-            smooth=smooth, nonsmooth=nonsmooth, metric=metric, constraint=constraint
+            smooth=SmoothPart.from_least_squares(A, b),
+            nonsmooth=Zero() if weights is None else WeightedL1(weights),
+            metric=gershgorin_metric(A, A.shape[0]),
         )
-        return cls(A=A, b=b, weights=w, metric=metric, problem=problem, spec=spec)
+        return cls(problem=problem, spec=spec)
 
 
 def gershgorin_metric(A, N: int) -> Metric:
@@ -233,10 +234,9 @@ def load_problem(path) -> LassoProblem:
         if header.get("version") != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
         A = sparse.csc_array(mmread(io.BytesIO(fh.read())))
-    b = np.asarray(header["b"], dtype=np.float64)
     weights = header.get("weights")
     spec_doc = header.get("spec")
     spec = None if spec_doc is None else LassoSpec(**spec_doc)
     if A.shape != (header["N"], header["n"]):
         raise ValueError(f"{path}: matrix shape {A.shape} disagrees with header")
-    return LassoProblem.build(A, b, weights=weights, spec=spec)
+    return LassoProblem.build(A, header["b"], weights=weights, spec=spec)

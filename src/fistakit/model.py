@@ -39,7 +39,6 @@ __all__ = [
     "CompositeProblem",
     "ProxStep",
     "ProxCounter",
-    "soft_threshold",
     "composite_gradient_map",
     "objective",
 ]
@@ -51,18 +50,6 @@ def _as_locked_vector(v, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-D vector, got ndim={arr.ndim}")
     arr.setflags(write=False)
     return arr
-
-
-def soft_threshold(t, lam):
-    """Shrinkage operator ``sign(t) * max(|t| - lam, 0)``, elementwise.
-
-    Computed as ``t - clip(t, -lam, lam)``, which has the same value on
-    every entry.  Entries in ``[-lam, lam]`` map to +0, ties at
-    ``|t| == lam`` included; only ``t = -0`` may keep its sign, and only
-    when ``lam`` is 0.  This is the closed-form prox of a (weighted) l1
-    term under a diagonal metric.
-    """
-    return t - np.minimum(np.maximum(t, -lam), lam)
 
 
 def _csr_matvec(M, v) -> np.ndarray:
@@ -307,7 +294,8 @@ class CompositeProblem:
     one of :class:`Zero`, :class:`WeightedL1`, :class:`BoxIndicator`; this
     family keeps the prox separable and closed form under the diagonal
     metric.  Construction validates dimension agreement and that the
-    intersection of X with dom(psi) is a nonempty box (or all of space).
+    intersection of X with dom(psi) is a nonempty box (or all of space),
+    and sets ``feasible_box`` to that box (None when it is all of space).
     """
 
     smooth: SmoothPart
@@ -331,7 +319,7 @@ class CompositeProblem:
         if isinstance(self.nonsmooth, BoxIndicator):
             inner = self.nonsmooth.box
             feasible = inner if feasible is None else feasible.intersect(inner)
-        object.__setattr__(self, "_feasible_box", feasible)
+        object.__setattr__(self, "feasible_box", feasible)
         # The soft-threshold level of the weighted-l1 prox and its negative,
         # computed once.
         threshold = neg_threshold = None
@@ -344,11 +332,6 @@ class CompositeProblem:
     @property
     def dim(self) -> int:
         return self.smooth.dim
-
-    @property
-    def feasible_box(self) -> Box | None:
-        """Intersection of X with dom(psi), or None when it is all of space."""
-        return self._feasible_box
 
 
 class ProxStep(NamedTuple):
@@ -424,14 +407,14 @@ def composite_gradient_map(
     if not _all_finite(grad):
         raise ValueError("gradient is non-finite at the query point")
 
-    # soft_threshold, the clip to the box and Metric.dual_norm inline, by
+    # Soft thresholding, the clip to the box and Metric.dual_norm inline, by
     # ufuncs without np.clip's Python wrapper, since this runs once per step.
     diag = problem.metric.diag
     u = y - grad / diag
     threshold = problem._l1_threshold
     if threshold is not None:
         u -= np.minimum(np.maximum(u, problem._l1_neg_threshold), threshold)
-    box = problem._feasible_box
+    box = problem.feasible_box
     if box is not None:
         u = np.minimum(np.maximum(u, box.lower), box.upper)
     g = diag * (y - u)

@@ -14,9 +14,10 @@ import math
 import numpy as np
 from scipy import linalg
 
+from .fista import DEFAULT_ITERATION_BUDGET
 from .lasso import LassoProblem
 from .model import WeightedL1, Zero, objective
-from .restart import DEFAULT_PROX_BUDGET, RestartRun, Scheme, run_scheme
+from .restart import RestartRun, Scheme, run_scheme
 
 __all__ = ["OracleError", "kkt_residual", "oracle_fstar", "oracle_mu"]
 
@@ -62,7 +63,7 @@ def kkt_residual(lp: LassoProblem, x) -> float:
 def oracle_fstar(
     lp: LassoProblem,
     tight_eps: float = 1e-12,
-    budget: int = DEFAULT_PROX_BUDGET,
+    budget: int = DEFAULT_ITERATION_BUDGET,
 ) -> tuple[float, np.ndarray]:
     """Reference optimal value and minimizer via an extra-tight solve.
 

@@ -32,6 +32,7 @@ from functools import partial
 import numpy as np
 
 from .fista import (
+    DEFAULT_ITERATION_BUDGET,
     ExitCondition,
     IterationState,
     SolveTrace,
@@ -41,7 +42,6 @@ from .fista import (
 from .model import CompositeProblem, ProxCounter, composite_gradient_map, objective
 
 __all__ = [
-    "DEFAULT_PROX_BUDGET",
     "Scheme",
     "RestartRun",
     "RestartRecord",
@@ -53,9 +53,6 @@ __all__ = [
     "exit_lcr",
     "run_scheme",
 ]
-
-DEFAULT_PROX_BUDGET = 10_000_000
-
 
 class Scheme(enum.Enum):
     """The five solver configurations the experiment harness compares."""
@@ -137,7 +134,7 @@ class RestartRun:
     r0: np.ndarray
     early_exit: bool = True
     f_star: float | None = None
-    budget: int = DEFAULT_PROX_BUDGET
+    budget: int = DEFAULT_ITERATION_BUDGET
 
     def __post_init__(self):
         if not self.epsilon > 0:

@@ -496,8 +496,15 @@ class TestVerifyFailures:
         ("lsq", "trials.csv", {"trial": "0", "scheme": "lcr"}, "prox_calls", "5000",
          {"lcr-total-bound"},
          "trial=0000 check=lcr-total-bound status=FAIL bound=2.247629e+03 observed=5.000000e+03"),
+        # A NaN in a row past the first fails the rate check, reported at that row.
+        ("lsq", "traces/trial_0000.csv", {"scheme": "none", "k": "50"}, "f", "nan",
+         {"nr-objective-rate"},
+         "trial=0000 check=nr-objective-rate status=FAIL bound=6.169982e-04 worst_k=50"),
+        ("lsq", "traces/trial_0000.csv", {"scheme": "none", "k": "50"}, "g_dual_norm", "nan",
+         {"nr-gradient-rate"},
+         "trial=0000 check=nr-gradient-rate status=FAIL bound=7.025657e-02 worst_k=50"),
     ], ids=["objective-rate", "gradient-rate", "restart-decrease", "monotone", "contraction",
-            "iteration-bound", "total-bound"])
+            "iteration-bound", "total-bound", "nan-f", "nan-gradient"])
     def test_edited_value_fails_its_check(self, tiny_run, tiny_lsq_run, tmp_path,
                                           run, name, key, column, value, failing, line):
         out = tmp_path / "run"
@@ -509,6 +516,18 @@ class TestVerifyFailures:
                 if "status=FAIL" in r} == failing
         assert all(r.startswith("trial=0000") for r in report if "status=FAIL" in r)
         assert line in report
+
+    @pytest.mark.parametrize("mu", ["0", "-0", "-0.25", "-inf"])
+    def test_nonpositive_mu_is_a_config_error(self, tiny_lsq_run, tmp_path, capsys, mu):
+        out = tmp_path / "run"
+        shutil.copytree(tiny_lsq_run, out)
+        (out / "bound_report.txt").unlink(missing_ok=True)
+        _edit_csv(out / "oracles.csv", {"trial": "0"}, "mu", mu)
+        assert main(["verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: cannot read run output: "
+                       f"trial 0: growth parameter mu must be > 0, got {mu}\n")
+        assert not (out / "bound_report.txt").exists()
 
 
 def _edit_trace_row(path, scheme: str, k: str, edit) -> None:

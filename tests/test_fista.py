@@ -6,7 +6,6 @@ import pytest
 
 from fistakit import (
     Box,
-    LassoProblem,
     LassoSpec,
     ProxCounter,
     RestartRun,
@@ -227,10 +226,10 @@ class TestFistaConvergence:
 def declared_instances():
     """A desk lasso, a box-constrained lasso and a least-squares instance."""
     desk = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
-    boxed = LassoProblem.build(desk.A, desk.b, weights=desk.weights,
-                               constraint=Box(-0.05 * np.ones(80), 0.05 * np.ones(80)))
+    boxed = dataclasses.replace(desk.problem,
+                                constraint=Box(-0.05 * np.ones(80), 0.05 * np.ones(80)))
     lsq = generate_least_squares(40, 25, seed=3, sparsity=0.5)
-    return {"desk": desk.problem, "box": boxed.problem, "least-squares": lsq.problem}
+    return {"desk": desk.problem, "box": boxed, "least-squares": lsq.problem}
 
 
 def with_plain_callables(problem):

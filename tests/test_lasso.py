@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,11 @@ from fistakit import (
 )
 
 from conftest import check_descent_lemma
+
+
+def with_metric(lp, diag):
+    """``lp`` with its metric replaced by ``Metric(diag)``."""
+    return dataclasses.replace(lp, problem=dataclasses.replace(lp.problem, metric=Metric(diag)))
 
 
 class TestSpecValidation:
@@ -135,6 +141,25 @@ class TestGershgorinMetric:
         assert np.all(m.diag == 1.0)
 
 
+class TestProblemView:
+    @pytest.mark.parametrize("make", [
+        lambda: generate(LassoSpec(N=15, n=25, alpha=0.07, sparsity=0.6, seed=13)),
+        lambda: generate_least_squares(10, 6, seed=2),
+    ], ids=["lasso", "least-squares"])
+    def test_data_are_the_problems_own_locked_arrays(self, make):
+        lp = make()
+        form = lp.problem.smooth.least_squares
+        assert lp.A is form.A
+        assert lp.b is form.b
+        assert lp.metric is lp.problem.metric
+        if lp.weights is not None:
+            assert lp.weights is lp.problem.nonsmooth.weights
+        for arr in (lp.b, lp.metric.diag, *([] if lp.weights is None else [lp.weights])):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
 class TestLeastSquaresFamily:
     def test_requires_overdetermined(self):
         with pytest.raises(ValueError):
@@ -167,6 +192,19 @@ class TestSerialization:
         assert back.weights is None
         assert (back.A != lp.A).nnz == 0
 
+    def test_saves_the_data_the_problem_solves(self, tmp_path):
+        # The instance holds locked copies of the caller's vectors, and
+        # save_problem writes those, not the caller's arrays edited later.
+        A = sparse.csc_array(np.array([[1.0, 0.5], [0.0, 2.0], [1.5, 0.0]]))
+        b, w = np.array([1.0, -2.0, 0.5]), np.array([0.1, 0.2])
+        lp = LassoProblem.build(A, b, weights=w)
+        b[0], w[0] = 7.0, 9.0
+        path = tmp_path / "inst.lasso"
+        save_problem(lp, path)
+        back = load_problem(path)
+        assert np.array_equal(back.b, [1.0, -2.0, 0.5])
+        assert np.array_equal(back.weights, [0.1, 0.2])
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "nonsense.txt"
         path.write_text("this is not a problem file\n")
@@ -184,12 +222,11 @@ class TestOracleFstar:
     def test_scalar_shrinkage_closed_form(self):
         # h(x) = 0.5 (x-3)^2 as a 1x1 design, w = 1, metric 1:
         # minimizer 2, value 0.5 + 2 = 2.5.
-        lp = LassoProblem.build(
+        lp = with_metric(LassoProblem.build(
             A=sparse.csc_array(np.array([[1.0]])),
             b=np.array([3.0]),
             weights=np.array([1.0]),
-            metric=Metric([1.0]),
-        )
+        ), [1.0])
         f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
         assert x_star[0] == pytest.approx(2.0, abs=1e-8)
         assert f_star == pytest.approx(2.5, abs=1e-8)
@@ -219,13 +256,13 @@ class TestOracleFstar:
 class TestOracleMu:
     def test_matched_curvature_gives_one(self):
         A = sparse.csc_array(np.eye(3))
-        lp = LassoProblem.build(A, np.zeros(3), metric=Metric([1.0 / 3] * 3))
+        lp = with_metric(LassoProblem.build(A, np.zeros(3)), [1.0 / 3] * 3)
         assert oracle_mu(lp) == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal_case(self):
         # H = A'A/N = diag(1, 4) against metric diag(4, 4): smallest ratio 1/4.
         A = sparse.csc_array(np.diag([math.sqrt(2.0), math.sqrt(8.0)]))
-        lp = LassoProblem.build(A, np.zeros(2), metric=Metric([4.0, 4.0]))
+        lp = with_metric(LassoProblem.build(A, np.zeros(2)), [4.0, 4.0])
         assert oracle_mu(lp) == pytest.approx(0.25, rel=1e-12)
 
     def test_agrees_with_inverse_power_iteration(self):

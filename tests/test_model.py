@@ -25,11 +25,10 @@ from fistakit import (
     generate,
     model,
     objective,
-    soft_threshold,
 )
 
 from conftest import (CountingMatrix, check_descent_lemma, make_quadratic, problem_zoo, random_spd,
-                      sample_feasible)
+                      sample_feasible, soft_threshold)
 
 
 def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, constraint=None):
