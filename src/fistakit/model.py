@@ -15,13 +15,15 @@ weighted norm) is the natural residual for stopping rules.
 
 Everything here is immutable after construction and safe to share across
 concurrent solver runs; all operations are pure functions of their inputs.
+The one piece of mutable state is the column-subset cache of a large
+sparse :class:`LeastSquares` form: a memo that each product reads once
+and that never changes a result, only the time the product takes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,20 +54,85 @@ def _as_locked_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-def _csr_matvec(M, v) -> np.ndarray:
-    """``M @ v`` for a float64 CSR matrix given as ``(n_row, n_col, indptr, indices, data)``.
+# A least-squares form computes ``A x`` over a cached subset of the columns
+# of ``A`` (see _SupportProduct) when ``A`` stores at least this many entries.
+# Below it the bookkeeping costs more than the skipped columns save.
+_SUPPORT_MIN_NNZ = 16_384
 
-    This is the compiled kernel that ``@`` calls, reached without reading
-    scipy's properties.  The kernel reads ``v`` without checking its
-    length, so the shape is checked here first.
-    """
-    n_row, n_col, indptr, indices, data = M
+
+def _vector(v, size: int) -> np.ndarray:
+    """``v`` as a contiguous float64 vector of length ``size``; the kernels check no length."""
     v = np.ascontiguousarray(v, dtype=np.float64)
-    if v.shape != (n_col,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({n_col},)")
+    if v.shape != (size,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({size},)")
+    return v
+
+
+def _sparse_matvec(M, v) -> np.ndarray:
+    """``M @ v`` for ``M = (kernel, n_row, n_col, indptr, indices, data)``, float64 data.
+
+    ``kernel`` is scipy's compiled ``_sparsetools.csr_matvec`` or
+    ``csc_matvec`` (private names), the kernels that ``@`` calls, reached
+    without reading scipy's properties.  Both start each output entry at
+    +0 and add its terms in ascending order of their index along the
+    compressed axis.
+    """
+    kernel, n_row, n_col, indptr, indices, data = M
+    v = _vector(v, n_col)
     out = np.zeros(n_row)
-    _sparsetools.csr_matvec(n_row, n_col, indptr, indices, data, v, out)
+    kernel(n_row, n_col, indptr, indices, data, v, out)
     return out
+
+
+class _SupportProduct:
+    """``A x`` of a finite float64 CSC ``A`` over a cached set of its columns.
+
+    Per row, the full product adds the terms ``a_ij x_j`` in ascending
+    column order starting from +0, and in round-to-nearest such a sum is
+    never -0.  A column with ``x_j = +-0`` adds a finite ``+-0``, which
+    leaves such a sum unchanged, so the product over any column set that
+    holds the support of ``x`` has the bits of the full one.  ``A`` must
+    be finite (``inf * 0`` is NaN) and must not change.
+
+    The cache is a memo: one tuple of the cached columns, the others, the
+    product operand of ``A`` restricted to the cached columns, and the
+    support of the last point that had a nonzero outside them.  A call
+    reads it once and replaces it whole, so a call that runs beside
+    another still gets the full product's bits.  A point that is zero
+    outside the cached columns takes the restricted product.  Any other
+    takes the full product, and its support is cached when the previous
+    such point had the same support, so a support that changes at every
+    step costs no rebuilds.
+    """
+
+    __slots__ = ("_full", "_counts", "_memo")
+
+    def __init__(self, full):
+        """``full`` is the ``csc_matvec`` operand of all of ``A`` (see :func:`_sparse_matvec`)."""
+        _, _, n_col, indptr, _, _ = full
+        self._full = full
+        self._counts = np.diff(indptr)  # stored entries per column
+        self._memo = self._cached(np.zeros(n_col, dtype=bool), None)
+
+    def _cached(self, mask, missed):
+        _, n_row, _, indptr, indices, data = self._full
+        cols = np.flatnonzero(mask)
+        keep = np.repeat(mask, self._counts)
+        sub_indptr = np.zeros(cols.size + 1, dtype=indptr.dtype)
+        np.cumsum(self._counts[mask], out=sub_indptr[1:])
+        sub = (_sparsetools.csc_matvec, n_row, cols.size, sub_indptr, indices[keep], data[keep])
+        return cols, np.flatnonzero(~mask), sub, missed
+
+    def __call__(self, x) -> np.ndarray:
+        x = _vector(x, self._full[2])
+        cols, outside, sub, missed = self._memo
+        if np.count_nonzero(x.take(outside)):
+            mask = x != 0
+            if missed is None or not np.array_equal(mask, missed):
+                self._memo = (cols, outside, sub, mask)
+                return _sparse_matvec(self._full, x)
+            cols, outside, sub, missed = self._memo = self._cached(mask, None)
+        return _sparse_matvec(sub, x.take(cols))
 
 
 @dataclass(frozen=True)
@@ -147,44 +214,65 @@ class LeastSquares:
     combination of points whose residuals it holds gets that point's
     residual by the same combination, without a matvec.
 
-    When ``A`` is a float64 scipy CSR or CSC matrix, both products skip
-    ``@`` and call scipy's compiled kernel ``_sparsetools.csr_matvec``
-    (a private name) on CSR forms of ``A`` and ``A^T``, which the first
-    product builds.  ``A`` must not be mutated after construction.
+    A scipy sparse ``A`` is copied, and the copy's ``data``, ``indices``
+    and ``indptr`` are locked, so later edits to the caller's matrix
+    reach neither ``A`` nor the products.  When ``A`` is a float64 CSR or
+    CSC matrix, both products skip ``@`` and call scipy's compiled
+    kernels on ``A``'s own arrays: ``csr_matvec`` and ``csc_matvec`` for
+    ``A x`` and ``A^T r`` of a CSR ``A``, the other way round for CSC.
+    When ``A`` is also finite and stores at least ``_SUPPORT_MIN_NNZ``
+    entries, ``A x`` of a CSC ``A`` runs over a cached column set that
+    holds the support of ``x`` (see :class:`_SupportProduct`), with the
+    same bits as the full product.
     """
 
     A: object
     b: np.ndarray
-    AT: object = field(init=False, repr=False)
     _N: float = field(init=False, repr=False)  # N as a float, for the divisions
+    # (A x, A^T r) operands of _sparse_matvec, or None for ``@``.
+    _products: tuple | None = field(init=False, repr=False)
+    _support: _SupportProduct | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        shape = getattr(self.A, "shape", ())
+        A = self.A
+        shape = getattr(A, "shape", ())
         if len(shape) != 2:
             raise ValueError("A must be a 2-D matrix")
         b = _as_locked_vector(self.b, "b")
         if b.shape != (shape[0],):
             raise ValueError(f"b has shape {b.shape}, expected ({shape[0]},)")
+        products = support = None
+        if sparse.issparse(A):
+            A = A.copy()
+        if sparse.issparse(A) and A.format in ("csr", "csc"):
+            for arr in (A.data, A.indices, A.indptr):
+                arr.setflags(write=False)
+            if A.dtype == np.float64:
+                along, across = _sparsetools.csr_matvec, _sparsetools.csc_matvec
+                if A.format == "csc":
+                    along, across = across, along
+                arrays = (A.indptr, A.indices, A.data)
+                products = ((along, *shape, *arrays), (across, *shape[::-1], *arrays))
+                if A.format == "csc" and A.nnz >= _SUPPORT_MIN_NNZ and _all_finite(A.data):
+                    support = _SupportProduct(products[0])
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "AT", self.A.T)
         object.__setattr__(self, "_N", float(shape[0]))
+        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "_support", support)
 
     @property
     def dim(self) -> int:
         return self.A.shape[1]
 
-    @cached_property
-    def _csr(self):
-        """``(A, A^T)`` as CSR operands for :func:`_csr_matvec`, or None for ``@``."""
-        A = self.A
-        if not (sparse.issparse(A) and A.format in ("csr", "csc") and A.dtype == np.float64):
-            return None
-        return tuple((*M.shape, M.indptr, M.indices, M.data) for M in (A.tocsr(), self.AT.tocsr()))
-
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
-        csr = self._csr
-        Ax = self.A @ x if csr is None else _csr_matvec(csr[0], x)
+        if self._support is not None:
+            Ax = self._support(x)
+        elif self._products is not None:
+            Ax = _sparse_matvec(self._products[0], x)
+        else:
+            Ax = self.A @ x
         return Ax - self.b
 
     def value_at_residual(self, r) -> float:
@@ -193,8 +281,8 @@ class LeastSquares:
 
     def grad_at_residual(self, r) -> np.ndarray:
         """``A^T r / N`` (one matvec), the gradient at the point whose residual is ``r``."""
-        csr = self._csr
-        ATr = self.AT @ r if csr is None else _csr_matvec(csr[1], r)
+        products = self._products
+        ATr = self.A.T @ r if products is None else _sparse_matvec(products[1], r)
         return ATr / self._N
 
     def value(self, x) -> float:

@@ -8,6 +8,7 @@ from scipy import sparse
 from fistakit import (
     LassoProblem,
     LassoSpec,
+    LeastSquares,
     Metric,
     OracleError,
     RestartRun,
@@ -154,11 +155,31 @@ class TestProblemView:
         assert lp.metric is lp.problem.metric
         if lp.weights is not None:
             assert lp.weights is lp.problem.nonsmooth.weights
-        for arr in (lp.b, lp.metric.diag, *([] if lp.weights is None else [lp.weights])):
+        for arr in (lp.b, lp.metric.diag, lp.A.data, lp.A.indices, lp.A.indptr,
+                    *([] if lp.weights is None else [lp.weights])):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
+                arr[0] = 1
 
+
+    @pytest.mark.parametrize("via", ["build-csc", "form-csr"])
+    def test_callers_later_edits_reach_neither_matrix_nor_products(self, via):
+        rng = np.random.default_rng(4)
+        dense = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.5)
+        if via == "build-csc":
+            A = sparse.csc_array(dense)
+            form = LassoProblem.build(A, np.ones(6), weights=np.full(9, 0.1)).problem.smooth.least_squares
+        else:
+            A = sparse.csr_array(dense)
+            form = LeastSquares(A, np.ones(6))
+        x, r = np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 6)
+        before = form.residual(x), form.grad_at_residual(r)
+        assert not np.shares_memory(form.A.data, A.data)
+        A.data[0] = 100.0
+        A.indices[0] = A.indices[1]
+        assert np.array_equal(form.A.toarray(), dense)
+        assert np.array_equal(form.residual(x), before[0])
+        assert np.array_equal(form.grad_at_residual(r), before[1])
 
 class TestLeastSquaresFamily:
     def test_requires_overdetermined(self):

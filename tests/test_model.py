@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fistakit import (
     model,
     objective,
 )
+from fistakit.cli import ExperimentConfig
 
 from conftest import (CountingMatrix, check_descent_lemma, make_quadratic, problem_zoo, random_spd,
                       sample_feasible, soft_threshold)
@@ -436,15 +439,15 @@ class TestCheckedInput:
 
 
 def count_kernel_calls(monkeypatch):
-    """Wrap ``model._csr_matvec`` so that each call adds one to the returned tally."""
+    """Wrap ``model._sparse_matvec`` so that each call adds one to the returned tally."""
     tally = [0]
-    kernel = model._csr_matvec
+    kernel = model._sparse_matvec
 
     def counting(M, v):
         tally[0] += 1
         return kernel(M, v)
 
-    monkeypatch.setattr(model, "_csr_matvec", counting)
+    monkeypatch.setattr(model, "_sparse_matvec", counting)
     return tally
 
 
@@ -466,7 +469,7 @@ def sparse_with_empty_lines(fmt):
 
 
 class TestLeastSquaresKernel:
-    """``A x`` and ``A^T r`` of a float64 CSR or CSC ``A`` go through ``model._csr_matvec``."""
+    """``A x`` and ``A^T r`` of a float64 CSR or CSC ``A`` go through ``model._sparse_matvec``."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("matrix", [
@@ -491,14 +494,15 @@ class TestLeastSquaresKernel:
     @pytest.mark.parametrize("product", ["residual", "grad_at_residual"])
     def test_bad_vector_rejected_before_the_kernel(self, monkeypatch, fmt, product):
         A = sparse_with_empty_lines(fmt)
-        form = LeastSquares(A, np.ones(A.shape[0]))
         size = A.shape[1] if product == "residual" else A.shape[0]
 
         def kernel_must_not_run(*args):
             raise AssertionError("kernel called")
 
-        monkeypatch.setattr(model, "_sparsetools",
-                            types.SimpleNamespace(csr_matvec=kernel_must_not_run))
+        # The form takes its kernels when it is built.
+        monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
+            csr_matvec=kernel_must_not_run, csc_matvec=kernel_must_not_run))
+        form = LeastSquares(A, np.ones(A.shape[0]))
         for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
                     np.ones((1, size)), [1.0] * (size + 1), [[1.0] * size]):
             with pytest.raises(ValueError, match="vector has shape"):
@@ -534,6 +538,126 @@ class TestLeastSquaresKernel:
         res = fista(lp.problem, np.zeros(lp.n), budget=50)
         # A z, then per prox A^T r_y and A x for the point it returns.
         assert tally[0] == 2 * (res.n + 1) + 1
+
+
+def support_path(form, x):
+    """``form.residual(x)`` and the path its support product took: hit, miss or rebuild."""
+    before = form._support._memo
+    r = form.residual(x)
+    after = form._support._memo
+    path = "hit" if after is before else "miss" if after[0] is before[0] else "rebuild"
+    return r, path
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Finite entries of A, stored zeros and extremes included.
+MATRIX_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+# Nonzero entries of x.
+SUPPORT_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]),
+    st.floats(width=64).filter(lambda v: v != 0.0))
+
+
+@st.composite
+def csc_and_supports(draw):
+    """A random finite CSC ``A`` and a list of supports, the first nonempty."""
+    N, n = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    stored = draw(st.lists(st.booleans(), min_size=N * n, max_size=N * n))
+    rows, cols = np.divmod(np.flatnonzero(stored), n)
+    data = draw(st.lists(MATRIX_VALUES, min_size=rows.size, max_size=rows.size))
+    A = sparse.csc_array((np.array(data, dtype=np.float64), (rows, cols)), shape=(N, n))
+    supports = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                             min_size=1, max_size=4))
+    supports[0][draw(st.integers(0, n - 1))] = True
+    return A, supports
+
+
+@st.composite
+def point_on(draw, support):
+    """A point whose nonzero entries are exactly ``support``; +0 or -0 elsewhere."""
+    return np.array([draw(SUPPORT_VALUES) if on else draw(st.sampled_from([0.0, -0.0]))
+                     for on in support])
+
+
+class TestSupportProduct:
+    """``A x`` of a large finite float64 CSC ``A`` over the cached support of ``x``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=csc_and_supports(), data=st.data())
+    def test_every_path_has_the_bits_of_the_full_product(self, case, data):
+        A, supports = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
+            form = LeastSquares(A, np.zeros(A.shape[0]))
+        assert form._support is not None
+        paths = set()
+        # Three points per support: the first misses unless the support is
+        # cached, the second (same support) rebuilds the cache, the third hits.
+        for support in supports:
+            for _ in range(3):
+                x = data.draw(point_on(support))
+                got, path = support_path(form, x)
+                paths.add(path)
+                assert same_bits(got, A @ x - form.b), (x, path)
+        assert paths == {"hit", "miss", "rebuild"}
+
+    def test_support_that_changes_every_step_costs_no_rebuild(self, monkeypatch):
+        monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", 0)
+        A = sparse.csc_array(np.arange(1.0, 13.0).reshape(3, 4))
+        form = LeastSquares(A, np.zeros(3))
+        points = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 1.0, 0],
+                  [0, 0, 2.0, 0], [0, 0, -0.0, 0], [1.0, 0, 0, 0]]
+        paths = [support_path(form, np.array(x))[1] for x in points]
+        assert paths == ["miss", "miss", "miss", "rebuild", "hit", "hit", "miss"]
+
+    @pytest.mark.parametrize("matrix", [
+        pytest.param(lambda A: A, id="inf-in-data"),
+        pytest.param(lambda A: A.astype(np.float32), id="float32"),
+        pytest.param(lambda A: A.toarray(), id="dense"),
+        pytest.param(lambda A: A.tocsr(), id="csr"),
+    ])
+    def test_gate_keeps_the_full_product(self, monkeypatch, matrix):
+        monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", 0)
+        base = sparse_with_empty_lines("csc")
+        base.data[0] = np.inf
+        A = matrix(base)
+        form = LeastSquares(A, np.ones(7))
+        assert form._support is None
+        x = np.linspace(-1.0, 1.0, 5)
+        x[0] = 0.0  # inf * 0 gives NaN in the rows of column 0's inf
+        with np.errstate(invalid="ignore"):  # numpy's dense matmul warns on inf * 0
+            want = A @ x - 1.0
+            got = form.residual(x)
+        assert np.isnan(got).any()
+        assert same_bits(got, want)
+
+    def test_large_finite_csc_takes_the_support_product(self, monkeypatch):
+        A = sparse_with_empty_lines("csc")
+        monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", A.nnz + 1)
+        assert LeastSquares(A, np.ones(7))._support is None
+        monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", A.nnz)
+        assert LeastSquares(A, np.ones(7))._support is not None
+
+    def test_gate_splits_the_benchmark_workloads(self):
+        # Desk and lsq-strict keep the full product, the paper-scale slice
+        # takes the support product; see the workloads' "why" entries.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+        workloads = json.loads(path.read_text())["workloads"]
+        for name in ("desk", "lsq-strict"):
+            spec = workloads[name]
+            for seed in (spec["default_seed"], spec["holdout_seed"]):
+                config = ExperimentConfig(**spec["config"], seed=seed)
+                for trial in range(config.trials):
+                    form = config.instance(trial).problem.smooth.least_squares
+                    assert form._products is not None and form._support is None, (name, trial)
+        paper = ExperimentConfig(**workloads["paper"]["config"])
+        assert (paper.N, paper.n, paper.sparsity) == (600, 800, 0.9)
+        assert paper.instance(0).problem.smooth.least_squares._support is not None
 
 
 class TestCompositeGradientProperties:

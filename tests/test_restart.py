@@ -18,6 +18,7 @@ from fistakit import (
     fista,
     generate,
     gradient_norm_below,
+    model,
     objective,
     oracle_fstar,
     run_scheme,
@@ -535,3 +536,39 @@ def test_pinned_iteration_counts():
         ("strict", "opt"): (420, 454),
         ("strict", "lcr"): (327, 352),
     }
+
+
+def test_support_product_changes_no_scheme(monkeypatch):
+    """Every scheme in both exit modes, with the support product of ``A x`` on and off.
+
+    The instance stores 20,000 entries, above the gate; the golden digests
+    and pinned counts use instances below it.
+    """
+    spec = LassoSpec(N=100, n=200, alpha=0.01, sparsity=0.0, seed=7)
+    on = generate(spec)
+    assert on.problem.smooth.least_squares._support is not None
+    monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", math.inf)
+    off = generate(spec)
+    assert off.problem.smooth.least_squares._support is None
+    restricted = [0]
+    kernel = model._sparse_matvec
+
+    def counting(M, v):
+        restricted[0] += M[0] is model._sparsetools.csc_matvec and M[2] < spec.n
+        return kernel(M, v)
+
+    monkeypatch.setattr(model, "_sparse_matvec", counting)
+    budget = 20_000
+    f_star, _ = oracle_fstar(off, tight_eps=1e-12, budget=budget)
+    for early in (True, False):
+        for scheme in Scheme:
+            run = RestartRun(scheme=scheme, epsilon=1e-6, r0=np.zeros(spec.n), early_exit=early,
+                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             budget=budget)
+            restricted[0] = 0
+            got = run_scheme(on.problem, run)
+            assert restricted[0] > got.trace.total_iterations // 2, (early, scheme)
+            want = run_scheme(off.problem, run)
+            assert not got.trace.exhausted
+            assert repr(got.trace) == repr(want.trace), (early, scheme)
+            assert np.array_equal(got.r_star.view(np.uint64), want.r_star.view(np.uint64))
