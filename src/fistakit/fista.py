@@ -25,6 +25,20 @@ so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
 The call returns ``r_x`` of its final iterate, and the restart driver hands
 it to the next call, whose initialization prox then needs only ``A^T``.
 
+The loop has one step per kind of smooth part.  Generic callables go
+through the checked :func:`~fistakit.model.composite_gradient_map` and
+:func:`~fistakit.model.objective` at every step.  A declared form takes a
+fused step: the model's prox arithmetic without its checks, then ``f``
+from the residual and ``psi``.  Each call's start stays checked: ``z`` is
+validated, and the init prox and ``f(x_0)`` go through this module's names
+``composite_gradient_map`` and ``objective``.  Inside the fused loop only
+``f`` is checked.  A non-finite entry of ``y``, of the gradient or of
+``x_k`` reaches ``f`` through ``A x_k``, so the loop raises ``non-finite
+objective at iteration k``; a column of ``A`` that stores no entry has a
+zero gradient entry and never creates one.  A clip to a box could turn
+such an entry into a finite ``x_k``, so on a problem with a feasible box
+the fused step keeps the prox's checks of ``y`` and of the gradient.
+
 Exit conditions are pure predicates over the iteration history; the
 concrete restart conditions live in :mod:`fistakit.restart`.  The loop is
 guarded by a hard iteration budget, and can optionally abort the moment
@@ -41,10 +55,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import model
 from .model import (
     CompositeProblem,
     ProxCounter,
     ProxStep,
+    _prox,
     _validate_point,
     composite_gradient_map,
     objective,
@@ -221,18 +237,16 @@ def fista(
         raise ValueError("k_min must be >= 0")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    # The form's own methods skip SmoothPart's dispatch; without a declared
-    # form, SmoothPart's give None for every residual and its gradient.
-    smooth = problem.smooth
-    form = smooth if smooth.least_squares is None else smooth.least_squares
-    residual_of, grad_at = form.residual, form.grad_at_residual
     z = _validate_point(problem, z, "z")
-    if residual is None:
-        residual = residual_of(z)
-
-    init = composite_gradient_map(problem, z, counter, grad=grad_at(residual))
+    form = problem.smooth.least_squares
+    if form is None and residual is not None:
+        raise ValueError("a residual needs a declared least-squares form")
+    if form is not None and residual is None:
+        residual = form.residual(z)
+    grad = None if form is None else form.grad_at_residual(residual)
+    init = composite_gradient_map(problem, z, counter, grad=grad)
     x = init.y_plus
-    r_x = residual_of(x)
+    r_x = None if form is None else form.residual(x)
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
@@ -257,15 +271,30 @@ def fista(
 
     f_append, g_append = trace.f_history.append, trace.g_norms.append
     isfinite = math.isfinite
+    if form is not None:
+        grad_at, residual_of, h_of = form.grad_at_residual, form.residual, form.value_at_residual
+        psi_of, constraint = problem.nonsmooth.value, problem.constraint
+        # A clip to a box can turn a non-finite entry of y or of the gradient into
+        # a finite x that f never sees, so a boxed problem keeps the checks; by
+        # the model's name, since this module's names see only each call's start.
+        prox_at = _prox if problem.feasible_box is None else model.composite_gradient_map
     while True:
         if k >= budget:
             exhausted = True
             break
         k += 1
-        prox = composite_gradient_map(problem, y, counter, grad=grad_at(r_y))
-        x_prev, x = x, prox.y_plus
-        r_prev, r_x = r_x, residual_of(x)
-        fk = objective(problem, x, r_x)
+        if form is None:
+            prox = composite_gradient_map(problem, y, counter)
+            x_prev, x = x, prox.y_plus
+            fk = objective(problem, x)
+        else:
+            # The fused step; f is the objective without its check of x.
+            prox = prox_at(problem, y, counter, grad_at(r_y))
+            x_prev, x = x, prox.y_plus
+            r_prev, r_x = r_x, residual_of(x)
+            fk = h_of(r_x) + psi_of(x)
+            if constraint is not None and not constraint.contains(x):
+                fk = math.inf
         if not isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
         f_append(fk)
@@ -280,7 +309,7 @@ def fista(
         y = x - x_prev
         y *= beta
         y += x
-        if r_x is not None:
+        if form is not None:
             r_y = r_x - r_prev
             r_y *= beta
             r_y += r_x

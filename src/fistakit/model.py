@@ -324,19 +324,6 @@ class SmoothPart:
         form = LeastSquares(A, b)
         return cls(value=form.value, grad=form.grad, dim=form.dim, least_squares=form)
 
-    def residual(self, x) -> np.ndarray | None:
-        """``A x - b`` under a declared least-squares form, else None."""
-        return None if self.least_squares is None else self.least_squares.residual(x)
-
-    def grad_at_residual(self, r) -> np.ndarray | None:
-        """Gradient at the point whose residual is ``r``; None when ``r`` is None."""
-        return None if r is None else self._declared().grad_at_residual(r)
-
-    def _declared(self) -> LeastSquares:
-        if self.least_squares is None:
-            raise ValueError("a residual needs a declared least-squares form")
-        return self.least_squares
-
 
 class Zero:
     """Nonsmooth term identically equal to zero."""
@@ -494,7 +481,16 @@ def composite_gradient_map(
         raise ValueError("gradient shape disagrees with problem dim")
     if not _all_finite(grad):
         raise ValueError("gradient is non-finite at the query point")
+    return _prox(problem, y, counter, grad)
 
+
+def _prox(problem: CompositeProblem, y, counter: ProxCounter | None, grad) -> ProxStep:
+    """The arithmetic of :func:`composite_gradient_map`, without its checks.
+
+    ``y`` and ``grad`` must be float64 vectors of length ``problem.dim``.
+    The fused step of :func:`fistakit.fista.fista` calls it directly, on
+    a problem without a feasible box.
+    """
     # Soft thresholding, the clip to the box and Metric.dual_norm inline, by
     # ufuncs without np.clip's Python wrapper, since this runs once per step.
     diag = problem.metric.diag
@@ -522,16 +518,14 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     without a matvec.
     """
     x = _validate_point(problem, x, "x")
+    form = problem.smooth.least_squares
+    if residual is not None and form is None:
+        raise ValueError("a residual needs a declared least-squares form")
     if problem.constraint is not None and not problem.constraint.contains(x):
         return np.inf
     psi = problem.nonsmooth.value(x)
     if psi == math.inf:
         return np.inf
-    smooth = problem.smooth
-    if residual is None:
-        h = smooth.value(x)
-    else:
-        # The declared form itself; _declared() only runs to raise when there is none.
-        h = (smooth.least_squares or smooth._declared()).value_at_residual(residual)
+    h = problem.smooth.value(x) if residual is None else form.value_at_residual(residual)
     return float(h) + float(psi)
 

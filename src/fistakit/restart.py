@@ -246,6 +246,7 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
     counter = ProxCounter()
     abort_tol = run.epsilon if run.early_exit else None
     r = run.r0
+    form = problem.smooth.least_squares
     r_res = None  # A r - b under a declared least-squares form
     trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
                                                 f_r=objective(problem, r))])
@@ -291,9 +292,8 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
         if counter.count >= run.budget:
             trace.exhausted = True
             break
-        check = composite_gradient_map(
-            problem, r, counter, grad=problem.smooth.grad_at_residual(r_res)
-        )
+        grad = None if form is None else form.grad_at_residual(r_res)
+        check = composite_gradient_map(problem, r, counter, grad=grad)
         trace.outer_checks += 1
         rec.g_dual_norm = check.g_dual_norm
         if check.g_dual_norm <= run.epsilon:

@@ -1,10 +1,13 @@
+import importlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fistakit import Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero
+from fistakit import (Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero,
+                      composite_gradient_map, objective)
+from fistakit.fista import FistaResult, IterationState, SolveTrace, TSequence
 from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
 
 
@@ -44,6 +47,75 @@ def soft_threshold(t, lam):
     term under a diagonal metric, the form the prox computes inline.
     """
     return t - np.minimum(np.maximum(t, -lam), lam)
+
+
+def count_fista_module_calls(monkeypatch):
+    """Wrap ``composite_gradient_map`` and ``objective`` of ``fistakit.fista``; return the tally."""
+    # The package's fista function shadows the submodule as an attribute.
+    fista_module = importlib.import_module("fistakit.fista")
+    tally = {"prox": 0, "objective": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fista_module, "composite_gradient_map",
+                        counting("prox", fista_module.composite_gradient_map))
+    monkeypatch.setattr(fista_module, "objective",
+                        counting("objective", fista_module.objective))
+    return tally
+
+
+def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, abort_tol=None,
+                  counter=None, residual=None):
+    """Reference for ``fistakit.fista`` on a declared least-squares form.
+
+    Every step goes through the checked ``composite_gradient_map`` and
+    ``objective``, with the residual carried as the solver carries it; the
+    solver's fused step must give the same bits.
+    """
+    form = problem.smooth.least_squares
+    z = np.asarray(z, dtype=np.float64)
+    if residual is None:
+        residual = form.residual(z)
+    init = composite_gradient_map(problem, z, counter, grad=form.grad_at_residual(residual))
+    x = init.y_plus
+    r_x = form.residual(x)
+    trace = SolveTrace(f_history=[objective(problem, x, r_x)])
+    if not math.isfinite(trace.f_history[0]):
+        raise ValueError("non-finite objective at the start point")
+    result = dict(init_g_dual_norm=init.g_dual_norm, aborted=False, exhausted=False)
+    if abort_tol is not None and init.g_dual_norm <= abort_tol:
+        return FistaResult(x=x, n=0, trace=trace, residual=r_x, **dict(result, aborted=True))
+    ts = TSequence()
+    y, r_y, k = x, r_x, 0
+    while True:
+        if k >= budget:
+            result["exhausted"] = True
+            break
+        k += 1
+        prox = composite_gradient_map(problem, y, counter, grad=form.grad_at_residual(r_y))
+        x_prev, x = x, prox.y_plus
+        r_prev, r_x = r_x, form.residual(x)
+        fk = objective(problem, x, r_x)
+        if not math.isfinite(fk):
+            raise ValueError(f"non-finite objective at iteration {k}")
+        trace.f_history.append(fk)
+        trace.g_norms.append(prox.g_dual_norm)
+        if abort_tol is not None and prox.g_dual_norm <= abort_tol:
+            result["aborted"] = True
+            break
+        ts.step()
+        beta = ts.momentum
+        y = x + beta * (x - x_prev)
+        r_y = r_x + beta * (r_x - r_prev)
+        state = IterationState(k=k, x_prev=x_prev, x_curr=x, f_history=trace.f_history,
+                               last_prox=prox)
+        if exit_condition is not None and k >= k_min and exit_condition(state):
+            break
+    return FistaResult(x=x, n=k, trace=trace, residual=r_x, **result)
 
 
 def random_spd(rng, n, cond=10.0):

@@ -1,28 +1,41 @@
 import dataclasses
+import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from fistakit import (
     Box,
+    BoxIndicator,
+    CompositeProblem,
     LassoSpec,
+    Metric,
     ProxCounter,
     RestartRun,
     Scheme,
     SmoothPart,
+    WeightedL1,
+    Zero,
     composite_gradient_map,
     fista,
     generate,
     generate_least_squares,
     gradient_norm_below,
+    model,
     objective,
     oracle_fstar,
     run_scheme,
 )
+from fistakit.cli import ExperimentConfig
 from fistakit.fista import TSequence
 
-from conftest import CountingMatrix, make_quadratic
+from conftest import CountingMatrix, checked_fista, count_fista_module_calls, make_quadratic
 
 
 def ill_conditioned_quadratic(cond=200.0):
@@ -331,3 +344,146 @@ class TestResidualArgument:
         form = SmoothPart.from_least_squares(np.eye(3), np.zeros(3)).least_squares
         with pytest.raises(ValueError):
             SmoothPart(value=form.value, grad=form.grad, dim=4, least_squares=form)
+
+
+# Entries of the data: signed zeros and subnormals beside ordinary values, and
+# in about half the problems +-1e300, which mostly overflow at the first step.
+ORDINARY_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(-10.0, 10.0)
+EXTREME_VALUES = ORDINARY_VALUES | st.sampled_from([1e300, -1e300])
+
+
+def vector(n, elements):
+    return st.lists(elements, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64))
+
+
+@st.composite
+def declared_problems(draw):
+    """A small declared least-squares problem of every matrix, nonsmooth and box kind."""
+    data_values = draw(st.sampled_from([ORDINARY_VALUES, EXTREME_VALUES]))
+    N, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = draw(vector(N * n, data_values)).reshape(N, n)
+    stored = np.array(draw(st.lists(st.booleans(), min_size=N * n, max_size=N * n))).reshape(N, n)
+    rows, cols = np.nonzero(stored)
+    coo = (values[rows, cols], (rows, cols))
+    kind = draw(st.sampled_from(["csc", "csr", "dense", "matmul", "csc-support"]))
+    if kind == "dense":
+        A = np.where(stored, values, 0.0)
+    elif kind == "matmul":
+        A = CountingMatrix(sparse.csc_array(coo, shape=(N, n)), [0])
+    else:
+        A = (sparse.csr_array if kind == "csr" else sparse.csc_array)(coo, shape=(N, n))
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "csc-support":
+            mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
+        smooth = SmoothPart.from_least_squares(A, draw(vector(N, data_values)))
+    assert (smooth.least_squares._support is not None) == (kind == "csc-support")
+
+    def box():
+        ends = [sorted(draw(vector(2, data_values | st.sampled_from([-np.inf, np.inf]))))
+                for _ in range(n)]
+        return Box([lo for lo, _ in ends], [hi for _, hi in ends])
+
+    nonsmooth = draw(st.sampled_from(["zero", "l1", "box"]))
+    if nonsmooth == "zero":
+        nonsmooth = Zero()
+    elif nonsmooth == "l1":
+        nonsmooth = WeightedL1(np.abs(draw(vector(n, data_values))))
+    else:
+        nonsmooth = BoxIndicator(box())
+    metric = Metric(draw(vector(n, st.sampled_from([5e-324, 1e300]) | st.floats(1e-3, 1e3))))
+    constraint = box() if draw(st.booleans()) else None
+    with np.errstate(over="ignore"):  # an l1 threshold w / R may overflow to inf
+        try:
+            problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=metric,
+                                       constraint=constraint)
+        except ValueError:  # the indicator's box and the constraint do not meet
+            reject()
+    return problem, draw(vector(n, data_values))
+
+
+def solve_bits(solve, problem, z, **kwargs):
+    """The outcome of ``solve``: every number of its result as bits, or a ValueError."""
+    counter = ProxCounter()
+    try:
+        # The extreme values overflow; numpy's warnings would turn into errors.
+        with np.errstate(all="ignore"):
+            res = solve(problem, z, counter=counter, **kwargs)
+    except ValueError:
+        return ValueError
+
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
+
+    return (res.n, res.aborted, res.exhausted, counter.count, bits(res.init_g_dual_norm),
+            bits(res.trace.f_history), bits(res.trace.g_norms), bits(res.x), bits(res.residual))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=declared_problems(), budget=st.integers(0, 12),
+       abort_tol=st.none() | st.sampled_from([1e-9, 1e-3, 1.0]))
+def test_fused_steps_equal_the_checked_prox_and_objective(case, budget, abort_tol):
+    # The fused loop of a declared form against the same loop through the
+    # checked composite_gradient_map and objective: equal bits, or both raise.
+    problem, z = case
+    kwargs = dict(budget=budget, abort_tol=abort_tol)
+    assert solve_bits(fista, problem, z, **kwargs) == solve_bits(checked_fista, problem, z, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["desk", "box", "least-squares"])
+def test_fused_loop_changes_no_scheme(monkeypatch, name):
+    """Every scheme in both exit modes, with the fused loop and with the checked reference."""
+    problem = declared_instances()[name]
+    tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(problem.dim), budget=20_000)
+    f_star = objective(problem, run_scheme(problem, tight).r_star)
+    restart_module = importlib.import_module("fistakit.restart")
+    for early in (True, False):
+        for scheme in Scheme:
+            run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(problem.dim),
+                             early_exit=early, budget=20_000,
+                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+            got = run_scheme(problem, run)
+            with monkeypatch.context() as mp:
+                mp.setattr(restart_module, "fista", checked_fista)
+                want = run_scheme(problem, run)
+            assert not got.trace.exhausted and got.trace.calls > 0
+            assert repr(got.trace) == repr(want.trace), (early, scheme)
+            assert np.array_equal(got.r_star.view(np.uint64), want.r_star.view(np.uint64))
+
+
+@pytest.mark.parametrize("matrix", [np.asarray, sparse.csc_array, sparse.csr_array],
+                         ids=["dense", "csc", "csr"])
+@pytest.mark.parametrize("nonsmooth, constraint", [
+    (Zero(), None),
+    (WeightedL1([1.0]), None),
+    (BoxIndicator(Box([-1e-8], [1e-8])), None),
+    (WeightedL1([1.0]), Box([-1e-8], [1e-8])),
+], ids=["zero", "l1", "box", "l1-constraint"])
+def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
+    # h(x) = (1e160 x)^2 / 2 with a metric far below its curvature: the start
+    # prox is finite, and the first step's gradient A^T r / N overflows while
+    # f stays finite.  Unclipped, the infinite step reaches f; a box would
+    # clip it to a finite x, so a boxed problem keeps the gradient check.
+    A = matrix(np.array([[1e160], [1e160]]))
+    problem = CompositeProblem(smooth=SmoothPart.from_least_squares(A, np.zeros(2)),
+                               nonsmooth=nonsmooth, metric=Metric([1e308]),
+                               constraint=constraint)
+    with np.errstate(over="ignore"):  # numpy's dense products warn on the overflow
+        with pytest.raises(ValueError, match="objective at iteration 1|gradient is non-finite"):
+            fista(problem, np.array([1e-20]), budget=5)
+
+
+def test_benchmark_instances_take_the_fused_loop(monkeypatch):
+    # Every instance the benchmark solves declares its least-squares form, so
+    # only each call's start goes through the checked names of fistakit.fista.
+    tally = count_fista_module_calls(monkeypatch)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+    workloads = json.loads(path.read_text())["workloads"]
+    for name in ("desk", "paper", "lsq-strict"):
+        spec = workloads[name]
+        for seed in (spec["default_seed"], spec["holdout_seed"]):
+            config = ExperimentConfig(**spec["config"], seed=seed)
+            for trial in range(config.trials):
+                problem = config.instance(trial).problem
+                tally.update(prox=0, objective=0)
+                res = fista(problem, np.zeros(problem.dim), budget=3)
+                assert res.n == 3 and tally == {"prox": 1, "objective": 1}, (name, seed, trial)

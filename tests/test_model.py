@@ -416,7 +416,7 @@ class TestCheckedInput:
         prob = lsq_problem(BoxIndicator(Box([-1.0, -1.0], [1.0, 1.0])))
         for x in ([2.0, 0.0], [0.0, -1.5]):
             x = np.array(x)
-            residual = prob.smooth.residual(x) if carried else None
+            residual = prob.smooth.least_squares.residual(x) if carried else None
             assert objective(prob, x, residual=residual) == math.inf
         inside = np.array([0.5, -0.5])
         assert math.isfinite(objective(prob, inside))
