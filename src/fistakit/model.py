@@ -446,7 +446,8 @@ def _validate_point(problem: CompositeProblem, x, name: str) -> np.ndarray:
 
 
 def composite_gradient_map(
-    problem: CompositeProblem, y, counter: ProxCounter | None = None, grad=None
+    problem: CompositeProblem, y, counter: ProxCounter | None = None, grad=None,
+    *, checked: bool = True,
 ) -> ProxStep:
     """Composite gradient map at ``y``.
 
@@ -467,30 +468,26 @@ def composite_gradient_map(
         ``grad h(y)`` when the caller already has it (the FISTA loop gets
         it from a carried residual); computed from ``problem.smooth.grad``
         otherwise.  It is checked like a computed gradient.
+    checked : bool
+        False skips the checks of ``y`` and ``grad``: the caller vouches
+        that both are float64 vectors of length ``problem.dim``, and a
+        non-finite entry gives a non-finite result instead of an error.
+        The fused step of :func:`fistakit.fista.fista` passes False.
 
     Raises
     ------
     ValueError
         On dimension mismatch or non-finite input/gradient.
     """
-    y = _validate_point(problem, y, "y")
-    if grad is None:
-        grad = problem.smooth.grad(y)
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != y.shape:
-        raise ValueError("gradient shape disagrees with problem dim")
-    if not _all_finite(grad):
-        raise ValueError("gradient is non-finite at the query point")
-    return _prox(problem, y, counter, grad)
-
-
-def _prox(problem: CompositeProblem, y, counter: ProxCounter | None, grad) -> ProxStep:
-    """The arithmetic of :func:`composite_gradient_map`, without its checks.
-
-    ``y`` and ``grad`` must be float64 vectors of length ``problem.dim``.
-    The fused step of :func:`fistakit.fista.fista` calls it directly, on
-    a problem without a feasible box.
-    """
+    if checked:
+        y = _validate_point(problem, y, "y")
+        if grad is None:
+            grad = problem.smooth.grad(y)
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != y.shape:
+            raise ValueError("gradient shape disagrees with problem dim")
+        if not _all_finite(grad):
+            raise ValueError("gradient is non-finite at the query point")
     # Soft thresholding, the clip to the box and Metric.dual_norm inline, by
     # ufuncs without np.clip's Python wrapper, since this runs once per step.
     diag = problem.metric.diag

@@ -50,14 +50,19 @@ def soft_threshold(t, lam):
 
 
 def count_fista_module_calls(monkeypatch):
-    """Wrap ``composite_gradient_map`` and ``objective`` of ``fistakit.fista``; return the tally."""
+    """Wrap ``composite_gradient_map`` and ``objective`` of ``fistakit.fista``; return the tally.
+
+    ``unchecked`` counts the proxes called with ``checked=False``.
+    """
     # The package's fista function shadows the submodule as an attribute.
     fista_module = importlib.import_module("fistakit.fista")
-    tally = {"prox": 0, "objective": 0}
+    tally = {"prox": 0, "unchecked": 0, "objective": 0}
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
             tally[name] += 1
+            if kwargs.get("checked") is False:
+                tally["unchecked"] += 1
             return func(*args, **kwargs)
         return wrapper
 

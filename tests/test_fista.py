@@ -474,7 +474,8 @@ def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
 
 def test_benchmark_instances_take_the_fused_loop(monkeypatch):
     # Every instance the benchmark solves declares its least-squares form, so
-    # only each call's start goes through the checked names of fistakit.fista.
+    # its steps take the unchecked prox and only each call's f(x_0) goes
+    # through the objective name of fistakit.fista.
     tally = count_fista_module_calls(monkeypatch)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
     workloads = json.loads(path.read_text())["workloads"]
@@ -484,6 +485,7 @@ def test_benchmark_instances_take_the_fused_loop(monkeypatch):
             config = ExperimentConfig(**spec["config"], seed=seed)
             for trial in range(config.trials):
                 problem = config.instance(trial).problem
-                tally.update(prox=0, objective=0)
+                tally.update(prox=0, unchecked=0, objective=0)
                 res = fista(problem, np.zeros(problem.dim), budget=3)
-                assert res.n == 3 and tally == {"prox": 1, "objective": 1}, (name, seed, trial)
+                assert res.n == 3, (name, seed, trial)
+                assert tally == {"prox": 4, "unchecked": 3, "objective": 1}, (name, seed, trial)

@@ -477,13 +477,14 @@ def test_strict_opt_ends_at_a_fixed_point_above_f_star():
 
 
 @pytest.mark.parametrize("early", [True, False], ids=["early", "strict"])
-def test_fista_module_names_see_fused_starts_and_generic_steps(monkeypatch, early):
+def test_fista_module_names_see_every_prox_and_fused_starts(monkeypatch, early):
     # The benchmark wraps these two names of fistakit.fista: its host-speed
-    # reading inside solves needs one prox per call through them, and its
-    # detailed trace times what passes through them.  A declared form sends
-    # only each call's start (init prox and f(x_0)) through them, and its
-    # steps take the fused loop; generic callables send every step.  The
-    # outer checks and the run's start objective live in restart.
+    # reading inside solves needs every prox of the inner calls through the
+    # first, and its detailed trace times what passes through them.  A
+    # declared form sends each step's prox unchecked and only each call's
+    # f(x_0) through objective; generic callables send every step through
+    # both, checked.  The outer checks and the run's start objective live in
+    # restart.
     tally = count_fista_module_calls(monkeypatch)
     lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
     form = lp.problem.smooth.least_squares
@@ -493,12 +494,13 @@ def test_fista_module_names_see_fused_starts_and_generic_steps(monkeypatch, earl
                      budget=2_000)
     trace = run_scheme(lp.problem, run).trace
     assert trace.calls > 1 and (early or trace.outer_checks > 0)
-    assert tally == {"prox": trace.calls, "objective": trace.calls}
-    tally.update(prox=0, objective=0)
+    assert tally == {"prox": trace.total_prox_calls - trace.outer_checks,
+                     "unchecked": trace.total_iterations, "objective": trace.calls}
+    tally.update(prox=0, unchecked=0, objective=0)
     trace = run_scheme(generic, run).trace
     assert trace.calls > 1 and (early or trace.outer_checks > 0)
-    assert tally["prox"] == trace.total_prox_calls - trace.outer_checks
-    assert tally["objective"] == trace.total_iterations + trace.calls
+    assert tally == {"prox": trace.total_prox_calls - trace.outer_checks,
+                     "unchecked": 0, "objective": trace.total_iterations + trace.calls}
 
 
 def test_pinned_iteration_counts():
