@@ -12,10 +12,9 @@ One solver call runs the classic momentum recursion from a start point
     until exit is true and k >= k_min
 
 Each step takes the gradient of ``h`` at ``y_{k-1}`` (inside the prox)
-and the objective at ``x_k``.  With generic ``value``/``grad`` callables
-that costs whatever they cost.  When the smooth part declares the
-least-squares form ``h(x) = ||A x - b||^2 / (2N)``, the loop carries the
-residual ``r_x = A x_k - b`` instead::
+and the objective at ``x_k``.  The smooth part has the least-squares
+form ``h(x) = ||A x - b||^2 / (2N)``, so the loop carries the residual
+``r_x = A x_k - b``::
 
     f(x_k)        = ||r_x||^2 / (2N) + psi(x_k)
     r_y           = r_x + beta_k (r_x - r_{x,k-1})     (no matvec)
@@ -25,21 +24,19 @@ so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
 The call returns ``r_x`` of its final iterate, and the restart driver hands
 it to the next call, whose initialization prox then needs only ``A^T``.
 
-The loop has one step per kind of smooth part.  Generic callables go
-through the checked :func:`~fistakit.model.composite_gradient_map` and
-:func:`~fistakit.model.objective` at every step.  A declared form takes a
-fused step: the prox without its checks (``checked=False``), then ``f``
-from the residual and ``psi`` without a call to ``objective``.  Every prox
+Each step is fused: the prox of :func:`~fistakit.model.composite_gradient_map`
+without its checks (``checked=False``), then ``f`` from the residual and
+``psi`` without a call to :func:`~fistakit.model.objective`.  Every prox
 goes through this module's name ``composite_gradient_map``, and each
 call's ``f(x_0)`` through its name ``objective``; the benchmark wraps these
 names to read the host's speed inside long solves and to time the step.
 Each call's start stays checked: ``z``, the init prox and ``f(x_0)``.
-Inside the fused loop only ``f`` is checked.  A non-finite entry of ``y``,
+Inside the loop only ``f`` is checked.  A non-finite entry of ``y``,
 of the gradient or of ``x_k`` reaches ``f`` through ``A x_k``, so the loop
 raises ``non-finite objective at iteration k``; a column of ``A`` that
 stores no entry has a zero gradient entry and never creates one.  A clip
 to a box could turn such an entry into a finite ``x_k``, so on a problem
-with a feasible box the fused step keeps the prox's checks.
+with a feasible box the step keeps the prox's checks.
 
 Exit conditions are pure predicates over the iteration history; the
 concrete restart conditions live in :mod:`fistakit.restart`.  The loop is
@@ -173,8 +170,8 @@ class FistaResult:
     The call took ``n + 1`` prox evaluations (the iterations plus the
     initialization prox at z).  ``aborted`` marks an early exit on the
     gradient tolerance; ``exhausted`` marks a budget stop.  ``residual``
-    is ``A x - b`` under a declared least-squares form (None otherwise),
-    ready to be passed to the next call started from ``x``.
+    is ``A x - b`` of the smooth part's least-squares form, ready to be
+    passed to the next call started from ``x``.
     """
 
     x: np.ndarray
@@ -183,7 +180,7 @@ class FistaResult:
     aborted: bool
     exhausted: bool
     init_g_dual_norm: float
-    residual: np.ndarray | None = None
+    residual: np.ndarray
 
     @property
     def f_final(self) -> float:
@@ -230,7 +227,7 @@ def fista(
     counter : ProxCounter, optional
         Shared prox-call counter (one init prox plus one per iteration).
     residual : ndarray, optional
-        ``A z - b`` under a declared least-squares form, as returned on
+        ``A z - b`` of the smooth part's least-squares form, as returned on
         :attr:`FistaResult.residual`; saves the matvec ``A z``.
     """
     if k_min < 0:
@@ -239,14 +236,11 @@ def fista(
         raise ValueError("budget must be >= 0")
     z = _validate_point(problem, z, "z")
     form = problem.smooth.least_squares
-    if form is None and residual is not None:
-        raise ValueError("a residual needs a declared least-squares form")
-    if form is not None and residual is None:
+    if residual is None:
         residual = form.residual(z)
-    grad = None if form is None else form.grad_at_residual(residual)
-    init = composite_gradient_map(problem, z, counter, grad=grad)
+    init = composite_gradient_map(problem, z, counter, grad=form.grad_at_residual(residual))
     x = init.y_plus
-    r_x = None if form is None else form.residual(x)
+    r_x = form.residual(x)
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
@@ -271,28 +265,22 @@ def fista(
 
     f_append, g_append = trace.f_history.append, trace.g_norms.append
     isfinite = math.isfinite
-    if form is not None:
-        grad_at, residual_of, h_of = form.grad_at_residual, form.residual, form.value_at_residual
-        psi_of = problem.nonsmooth.value
-        # A clip to a box can turn a non-finite entry of y or of the gradient
-        # into a finite x that f never sees, so a boxed problem keeps the checks.
-        checked = problem.feasible_box is not None
+    grad_at, residual_of, h_of = form.grad_at_residual, form.residual, form.value_at_residual
+    psi_of = problem.nonsmooth.value
+    # A clip to a box can turn a non-finite entry of y or of the gradient
+    # into a finite x that f never sees, so a boxed problem keeps the checks.
+    checked = problem.feasible_box is not None
     while True:
         if k >= budget:
             exhausted = True
             break
         k += 1
-        if form is None:
-            prox = composite_gradient_map(problem, y, counter)
-            x_prev, x = x, prox.y_plus
-            fk = objective(problem, x)
-        else:
-            # The fused step.  f is the objective without its checks; x lies in
-            # the feasible box, inside the constraint, so no constraint test.
-            prox = composite_gradient_map(problem, y, counter, grad_at(r_y), checked=checked)
-            x_prev, x = x, prox.y_plus
-            r_prev, r_x = r_x, residual_of(x)
-            fk = h_of(r_x) + psi_of(x)
+        # f is the objective without its checks; x lies in the feasible box,
+        # inside the constraint, so no constraint test.
+        prox = composite_gradient_map(problem, y, counter, grad_at(r_y), checked=checked)
+        x_prev, x = x, prox.y_plus
+        r_prev, r_x = r_x, residual_of(x)
+        fk = h_of(r_x) + psi_of(x)
         if not isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
         f_append(fk)
@@ -307,10 +295,9 @@ def fista(
         y = x - x_prev
         y *= beta
         y += x
-        if form is not None:
-            r_y = r_x - r_prev
-            r_y *= beta
-            r_y += r_x
+        r_y = r_x - r_prev
+        r_y *= beta
+        r_y += r_x
         if exit_condition is not None and k >= k_min:
             # The state is filled only for a test that runs.
             state.k = k

@@ -294,35 +294,33 @@ class LeastSquares:
 
 @dataclass(frozen=True)
 class SmoothPart:
-    """Smooth convex term ``h`` given by value and gradient callables.
+    """Smooth convex term in the least-squares form ``h(x) = ||A x - b||^2 / (2N)``.
 
-    The callables must be pure: ``value(x) -> float`` and
-    ``grad(x) -> ndarray`` of length ``dim``.  Smoothness with respect to
-    the problem metric is the caller's responsibility.
-
-    A smooth part may also declare the least-squares form
-    ``h(x) = ||A x - b||^2 / (2N)`` (see :meth:`from_least_squares`).  The
-    callables then stay valid, and the FISTA loop instead carries the
-    residual ``A x - b`` from step to step, which takes two matvecs per
-    step (``A x_k`` and ``A^T r_y``) where the callables take three.
+    Build one with :meth:`from_least_squares`.  The FISTA loop carries the
+    residual ``A x - b`` of ``least_squares`` from step to step, two
+    matvecs per step (``A x_k`` and ``A^T r_y``).  ``value`` and ``grad``
+    are the form's own pure callables unless replaced; the prox calls
+    ``grad`` when it is given no gradient, and :func:`objective` calls
+    ``value`` when it is given no residual.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    least_squares: LeastSquares | None = None
+    least_squares: LeastSquares
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.least_squares is not None and self.least_squares.dim != self.dim:
-            raise ValueError("least-squares matrix width disagrees with dim")
+        if not isinstance(self.least_squares, LeastSquares):
+            raise TypeError("a smooth part needs its least-squares form")
+
+    @property
+    def dim(self) -> int:
+        return self.least_squares.dim
 
     @classmethod
     def from_least_squares(cls, A, b) -> "SmoothPart":
-        """Smooth part ``h(x) = ||A x - b||^2 / (2N)`` with the form declared."""
+        """Smooth part ``h(x) = ||A x - b||^2 / (2N)``."""
         form = LeastSquares(A, b)
-        return cls(value=form.value, grad=form.grad, dim=form.dim, least_squares=form)
+        return cls(value=form.value, grad=form.grad, least_squares=form)
 
 
 class Zero:
@@ -399,7 +397,9 @@ class CompositeProblem:
         # computed once.
         threshold = neg_threshold = None
         if isinstance(self.nonsmooth, WeightedL1):
-            threshold = _as_locked_vector(self.nonsmooth.weights / self.metric.diag, "threshold")
+            with np.errstate(over="ignore"):  # +inf, the exact limit, maps finite u to +0
+                threshold = self.nonsmooth.weights / self.metric.diag
+            threshold = _as_locked_vector(threshold, "threshold")
             neg_threshold = _as_locked_vector(-threshold, "threshold")
         object.__setattr__(self, "_l1_threshold", threshold)
         object.__setattr__(self, "_l1_neg_threshold", neg_threshold)
@@ -511,18 +511,16 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     Returns +inf when ``x`` violates an indicator term or the constraint
     set, following the convention that the constrained problem is the
     unconstrained minimization of ``f + I_X``.  ``residual``, the value of
-    ``A x - b`` under a declared least-squares form, gives ``h(x)``
+    ``A x - b`` under the smooth part's least-squares form, gives ``h(x)``
     without a matvec.
     """
     x = _validate_point(problem, x, "x")
-    form = problem.smooth.least_squares
-    if residual is not None and form is None:
-        raise ValueError("a residual needs a declared least-squares form")
     if problem.constraint is not None and not problem.constraint.contains(x):
         return np.inf
     psi = problem.nonsmooth.value(x)
     if psi == math.inf:
         return np.inf
-    h = problem.smooth.value(x) if residual is None else form.value_at_residual(residual)
+    smooth = problem.smooth
+    h = smooth.value(x) if residual is None else smooth.least_squares.value_at_residual(residual)
     return float(h) + float(psi)
 

@@ -247,7 +247,7 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
     abort_tol = run.epsilon if run.early_exit else None
     r = run.r0
     form = problem.smooth.least_squares
-    r_res = None  # A r - b under a declared least-squares form
+    r_res = None  # A r - b, carried from call to call
     trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
                                                 f_r=objective(problem, r))])
     k_min = 0
@@ -292,8 +292,7 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
         if counter.count >= run.budget:
             trace.exhausted = True
             break
-        grad = None if form is None else form.grad_at_residual(r_res)
-        check = composite_gradient_map(problem, r, counter, grad=grad)
+        check = composite_gradient_map(problem, r, counter, grad=form.grad_at_residual(r_res))
         trace.outer_checks += 1
         rec.g_dual_norm = check.g_dual_norm
         if check.g_dual_norm <= run.epsilon:

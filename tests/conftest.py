@@ -14,23 +14,20 @@ from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
 def make_quadratic(Q, c, metric_diag=None, nonsmooth=None, constraint=None):
     """Problem with h(x) = 0.5 (x-c)' Q (x-c) for a symmetric PSD Q.
 
-    Defaults the metric to Gershgorin row sums of |Q|, which dominates Q.
+    ``h`` is built as the least-squares form ``||A x - b||^2 / (2n)`` with
+    ``A = sqrt(n max(L, 0)) V'`` from ``Q = V L V'`` and ``b = A c``, which
+    equals it up to rounding.  Defaults the metric to Gershgorin row sums
+    of |Q|, which dominates Q.
     """
     Q = np.asarray(Q, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     n = c.size
-
-    def value(x):
-        d = x - c
-        return 0.5 * float(d @ Q @ d)
-
-    def grad(x):
-        return Q @ (x - c)
-
+    evals, V = np.linalg.eigh(Q)
+    A = np.sqrt(n * np.maximum(evals, 0.0))[:, None] * V.T
     if metric_diag is None:
         metric_diag = np.abs(Q).sum(axis=1)
     return CompositeProblem(
-        smooth=SmoothPart(value=value, grad=grad, dim=n),
+        smooth=SmoothPart.from_least_squares(A, A @ c),
         nonsmooth=Zero() if nonsmooth is None else nonsmooth,
         metric=Metric(metric_diag),
         constraint=constraint,
@@ -75,7 +72,7 @@ def count_fista_module_calls(monkeypatch):
 
 def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, abort_tol=None,
                   counter=None, residual=None):
-    """Reference for ``fistakit.fista`` on a declared least-squares form.
+    """Reference for ``fistakit.fista``.
 
     Every step goes through the checked ``composite_gradient_map`` and
     ``objective``, with the residual carried as the solver carries it; the

@@ -15,12 +15,9 @@ import pytest
 from fistakit import (
     Box,
     BoxIndicator,
-    CompositeProblem,
     LassoSpec,
-    Metric,
     RestartRun,
     Scheme,
-    SmoothPart,
     WeightedL1,
     Zero,
     composite_gradient_map,
@@ -33,6 +30,8 @@ from fistakit import (
 )
 from fistakit.cli import ExperimentConfig, run_experiment
 from fistakit.fista import TSequence
+
+from conftest import make_quadratic
 
 
 @contextlib.contextmanager
@@ -147,15 +146,8 @@ def test_criterion_2_prox_grid_equivalence():
                     lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
                     nonsmooth = BoxIndicator(Box([lo], [hi]))
                     psi = np.where((xs >= lo) & (xs <= hi), 0.0, np.inf)
-                prob = CompositeProblem(
-                    smooth=SmoothPart(
-                        value=lambda x, c=curv, m=center: 0.5 * c * float((x[0] - m) ** 2),
-                        grad=lambda x, c=curv, m=center: c * (x - m),
-                        dim=1,
-                    ),
-                    nonsmooth=nonsmooth,
-                    metric=Metric([metric]),
-                )
+                prob = make_quadratic([[curv]], [center], metric_diag=[metric],
+                                      nonsmooth=nonsmooth)
                 grad_val = curv * (y - center)
                 model = psi + grad_val * offsets + metric * quad_base
                 best = xs[np.argmin(model)]

@@ -35,7 +35,8 @@ from fistakit import (
 from fistakit.cli import ExperimentConfig
 from fistakit.fista import TSequence
 
-from conftest import CountingMatrix, checked_fista, count_fista_module_calls, make_quadratic
+from conftest import (CountingMatrix, checked_fista, count_fista_module_calls, make_quadratic,
+                      problem_zoo)
 
 
 def ill_conditioned_quadratic(cond=200.0):
@@ -237,19 +238,13 @@ class TestFistaConvergence:
 
 
 def declared_instances():
-    """A desk lasso, a box-constrained lasso and a least-squares instance."""
+    """A desk lasso, a box-constrained lasso, least squares and an l1-plus-box quadratic."""
     desk = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
     boxed = dataclasses.replace(desk.problem,
                                 constraint=Box(-0.05 * np.ones(80), 0.05 * np.ones(80)))
     lsq = generate_least_squares(40, 25, seed=3, sparsity=0.5)
-    return {"desk": desk.problem, "box": boxed, "least-squares": lsq.problem}
-
-
-def with_plain_callables(problem):
-    """The same problem with the least-squares form left undeclared."""
-    form = problem.smooth.least_squares
-    smooth = SmoothPart(value=form.value, grad=form.grad, dim=problem.dim)
-    return dataclasses.replace(problem, smooth=smooth)
+    zoo = problem_zoo(np.random.default_rng(7))[3]
+    return {"desk": desk.problem, "box": boxed, "least-squares": lsq.problem, "zoo": zoo}
 
 
 def counting_problem(problem):
@@ -259,38 +254,33 @@ def counting_problem(problem):
     return dataclasses.replace(problem, smooth=smooth), tally
 
 
+def run_with(monkeypatch, solver, problem, run):
+    """``run_scheme(problem, run)`` with ``solver`` in place of ``fistakit.restart.fista``."""
+    with monkeypatch.context() as mp:
+        mp.setattr(importlib.import_module("fistakit.restart"), "fista", solver)
+        return run_scheme(problem, run)
+
+
 @pytest.mark.parametrize("name", ["desk", "box", "least-squares"])
 class TestDeclaredLeastSquares:
-    def test_objective_matches_plain_callables(self, name):
-        declared = declared_instances()[name]
-        plain = with_plain_callables(declared)
-        assert plain.smooth.least_squares is None
-        z = np.zeros(declared.dim)
-        a = fista(declared, z, budget=200)
-        b = fista(plain, z, budget=200)
-        assert a.n == b.n == 200
-        assert a.residual is not None and b.residual is None
-        f_a = np.array(a.trace.f_history)
-        f_b = np.array(b.trace.f_history)
-        assert np.max(np.abs(f_a - f_b) / np.abs(f_b)) <= 1e-12
-
-    def test_both_forms_reach_eps_with_exact_prox_accounting(self, name):
+    def test_both_forms_reach_eps_with_exact_prox_accounting(self, monkeypatch, name):
+        # The fused loop and its checked reference, conftest.checked_fista.
         declared = declared_instances()[name]
         eps = 1e-9
         tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(declared.dim),
                            budget=20_000)
         f_star = objective(declared, run_scheme(declared, tight).r_star)
-        for problem in (declared, with_plain_callables(declared)):
+        for solver in (fista, checked_fista):
             for scheme in Scheme:
                 for early in (True, False):
                     run = RestartRun(
-                        scheme=scheme, epsilon=eps, r0=np.zeros(problem.dim),
+                        scheme=scheme, epsilon=eps, r0=np.zeros(declared.dim),
                         early_exit=early,
                         f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
                         budget=20_000,
                     )
-                    trace = run_scheme(problem, run).trace
-                    label = f"{scheme.value} early_exit={early}"
+                    trace = run_with(monkeypatch, solver, declared, run).trace
+                    label = f"{solver.__name__} {scheme.value} early_exit={early}"
                     assert not trace.exhausted, label
                     assert trace.final_g_norm <= eps, label
                     assert trace.total_prox_calls == (
@@ -324,13 +314,6 @@ class TestDeclaredLeastSquares:
 
 
 class TestResidualArgument:
-    def test_rejected_without_declared_form(self):
-        prob = ill_conditioned_quadratic()
-        with pytest.raises(ValueError):
-            fista(prob, np.array([1.0, 1.0]), residual=np.zeros(2))
-        with pytest.raises(ValueError):
-            objective(prob, np.array([1.0, 1.0]), residual=np.zeros(2))
-
     def test_start_point_still_validated(self):
         problem = declared_instances()["least-squares"]
         with pytest.raises(ValueError, match="shape"):
@@ -341,9 +324,15 @@ class TestResidualArgument:
             fista(problem, bad)
 
     def test_declared_width_must_match_dim(self):
-        form = SmoothPart.from_least_squares(np.eye(3), np.zeros(3)).least_squares
-        with pytest.raises(ValueError):
-            SmoothPart(value=form.value, grad=form.grad, dim=4, least_squares=form)
+        # The dimension is the form's width: a smooth part takes no other, and no
+        # smooth part comes without a form.
+        smooth = SmoothPart.from_least_squares(np.eye(3)[:, :2], np.zeros(3))
+        assert smooth.dim == 2
+        with pytest.raises(TypeError):
+            SmoothPart(value=smooth.value, grad=smooth.grad, dim=4,
+                       least_squares=smooth.least_squares)
+        with pytest.raises(TypeError):
+            SmoothPart(value=smooth.value, grad=smooth.grad, least_squares=None)
 
 
 # Entries of the data: signed zeros and subnormals beside ordinary values, and
@@ -392,12 +381,11 @@ def declared_problems(draw):
         nonsmooth = BoxIndicator(box())
     metric = Metric(draw(vector(n, st.sampled_from([5e-324, 1e300]) | st.floats(1e-3, 1e3))))
     constraint = box() if draw(st.booleans()) else None
-    with np.errstate(over="ignore"):  # an l1 threshold w / R may overflow to inf
-        try:
-            problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=metric,
-                                       constraint=constraint)
-        except ValueError:  # the indicator's box and the constraint do not meet
-            reject()
+    try:
+        problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=metric,
+                                   constraint=constraint)
+    except ValueError:  # the indicator's box and the constraint do not meet
+        reject()
     return problem, draw(vector(n, data_values))
 
 
@@ -422,29 +410,26 @@ def solve_bits(solve, problem, z, **kwargs):
 @given(case=declared_problems(), budget=st.integers(0, 12),
        abort_tol=st.none() | st.sampled_from([1e-9, 1e-3, 1.0]))
 def test_fused_steps_equal_the_checked_prox_and_objective(case, budget, abort_tol):
-    # The fused loop of a declared form against the same loop through the
-    # checked composite_gradient_map and objective: equal bits, or both raise.
+    # The fused loop against the same loop through the checked
+    # composite_gradient_map and objective: equal bits, or both raise.
     problem, z = case
     kwargs = dict(budget=budget, abort_tol=abort_tol)
     assert solve_bits(fista, problem, z, **kwargs) == solve_bits(checked_fista, problem, z, **kwargs)
 
 
-@pytest.mark.parametrize("name", ["desk", "box", "least-squares"])
+@pytest.mark.parametrize("name", ["desk", "box", "least-squares", "zoo"])
 def test_fused_loop_changes_no_scheme(monkeypatch, name):
     """Every scheme in both exit modes, with the fused loop and with the checked reference."""
     problem = declared_instances()[name]
     tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(problem.dim), budget=20_000)
     f_star = objective(problem, run_scheme(problem, tight).r_star)
-    restart_module = importlib.import_module("fistakit.restart")
     for early in (True, False):
         for scheme in Scheme:
             run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(problem.dim),
                              early_exit=early, budget=20_000,
                              f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
             got = run_scheme(problem, run)
-            with monkeypatch.context() as mp:
-                mp.setattr(restart_module, "fista", checked_fista)
-                want = run_scheme(problem, run)
+            want = run_with(monkeypatch, checked_fista, problem, run)
             assert not got.trace.exhausted and got.trace.calls > 0
             assert repr(got.trace) == repr(want.trace), (early, scheme)
             assert np.array_equal(got.r_star.view(np.uint64), want.r_star.view(np.uint64))
@@ -473,9 +458,9 @@ def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
 
 
 def test_benchmark_instances_take_the_fused_loop(monkeypatch):
-    # Every instance the benchmark solves declares its least-squares form, so
-    # its steps take the unchecked prox and only each call's f(x_0) goes
-    # through the objective name of fistakit.fista.
+    # No instance the benchmark solves has a feasible box, so its steps take
+    # the unchecked prox and only each call's f(x_0) goes through the
+    # objective name of fistakit.fista.
     tally = count_fista_module_calls(monkeypatch)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
     workloads = json.loads(path.read_text())["workloads"]

@@ -35,17 +35,13 @@ from conftest import (CountingMatrix, check_descent_lemma, make_quadratic, probl
 
 
 def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, constraint=None):
-    sm = SmoothPart(
-        value=lambda x: 0.5 * curvature * float((x[0] - center) ** 2),
-        grad=lambda x: curvature * (x - center),
-        dim=1,
-    )
-    return CompositeProblem(
-        smooth=sm,
-        nonsmooth=Zero() if nonsmooth is None else nonsmooth,
-        metric=Metric([metric]),
-        constraint=constraint,
-    )
+    return make_quadratic([[curvature]], [center], metric_diag=[metric], nonsmooth=nonsmooth,
+                          constraint=constraint)
+
+
+def zero_smooth(n):
+    """The smooth part ``h = 0`` on ``n`` coordinates."""
+    return SmoothPart.from_least_squares(np.zeros((1, n)), np.zeros(1))
 
 
 def grid_prox_1d(psi, grad_val, y, metric, lo=-10.0, hi=10.0, step=1e-5):
@@ -145,10 +141,9 @@ class TestBox:
             Box([1.0], [0.0])
 
     def test_intersection_emptiness_is_construction_error(self):
-        sm = SmoothPart(value=lambda x: 0.0, grad=lambda x: np.zeros(1), dim=1)
         with pytest.raises(ValueError):
             CompositeProblem(
-                smooth=sm,
+                smooth=zero_smooth(1),
                 nonsmooth=BoxIndicator(Box([2.0], [3.0])),
                 metric=Metric([1.0]),
                 constraint=Box([0.0], [1.0]),
@@ -235,7 +230,7 @@ class TestCompositeGradientMap:
             composite_gradient_map(prob, np.array([np.nan]))
 
     def test_non_finite_gradient_rejected(self):
-        sm = SmoothPart(value=lambda x: 0.0, grad=lambda x: np.array([np.inf]), dim=1)
+        sm = dataclasses.replace(zero_smooth(1), grad=lambda x: np.array([np.inf]))
         prob = CompositeProblem(smooth=sm, nonsmooth=Zero(), metric=Metric([1.0]))
         with pytest.raises(ValueError):
             composite_gradient_map(prob, np.array([0.0]))
@@ -247,6 +242,16 @@ class TestCompositeGradientMap:
         composite_gradient_map(prob, np.array([2.0]), counter)
         assert counter.count == 2
 
+    def test_overflowing_l1_threshold_maps_finite_points_to_zero(self):
+        # w / R overflows to +inf, the exact limit of the threshold, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = CompositeProblem(smooth=zero_smooth(1), nonsmooth=WeightedL1([1e300]),
+                                    metric=Metric([5e-324]))
+            for y in (3.0, -1e308, 5e-324):
+                step = composite_gradient_map(prob, np.array([y]))
+                assert step.y_plus[0] == 0.0 and not np.signbit(step.y_plus[0])
+
 
 class TestObjective:
     def test_zero_nonsmooth_at_origin(self):
@@ -254,8 +259,7 @@ class TestObjective:
         assert objective(prob, np.array([0.0])) == 0.0
 
     def test_weighted_l1_sum(self):
-        sm = SmoothPart(value=lambda x: 0.0, grad=lambda x: np.zeros(2), dim=2)
-        prob = CompositeProblem(smooth=sm, nonsmooth=WeightedL1([1.0, 2.0]),
+        prob = CompositeProblem(smooth=zero_smooth(2), nonsmooth=WeightedL1([1.0, 2.0]),
                                 metric=Metric([1.0, 1.0]))
         assert objective(prob, np.array([1.0, -1.0])) == pytest.approx(3.0)
 
@@ -270,7 +274,7 @@ class TestObjective:
 
 
 def lsq_problem(nonsmooth, metric=(4.0, 2.0)):
-    """Two-dimensional problem with a declared least-squares smooth part."""
+    """Two-dimensional problem with a least-squares smooth part."""
     A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
     return CompositeProblem(smooth=SmoothPart.from_least_squares(A, np.ones(3)),
                             nonsmooth=nonsmooth, metric=Metric(metric))
@@ -347,8 +351,7 @@ def prox_cases(draw, kind):
             nonsmooth = BoxIndicator(box)
         else:
             constraint = box
-    smooth = SmoothPart(value=lambda x: 0.0, grad=lambda x: np.zeros(n), dim=n)
-    problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=Metric(diag),
+    problem = CompositeProblem(smooth=zero_smooth(n), nonsmooth=nonsmooth, metric=Metric(diag),
                                constraint=constraint)
     return problem, y, grad
 
