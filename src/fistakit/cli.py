@@ -216,14 +216,9 @@ def _parse_settings(settings: dict[str, str]) -> dict:
     return values
 
 
-def build_config(file_map: dict[str, str] | None,
-                 overrides: dict | None = None) -> ExperimentConfig:
-    """Parse ``key = value`` settings; ``overrides`` (field name -> value) win."""
-    values = _parse_settings(file_map or {})
-    for name, value in (overrides or {}).items():
-        if value is not None:
-            values[name] = value
-    return ExperimentConfig(**values)
+def build_config(settings: dict[str, str]) -> ExperimentConfig:
+    """The configuration of ``key = value`` settings (config key -> text)."""
+    return ExperimentConfig(**_parse_settings(settings))
 
 
 # ----------------------------------------------------------------------

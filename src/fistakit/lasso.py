@@ -124,17 +124,17 @@ class LassoProblem:
 
         ``weights=None`` drops the l1 term entirely (plain least squares).
         """
-        A = sparse.csc_array(A, dtype=np.float64)
+        smooth = SmoothPart.from_least_squares(A, b)
         problem = CompositeProblem(
-            smooth=SmoothPart.from_least_squares(A, b),
+            smooth=smooth,
             nonsmooth=Zero() if weights is None else WeightedL1(weights),
-            metric=gershgorin_metric(A, A.shape[0]),
+            metric=gershgorin_metric(smooth.least_squares.A),
         )
         return cls(problem=problem, spec=spec)
 
 
-def gershgorin_metric(A, N: int) -> Metric:
-    """Diagonal metric with ``R_ii = sum_j |H_ij|`` for ``H = A^T A / N``.
+def gershgorin_metric(A) -> Metric:
+    """Diagonal metric with ``R_ii = sum_j |H_ij|`` for ``H = A^T A / N``, ``A`` being ``(N, n)``.
 
     ``H`` is symmetric, so the row sums equal the column sums, which are
     accumulated block-wise without ever materializing ``H``.  Entries are
@@ -143,7 +143,7 @@ def gershgorin_metric(A, N: int) -> Metric:
     ``A`` falls back to the identity).
     """
     A = sparse.csc_array(A, dtype=np.float64)
-    n = A.shape[1]
+    N, n = A.shape
     AT = A.T.tocsr()
     sums = np.zeros(n)
     block = max(1, min(n, 4096))

@@ -16,8 +16,8 @@ weighted norm) is the natural residual for stopping rules.
 Everything here is immutable after construction and safe to share across
 concurrent solver runs; all operations are pure functions of their inputs.
 The one piece of mutable state is the column-subset cache of a large
-sparse :class:`LeastSquares` form: a memo that each product reads once
-and that never changes a result, only the time the product takes.
+:class:`LeastSquares` form: a memo that each product reads once and that
+never changes a result, only the time the product takes.
 """
 
 from __future__ import annotations
@@ -71,11 +71,13 @@ def _vector(v, size: int) -> np.ndarray:
 def _sparse_matvec(M, v) -> np.ndarray:
     """``M @ v`` for ``M = (kernel, n_row, n_col, indptr, indices, data)``, float64 data.
 
-    ``kernel`` is scipy's compiled ``_sparsetools.csr_matvec`` or
-    ``csc_matvec`` (private names), the kernels that ``@`` calls, reached
-    without reading scipy's properties.  Both start each output entry at
-    +0 and add its terms in ascending order of their index along the
-    compressed axis.
+    ``kernel`` is scipy's compiled ``_sparsetools.csc_matvec`` (for ``A x``
+    of a CSC ``A``) or ``csr_matvec`` (for ``A^T r``, reading the same
+    arrays as the CSR matrix ``A^T``): private names, the kernels that
+    ``@`` calls, reached without reading scipy's properties.  Both start
+    each output entry at +0 and add its terms in ascending index order
+    (``csr_matvec`` when the stored indices are sorted), so a canonical
+    CSR ``A`` and its CSC copy give ``A x`` the same bits.
     """
     kernel, n_row, n_col, indptr, indices, data = M
     v = _vector(v, n_col)
@@ -207,58 +209,50 @@ class Box:
 class LeastSquares:
     """Least-squares form ``h(x) = ||A x - b||^2 / (2N)`` of a smooth part.
 
-    ``A`` is an ``(N, n)`` matrix supporting ``@`` (dense or scipy sparse).
-    Value and gradient both follow from the residual ``r = A x - b``:
-    ``h = ||r||^2 / (2N)`` and ``grad h = A^T r / N``.  The residual is
-    affine in ``x``, so a solver that forms a point as a linear
-    combination of points whose residuals it holds gets that point's
-    residual by the same combination, without a matvec.
+    ``A`` is an ``(N, n)`` matrix: a dense array or a scipy sparse matrix
+    of any format and real dtype.  Value and gradient both follow from the
+    residual ``r = A x - b``: ``h = ||r||^2 / (2N)`` and
+    ``grad h = A^T r / N``.  The residual is affine in ``x``, so a solver
+    that forms a point as a linear combination of points whose residuals
+    it holds gets that point's residual by the same combination, without a
+    matvec.
 
-    A scipy sparse ``A`` is copied, and the copy's ``data``, ``indices``
-    and ``indptr`` are locked, so later edits to the caller's matrix
-    reach neither ``A`` nor the products.  When ``A`` is a float64 CSR or
-    CSC matrix, both products skip ``@`` and call scipy's compiled
-    kernels on ``A``'s own arrays: ``csr_matvec`` and ``csc_matvec`` for
-    ``A x`` and ``A^T r`` of a CSR ``A``, the other way round for CSC.
-    When ``A`` is also finite and stores at least ``_SUPPORT_MIN_NNZ``
-    entries, ``A x`` of a CSC ``A`` runs over a cached column set that
-    holds the support of ``x`` (see :class:`_SupportProduct`), with the
-    same bits as the full product.
+    The form holds ``A`` as its own float64 CSC copy, with ``data``,
+    ``indices`` and ``indptr`` locked, so later edits to the caller's
+    matrix reach neither ``A`` nor the products.  Both products call
+    scipy's compiled kernels on these arrays: ``csr_matvec`` reads them as
+    the CSR matrix ``A^T`` for ``A^T r``, and ``csc_matvec`` gives ``A x``.
+    When ``A`` is finite and stores at least ``_SUPPORT_MIN_NNZ`` entries,
+    ``A x`` runs over a cached column set that holds the support of ``x``
+    instead (see :class:`_SupportProduct`), with the same bits.
     """
 
-    A: object
+    A: sparse.csc_array
     b: np.ndarray
     _N: float = field(init=False, repr=False)  # N as a float, for the divisions
-    # (A x, A^T r) operands of _sparse_matvec, or None for ``@``.
-    _products: tuple | None = field(init=False, repr=False)
+    # The _sparse_matvec operands of A x and A^T r.
+    _Ax: tuple = field(init=False, repr=False)
+    _ATr: tuple = field(init=False, repr=False)
     _support: _SupportProduct | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = self.A
-        shape = getattr(A, "shape", ())
-        if len(shape) != 2:
-            raise ValueError("A must be a 2-D matrix")
+        A = sparse.csc_array(self.A, dtype=np.float64, copy=True)
+        arrays = (A.indptr, A.indices, A.data)
+        for arr in arrays:
+            arr.setflags(write=False)
+        N, n = A.shape
         b = _as_locked_vector(self.b, "b")
-        if b.shape != (shape[0],):
-            raise ValueError(f"b has shape {b.shape}, expected ({shape[0]},)")
-        products = support = None
-        if sparse.issparse(A):
-            A = A.copy()
-        if sparse.issparse(A) and A.format in ("csr", "csc"):
-            for arr in (A.data, A.indices, A.indptr):
-                arr.setflags(write=False)
-            if A.dtype == np.float64:
-                along, across = _sparsetools.csr_matvec, _sparsetools.csc_matvec
-                if A.format == "csc":
-                    along, across = across, along
-                arrays = (A.indptr, A.indices, A.data)
-                products = ((along, *shape, *arrays), (across, *shape[::-1], *arrays))
-                if A.format == "csc" and A.nnz >= _SUPPORT_MIN_NNZ and _all_finite(A.data):
-                    support = _SupportProduct(products[0])
+        if b.shape != (N,):
+            raise ValueError(f"b has shape {b.shape}, expected ({N},)")
+        Ax = (_sparsetools.csc_matvec, N, n, *arrays)
+        support = None
+        if A.nnz >= _SUPPORT_MIN_NNZ and _all_finite(A.data):
+            support = _SupportProduct(Ax)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_N", float(shape[0]))
-        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "_N", float(N))
+        object.__setattr__(self, "_Ax", Ax)
+        object.__setattr__(self, "_ATr", (_sparsetools.csr_matvec, n, N, *arrays))
         object.__setattr__(self, "_support", support)
 
     @property
@@ -267,12 +261,8 @@ class LeastSquares:
 
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
-        if self._support is not None:
-            Ax = self._support(x)
-        elif self._products is not None:
-            Ax = _sparse_matvec(self._products[0], x)
-        else:
-            Ax = self.A @ x
+        support = self._support
+        Ax = _sparse_matvec(self._Ax, x) if support is None else support(x)
         return Ax - self.b
 
     def value_at_residual(self, r) -> float:
@@ -281,9 +271,7 @@ class LeastSquares:
 
     def grad_at_residual(self, r) -> np.ndarray:
         """``A^T r / N`` (one matvec), the gradient at the point whose residual is ``r``."""
-        products = self._products
-        ATr = self.A.T @ r if products is None else _sparse_matvec(products[1], r)
-        return ATr / self._N
+        return _sparse_matvec(self._ATr, r) / self._N
 
     def value(self, x) -> float:
         return self.value_at_residual(self.residual(x))

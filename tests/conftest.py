@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fistakit import (Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero,
-                      composite_gradient_map, objective)
+                      composite_gradient_map, model, objective)
 from fistakit.fista import FistaResult, IterationState, SolveTrace, TSequence
 from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
 
@@ -127,24 +127,21 @@ def random_spd(rng, n, cond=10.0):
     return (basis * evals) @ basis.T
 
 
-class CountingMatrix:
-    """Matrix wrapper that counts products with it and with its transpose."""
+def count_kernel_calls(monkeypatch):
+    """Wrap ``model._sparse_matvec`` so that each call adds one to the returned tally.
 
-    def __init__(self, M, tally):
-        self.M = M
-        self.tally = tally
+    Every product of a least-squares form, ``A x`` and ``A^T r``, makes
+    exactly one such call.
+    """
+    tally = [0]
+    kernel = model._sparse_matvec
 
-    @property
-    def shape(self):
-        return self.M.shape
+    def counting(M, v):
+        tally[0] += 1
+        return kernel(M, v)
 
-    @property
-    def T(self):
-        return CountingMatrix(self.M.T, self.tally)
-
-    def __matmul__(self, x):
-        self.tally[0] += 1
-        return self.M @ x
+    monkeypatch.setattr(model, "_sparse_matvec", counting)
+    return tally
 
 
 # Relative descent-lemma violations up to this size count as rounding.

@@ -113,11 +113,11 @@ class TestGenerate:
 
 class TestGershgorinMetric:
     def test_identity_matrix(self):
-        m = gershgorin_metric(sparse.csc_array(np.eye(2)), N=2)
+        m = gershgorin_metric(sparse.csc_array(np.eye(2)))
         assert np.allclose(m.diag, [0.5, 0.5])
 
     def test_single_row(self):
-        m = gershgorin_metric(sparse.csc_array(np.array([[1.0, 1.0]])), N=1)
+        m = gershgorin_metric(sparse.csc_array(np.array([[1.0, 1.0]])))
         assert np.allclose(m.diag, [2.0, 2.0])
 
     def test_metric_dominates_curvature(self):
@@ -132,13 +132,13 @@ class TestGershgorinMetric:
 
     def test_zero_column_is_floored(self):
         A = sparse.csc_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        m = gershgorin_metric(A, N=2)
+        m = gershgorin_metric(A)
         assert m.diag[0] == pytest.approx(0.5)
         assert m.diag[1] == pytest.approx(0.5e-12)
 
     def test_all_zero_matrix_falls_back_to_identity(self):
         A = sparse.csc_array(np.zeros((3, 4)))
-        m = gershgorin_metric(A, N=3)
+        m = gershgorin_metric(A)
         assert np.all(m.diag == 1.0)
 
 
@@ -162,7 +162,7 @@ class TestProblemView:
                 arr[0] = 1
 
 
-    @pytest.mark.parametrize("via", ["build-csc", "form-csr"])
+    @pytest.mark.parametrize("via", ["build-csc", "form-csr", "form-dense"])
     def test_callers_later_edits_reach_neither_matrix_nor_products(self, via):
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.5)
@@ -170,16 +170,19 @@ class TestProblemView:
             A = sparse.csc_array(dense)
             form = LassoProblem.build(A, np.ones(6), weights=np.full(9, 0.1)).problem.smooth.least_squares
         else:
-            A = sparse.csr_array(dense)
+            A = sparse.csr_array(dense) if via == "form-csr" else dense.copy()
             form = LeastSquares(A, np.ones(6))
         x, r = np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 6)
         before = form.residual(x), form.grad_at_residual(r)
-        assert not np.shares_memory(form.A.data, A.data)
-        A.data[0] = 100.0
-        A.indices[0] = A.indices[1]
-        assert np.array_equal(form.A.toarray(), dense)
+        if via == "form-dense":
+            A[:, 0] = 100.0
+        else:
+            assert not np.shares_memory(form.A.data, A.data)
+            A.data[0] = 100.0
+            A.indices[0] = A.indices[1]
         assert np.array_equal(form.residual(x), before[0])
         assert np.array_equal(form.grad_at_residual(r), before[1])
+        assert np.array_equal(form.A.toarray(), dense)
 
 class TestLeastSquaresFamily:
     def test_requires_overdetermined(self):

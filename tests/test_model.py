@@ -30,8 +30,8 @@ from fistakit import (
 )
 from fistakit.cli import ExperimentConfig
 
-from conftest import (CountingMatrix, check_descent_lemma, make_quadratic, problem_zoo, random_spd,
-                      sample_feasible, soft_threshold)
+from conftest import (check_descent_lemma, count_kernel_calls, make_quadratic, problem_zoo,
+                      random_spd, sample_feasible, soft_threshold)
 
 
 def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, constraint=None):
@@ -441,19 +441,6 @@ class TestCheckedInput:
         assert got.g_dual_norm == want.g_dual_norm
 
 
-def count_kernel_calls(monkeypatch):
-    """Wrap ``model._sparse_matvec`` so that each call adds one to the returned tally."""
-    tally = [0]
-    kernel = model._sparse_matvec
-
-    def counting(M, v):
-        tally[0] += 1
-        return kernel(M, v)
-
-    monkeypatch.setattr(model, "_sparse_matvec", counting)
-    return tally
-
-
 def with_index_dtype(M, dtype):
     """``M`` with its index arrays cast to ``dtype`` (scipy picks int32 when they fit)."""
     M = M.copy()
@@ -472,7 +459,7 @@ def sparse_with_empty_lines(fmt):
 
 
 class TestLeastSquaresKernel:
-    """``A x`` and ``A^T r`` of a float64 CSR or CSC ``A`` go through ``model._sparse_matvec``."""
+    """``A x`` and ``A^T r`` go through ``model._sparse_matvec`` on the form's float64 CSC copy of ``A``."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("matrix", [
@@ -521,18 +508,41 @@ class TestLeastSquaresKernel:
         assert np.array_equal(form.grad_at_residual(r), (A.T @ r) / 7)
 
     @pytest.mark.parametrize("matrix", [
+        pytest.param(lambda A: A, id="csc"),
+        pytest.param(lambda A: A.tocsr(), id="csr"),
+        pytest.param(lambda A: A.tocoo(), id="coo"),
+        pytest.param(lambda A: sparse.csr_matrix(A), id="csr-matrix"),
         pytest.param(lambda A: A.toarray(), id="dense"),
         pytest.param(lambda A: A.astype(np.float32), id="float32"),
-        pytest.param(lambda A: CountingMatrix(A, [0]), id="counting"),
+        pytest.param(lambda A: A.toarray().astype(np.float32), id="float32-dense"),
     ])
-    def test_other_matrices_take_matmul(self, monkeypatch, matrix):
+    def test_products_are_those_of_the_csc_copy(self, monkeypatch, matrix):
+        # The gate reads the copy: its support product is on exactly when
+        # the copy stores at least _SUPPORT_MIN_NNZ entries (all finite here).
         A = matrix(sparse_with_empty_lines("csc"))
+        want = sparse.csc_array(A, dtype=np.float64)
         x, r = np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 7)
-        tally = count_kernel_calls(monkeypatch)
-        form = LeastSquares(A, np.ones(7))
-        assert np.array_equal(form.residual(x), A @ x - 1.0)
-        assert np.array_equal(form.grad_at_residual(r), (A.T @ r) / 7)
-        assert tally[0] == 0
+        x[1] = 0.0
+        for min_nnz in (0, want.nnz, want.nnz + 1):
+            monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", min_nnz)
+            form = LeastSquares(A, np.ones(7))
+            assert (form._support is not None) == (want.nnz >= min_nnz)
+            assert form.A.format == "csc" and form.A.dtype == np.float64
+            assert same_bits(form.A.toarray(), want.toarray())
+            for _ in range(3):  # the support product's miss, rebuild and hit
+                assert same_bits(form.residual(x), want @ x - 1.0)
+            assert same_bits(form.grad_at_residual(r), (want.T @ r) / 7)
+
+    def test_non_matrix_rejected(self):
+        class MatmulOnly:  # supports @ but is no array
+            shape = (2, 2)
+
+            def __matmul__(self, x):
+                return x
+
+        for A in (MatmulOnly(), np.ones(2), np.ones((2, 2, 1))):
+            with pytest.raises(ValueError):
+                LeastSquares(A, np.ones(2))
 
     def test_generated_instance_takes_the_kernel(self, monkeypatch):
         # Fails, rather than silently slowing down, if the private kernel goes.
@@ -633,11 +643,9 @@ class TestSupportProduct:
         assert form._support is None
         x = np.linspace(-1.0, 1.0, 5)
         x[0] = 0.0  # inf * 0 gives NaN in the rows of column 0's inf
-        with np.errstate(invalid="ignore"):  # numpy's dense matmul warns on inf * 0
-            want = A @ x - 1.0
-            got = form.residual(x)
+        got = form.residual(x)
         assert np.isnan(got).any()
-        assert same_bits(got, want)
+        assert same_bits(got, sparse.csc_array(A, dtype=np.float64) @ x - 1.0)
 
     def test_large_finite_csc_takes_the_support_product(self, monkeypatch):
         A = sparse_with_empty_lines("csc")
@@ -657,7 +665,7 @@ class TestSupportProduct:
                 config = ExperimentConfig(**spec["config"], seed=seed)
                 for trial in range(config.trials):
                     form = config.instance(trial).problem.smooth.least_squares
-                    assert form._products is not None and form._support is None, (name, trial)
+                    assert form._support is None, (name, trial)
         paper = ExperimentConfig(**workloads["paper"]["config"])
         assert (paper.N, paper.n, paper.sparsity) == (600, 800, 0.9)
         assert paper.instance(0).problem.smooth.least_squares._support is not None
