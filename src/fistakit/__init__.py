@@ -1,88 +1,13 @@
 """First-order composite solver kit: FISTA, restart schemes, Lasso benchmarks."""
 
-from .model import (
-    Box,
-    BoxIndicator,
-    CompositeProblem,
-    LeastSquares,
-    Metric,
-    ProxCounter,
-    ProxStep,
-    SmoothPart,
-    WeightedL1,
-    Zero,
-    composite_gradient_map,
-    objective,
-)
-from .fista import (
-    FistaResult,
-    IterationState,
-    SolveTrace,
-    TSequence,
-    fista,
-    gradient_norm_below,
-)
-from .restart import (
-    RestartResult,
-    RestartRun,
-    RestartTrace,
-    Scheme,
-    exit_function_scheme,
-    exit_gradient_scheme,
-    exit_lcr,
-    exit_optimal_value_scheme,
-    run_scheme,
-)
-from .lasso import (
-    LassoProblem,
-    LassoSpec,
-    generate,
-    generate_least_squares,
-    gershgorin_metric,
-    load_problem,
-    save_problem,
-)
-from .oracles import OracleError, kkt_residual, oracle_fstar, oracle_mu
+from . import fista, lasso, model, oracles, restart
+
+__all__ = [name for module in (model, fista, restart, lasso, oracles) for name in module.__all__]
+
+from .model import *
+from .fista import *  # from here on the name fista is the function, not its submodule
+from .restart import *
+from .lasso import *
+from .oracles import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Box",
-    "BoxIndicator",
-    "CompositeProblem",
-    "FistaResult",
-    "IterationState",
-    "LassoProblem",
-    "LassoSpec",
-    "LeastSquares",
-    "Metric",
-    "OracleError",
-    "ProxCounter",
-    "ProxStep",
-    "RestartResult",
-    "RestartRun",
-    "RestartTrace",
-    "Scheme",
-    "SmoothPart",
-    "SolveTrace",
-    "TSequence",
-    "WeightedL1",
-    "Zero",
-    "composite_gradient_map",
-    "exit_function_scheme",
-    "exit_gradient_scheme",
-    "exit_lcr",
-    "exit_optimal_value_scheme",
-    "fista",
-    "generate",
-    "generate_least_squares",
-    "gershgorin_metric",
-    "gradient_norm_below",
-    "kkt_residual",
-    "load_problem",
-    "objective",
-    "oracle_fstar",
-    "oracle_mu",
-    "run_scheme",
-    "save_problem",
-]

@@ -662,11 +662,11 @@ def _cmd_run(args) -> int:
 def _cmd_gen(args) -> int:
     try:
         config = build_config(_flag_settings(args, _GEN_KEYS))
-    except ValueError as exc:
+        lp = config.instance(0)
+        save_problem(lp, args.out)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    lp = config.instance(0)
-    save_problem(lp, args.out)
     print(f"wrote {args.out} (N={lp.N}, n={lp.n}, nnz={lp.A.nnz})")
     return 0
 

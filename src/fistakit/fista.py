@@ -24,13 +24,18 @@ so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
 The call returns ``r_x`` of its final iterate, and the restart driver hands
 it to the next call, whose initialization prox then needs only ``A^T``.
 
-Each step is fused: the prox of :func:`~fistakit.model.composite_gradient_map`
-without its checks (``checked=False``), then ``f`` from the residual and
-``psi`` without a call to :func:`~fistakit.model.objective`.  Every prox
-goes through this module's name ``composite_gradient_map``, and each
-call's ``f(x_0)`` through its name ``objective``; the benchmark wraps these
+Each step is fused: ``A^T r_y`` and ``A x_k`` straight on the compiled
+kernels that the form holds (see :class:`~fistakit.model.LeastSquares`),
+the prox of :func:`~fistakit.model.composite_gradient_map` without its
+checks (``checked=False``), then ``f`` from the residual and ``psi``
+without a call to :func:`~fistakit.model.objective`.  Every prox goes
+through this module's name ``composite_gradient_map``, and each call's
+``f(x_0)`` through its name ``objective``; the benchmark wraps these
 names to read the host's speed inside long solves and to time the step.
-Each call's start stays checked: ``z``, the init prox and ``f(x_0)``.
+Each call's start stays checked: ``z``, the caller's ``residual`` and
+its products, which go through the form's checked methods, the init
+prox and ``f(x_0)``.  The kernels check no length, and inside the loop
+``r_y`` and ``x_k`` have the right length and dtype by construction.
 Inside the loop only ``f`` is checked.  A non-finite entry of ``y``,
 of the gradient or of ``x_k`` reaches ``f`` through ``A x_k``, so the loop
 raises ``non-finite objective at iteration k``; a column of ``A`` that
@@ -265,8 +270,13 @@ def fista(
 
     f_append, g_append = trace.f_history.append, trace.g_norms.append
     isfinite = math.isfinite
-    grad_at, residual_of, h_of = form.grad_at_residual, form.residual, form.value_at_residual
-    psi_of = problem.nonsmooth.value
+    zeros = np.zeros
+    h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
+    # The form's two products straight on its kernels (see LeastSquares):
+    # r_y and x are float64 vectors of the right length by construction.
+    csr_matvec, n, N, indptr, indices, data = form._ATr
+    csc_matvec = form._Ax[0]
+    support, b, N_float = form._support, form.b, form._N
     # A clip to a box can turn a non-finite entry of y or of the gradient
     # into a finite x that f never sees, so a boxed problem keeps the checks.
     checked = problem.feasible_box is not None
@@ -275,11 +285,20 @@ def fista(
             exhausted = True
             break
         k += 1
+        grad = zeros(n)
+        csr_matvec(n, N, indptr, indices, data, r_y, grad)
+        grad /= N_float
+        prox = composite_gradient_map(problem, y, counter, grad, checked=checked)
+        x_prev, x = x, prox.y_plus
+        if support is None:
+            Ax = zeros(N)
+            csc_matvec(N, n, indptr, indices, data, x, Ax)
+        else:
+            Ax = support(x)
+        Ax -= b
+        r_prev, r_x = r_x, Ax
         # f is the objective without its checks; x lies in the feasible box,
         # inside the constraint, so no constraint test.
-        prox = composite_gradient_map(problem, y, counter, grad_at(r_y), checked=checked)
-        x_prev, x = x, prox.y_plus
-        r_prev, r_x = r_x, residual_of(x)
         fk = h_of(r_x) + psi_of(x)
         if not isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")

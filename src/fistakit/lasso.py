@@ -42,6 +42,9 @@ __all__ = [
 # of A cannot produce a zero metric entry.
 METRIC_FLOOR_REL = 1e-12
 
+# Cap on the dense block of |A^T A| that gershgorin_metric sums at a time.
+_GERSHGORIN_BLOCK_BYTES = 16 * 2**20
+
 _FORMAT_NAME = "fistakit-lasso"
 _FORMAT_VERSION = 1
 
@@ -136,8 +139,12 @@ class LassoProblem:
 def gershgorin_metric(A) -> Metric:
     """Diagonal metric with ``R_ii = sum_j |H_ij|`` for ``H = A^T A / N``, ``A`` being ``(N, n)``.
 
-    ``H`` is symmetric, so the row sums equal the column sums, which are
-    accumulated block-wise without ever materializing ``H``.  Entries are
+    ``H`` is symmetric, so the row sums equal the column sums.  They are
+    taken over blocks of columns of ``A^T A``, each made dense and at most
+    ``_GERSHGORIN_BLOCK_BYTES`` in size, so ``H`` is never held whole.
+    Every term is ``>= 0`` and each column's terms are added in ascending
+    row order, as a sparse sum adds its stored ones, so the dense zeros
+    change no bit.  Entries are
     floored at ``METRIC_FLOOR_REL`` times the largest row sum so a fully zero
     column of ``A`` still yields a positive definite metric (an all-zero
     ``A`` falls back to the identity).
@@ -146,11 +153,11 @@ def gershgorin_metric(A) -> Metric:
     N, n = A.shape
     AT = A.T.tocsr()
     sums = np.zeros(n)
-    block = max(1, min(n, 4096))
+    block = max(1, _GERSHGORIN_BLOCK_BYTES // (8 * max(n, 1)))
     for j0 in range(0, n, block):
         j1 = min(j0 + block, n)
-        cols = abs(AT @ A[:, j0:j1])
-        sums[j0:j1] = np.asarray(cols.sum(axis=0)).ravel()
+        cols = (AT @ A[:, j0:j1]).toarray()  # C order: axis-0 sums run down the rows
+        sums[j0:j1] = np.abs(cols, out=cols).sum(axis=0)
     sums /= N
     top = sums.max() if n else 0.0
     if top <= 0.0:

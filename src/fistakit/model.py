@@ -74,7 +74,10 @@ def _sparse_matvec(M, v) -> np.ndarray:
     ``kernel`` is scipy's compiled ``_sparsetools.csc_matvec`` (for ``A x``
     of a CSC ``A``) or ``csr_matvec`` (for ``A^T r``, reading the same
     arrays as the CSR matrix ``A^T``): private names, the kernels that
-    ``@`` calls, reached without reading scipy's properties.  Both start
+    ``@`` calls, reached without reading scipy's properties.  The form's
+    methods (which each solver call's start, the restart driver's outer
+    checks and the oracles use) and the support product call the kernels
+    through here; the fused FISTA loop calls them itself.  Both start
     each output entry at +0 and add its terms in ascending index order
     (``csr_matvec`` when the stored indices are sorted), so a canonical
     CSR ``A`` and its CSC copy give ``A x`` the same bits.
@@ -225,6 +228,11 @@ class LeastSquares:
     When ``A`` is finite and stores at least ``_SUPPORT_MIN_NNZ`` entries,
     ``A x`` runs over a cached column set that holds the support of ``x``
     instead (see :class:`_SupportProduct`), with the same bits.
+
+    The methods check their vector's length before a kernel runs.  The
+    fused loop of :func:`fistakit.fista.fista` calls the kernels of
+    ``_ATr`` and ``_Ax`` (or ``_support``) itself, on vectors it builds,
+    with the bits of :meth:`grad_at_residual` and :meth:`residual`.
     """
 
     A: sparse.csc_array

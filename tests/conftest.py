@@ -1,5 +1,6 @@
 import importlib
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -128,19 +129,24 @@ def random_spd(rng, n, cond=10.0):
 
 
 def count_kernel_calls(monkeypatch):
-    """Wrap ``model._sparse_matvec`` so that each call adds one to the returned tally.
+    """Wrap the compiled kernels on ``model._sparsetools``; each call adds one to the returned tally.
 
     Every product of a least-squares form, ``A x`` and ``A^T r``, makes
-    exactly one such call.
+    exactly one kernel call, whether through the form's methods or in the
+    fused loop of ``fistakit.fista``.  A form takes its kernels when it is
+    built, so only forms built after this call are counted.
     """
     tally = [0]
-    kernel = model._sparse_matvec
+    kernels = model._sparsetools
 
-    def counting(M, v):
-        tally[0] += 1
-        return kernel(M, v)
+    def counting(kernel):
+        def wrapper(*args):
+            tally[0] += 1
+            return kernel(*args)
+        return wrapper
 
-    monkeypatch.setattr(model, "_sparse_matvec", counting)
+    monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
+        csr_matvec=counting(kernels.csr_matvec), csc_matvec=counting(kernels.csc_matvec)))
     return tally
 
 

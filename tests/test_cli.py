@@ -101,6 +101,12 @@ class TestConfigHandling:
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
+    def test_gen_into_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "inst.lasso"
+        assert main(["gen", "--N", "12", "--n", "18", "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("flags", [
         ["run", "--N", "90", "--n", "80"],
         ["run", "--sparsity", "1.5"],

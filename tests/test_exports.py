@@ -24,6 +24,28 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+# The package's names: the union of its modules' lists, each name once.
+PACKAGE_NAMES = [
+    "Box", "BoxIndicator", "CompositeProblem", "DEFAULT_ITERATION_BUDGET", "ExitCondition",
+    "FistaResult", "IterationState", "LassoProblem", "LassoSpec", "LeastSquares", "Metric",
+    "OracleError", "ProxCounter", "ProxStep", "RestartRecord", "RestartResult", "RestartRun",
+    "RestartTrace", "Scheme", "SmoothPart", "SolveTrace", "TSequence", "WeightedL1", "Zero",
+    "check_least_squares_args", "composite_gradient_map", "exit_function_scheme",
+    "exit_gradient_scheme", "exit_lcr", "exit_optimal_value_scheme", "fista", "generate",
+    "generate_least_squares", "gershgorin_metric", "gradient_norm_below", "kkt_residual",
+    "load_problem", "objective", "oracle_fstar", "oracle_mu", "run_scheme", "save_problem",
+]
+
+
+def test_package_exports_each_module_name_once():
+    assert sorted(fistakit.__all__) == PACKAGE_NAMES
+    namespace = {}
+    exec("from fistakit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PACKAGE_NAMES
+    # The package's fista is the solver, which shadows its submodule.
+    assert fistakit.fista is importlib.import_module("fistakit.fista").fista
+
+
 # The benchmark's tracer (perfbench/tracer.py) replaces these names at run time
 # and counts what passes through them, so each must exist and be called
 # through its module.

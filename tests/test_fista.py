@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +282,9 @@ class TestDeclaredLeastSquares:
                     ), label
 
     def test_two_matvecs_per_prox(self, monkeypatch, name):
-        problem = declared_instances()[name]
+        # Built after the kernels are wrapped: a form takes them when it is built.
         tally = count_kernel_calls(monkeypatch)
+        problem = declared_instances()[name]
         res = fista(problem, np.zeros(problem.dim), budget=50)
         # A^T inside each prox (n + 1 per call), A x for the point it returns, plus A z.
         assert tally[0] == 2 * (res.n + 1) + 1
@@ -293,8 +295,9 @@ class TestDeclaredLeastSquares:
         assert again.trace.f_vals == carried.trace.f_vals
 
     def test_restarts_carry_the_residual(self, monkeypatch, name):
-        problem = declared_instances()[name]
+        # Built after the kernels are wrapped: a form takes them when it is built.
         tally = count_kernel_calls(monkeypatch)
+        problem = declared_instances()[name]
         for scheme in (Scheme.FUNCTION, Scheme.LCR):
             for early in (True, False):
                 tally[0] = 0
@@ -317,6 +320,20 @@ class TestResidualArgument:
         bad[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             fista(problem, bad)
+
+    def test_bad_residual_rejected_before_the_kernel(self, monkeypatch):
+        # The loop calls the kernels, which check no length, on the residuals it
+        # carries; the caller's residual must be checked before any of them.
+        def kernel_must_not_run(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
+            csr_matvec=kernel_must_not_run, csc_matvec=kernel_must_not_run))
+        problem = declared_instances()["least-squares"]
+        N = problem.smooth.least_squares.A.shape[0]
+        for bad in (np.zeros(N - 1), np.zeros(N + 1), np.zeros((N, 1)), np.zeros((1, N))):
+            with pytest.raises(ValueError, match="vector has shape"):
+                fista(problem, np.zeros(problem.dim), residual=bad)
 
     def test_declared_width_must_match_dim(self):
         # The dimension is the form's width: a smooth part takes no other, and no

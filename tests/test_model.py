@@ -459,7 +459,7 @@ def sparse_with_empty_lines(fmt):
 
 
 class TestLeastSquaresKernel:
-    """``A x`` and ``A^T r`` go through ``model._sparse_matvec`` on the form's float64 CSC copy of ``A``."""
+    """``A x`` and ``A^T r`` run scipy's compiled kernels on the form's float64 CSC copy of ``A``."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("matrix", [
@@ -546,8 +546,8 @@ class TestLeastSquaresKernel:
 
     def test_generated_instance_takes_the_kernel(self, monkeypatch):
         # Fails, rather than silently slowing down, if the private kernel goes.
-        lp = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000))
         tally = count_kernel_calls(monkeypatch)
+        lp = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000))
         res = fista(lp.problem, np.zeros(lp.n), budget=50)
         # A z, then per prox A^T r_y and A x for the point it returns.
         assert tally[0] == 2 * (res.n + 1) + 1
