@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError("oracle_epsilon must be smaller than epsilon")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.family == "lasso":
             LassoSpec(N=self.N, n=self.n, alpha=self.alpha, sparsity=self.sparsity)
         elif self.family == "least-squares":

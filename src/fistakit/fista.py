@@ -41,7 +41,7 @@ of the gradient or of ``x_k`` reaches ``f`` through ``A x_k``, so the loop
 raises ``non-finite objective at iteration k``; a column of ``A`` that
 stores no entry has a zero gradient entry and never creates one.  A clip
 to a box could turn such an entry into a finite ``x_k``, so on a problem
-with a feasible box the step keeps the prox's checks.
+with a box constraint the step keeps the prox's checks.
 
 Exit conditions are pure predicates over the iteration history; the
 concrete restart conditions live in :mod:`fistakit.restart`.  The loop is
@@ -279,7 +279,7 @@ def fista(
     support, b, N_float = form._support, form.b, form._N
     # A clip to a box can turn a non-finite entry of y or of the gradient
     # into a finite x that f never sees, so a boxed problem keeps the checks.
-    checked = problem.feasible_box is not None
+    checked = problem.constraint is not None
     while True:
         if k >= budget:
             exhausted = True
@@ -297,8 +297,8 @@ def fista(
             Ax = support(x)
         Ax -= b
         r_prev, r_x = r_x, Ax
-        # f is the objective without its checks; x lies in the feasible box,
-        # inside the constraint, so no constraint test.
+        # f is the objective without its checks; the prox clips x into the
+        # constraint box, so no constraint test.
         fk = h_of(r_x) + psi_of(x)
         if not isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")

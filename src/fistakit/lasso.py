@@ -70,6 +70,8 @@ class LassoSpec:
         _check_sparsity(self.sparsity)
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _check_sparsity(sparsity: float) -> None:
@@ -236,14 +238,21 @@ def load_problem(path) -> LassoProblem:
             header = json.loads(first.decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: not a problem file (bad header): {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a problem file (header is not a JSON object)")
         if header.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}: unrecognized format {header.get('format')!r}")
         if header.get("version") != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
         A = sparse.csc_array(mmread(io.BytesIO(fh.read())))
-    weights = header.get("weights")
-    spec_doc = header.get("spec")
-    spec = None if spec_doc is None else LassoSpec(**spec_doc)
+    missing = [key for key in ("N", "n", "b") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     if A.shape != (header["N"], header["n"]):
         raise ValueError(f"{path}: matrix shape {A.shape} disagrees with header")
-    return LassoProblem.build(A, header["b"], weights=weights, spec=spec)
+    spec_doc = header.get("spec")
+    try:
+        spec = None if spec_doc is None else LassoSpec(**spec_doc)
+        return LassoProblem.build(A, header["b"], weights=header.get("weights"), spec=spec)
+    except TypeError as exc:  # a field of the wrong JSON type, or an unknown spec key
+        raise ValueError(f"{path}: bad header: {exc}") from exc

@@ -1,9 +1,9 @@
 """Composite problem model: metric, prox toolbox, and the composite gradient map.
 
 A problem is the sum of a smooth convex function ``h`` and a nonsmooth
-closed convex term ``psi``, minimized over a constraint set ``X`` that is
-either all of space or a box.  Smoothness is measured against a diagonal
-positive definite metric ``R``::
+term ``psi``, minimized over a constraint set ``X``: ``psi`` is zero or a
+weighted l1 term, and ``X`` is a box or all of space.  Smoothness is
+measured against a diagonal positive definite metric ``R``::
 
     h(x) <= h(y) + <grad h(y), x - y> + 0.5 * ||x - y||_R^2
 
@@ -37,7 +37,6 @@ __all__ = [
     "SmoothPart",
     "Zero",
     "WeightedL1",
-    "BoxIndicator",
     "CompositeProblem",
     "ProxStep",
     "ProxCounter",
@@ -204,21 +203,18 @@ class Box:
         x = np.asarray(x, dtype=np.float64)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
-    def intersect(self, other: "Box") -> "Box":
-        return Box(np.maximum(self.lower, other.lower), np.minimum(self.upper, other.upper))
-
 
 @dataclass(frozen=True, eq=False)
 class LeastSquares:
     """Least-squares form ``h(x) = ||A x - b||^2 / (2N)`` of a smooth part.
 
     ``A`` is an ``(N, n)`` matrix: a dense array or a scipy sparse matrix
-    of any format and real dtype.  Value and gradient both follow from the
-    residual ``r = A x - b``: ``h = ||r||^2 / (2N)`` and
-    ``grad h = A^T r / N``.  The residual is affine in ``x``, so a solver
-    that forms a point as a linear combination of points whose residuals
-    it holds gets that point's residual by the same combination, without a
-    matvec.
+    of any format and real dtype, and ``b`` a finite vector of length
+    ``N``.  Value and gradient both follow from the residual
+    ``r = A x - b``: ``h = ||r||^2 / (2N)`` and ``grad h = A^T r / N``.
+    The residual is affine in ``x``, so a solver that forms a point as a
+    linear combination of points whose residuals it holds gets that
+    point's residual by the same combination, without a matvec.
 
     The form holds ``A`` as its own float64 CSC copy, with ``data``,
     ``indices`` and ``indptr`` locked, so later edits to the caller's
@@ -252,6 +248,8 @@ class LeastSquares:
         b = _as_locked_vector(self.b, "b")
         if b.shape != (N,):
             raise ValueError(f"b has shape {b.shape}, expected ({N},)")
+        if not _all_finite(b):
+            raise ValueError("b must be finite")
         Ax = (_sparsetools.csc_matvec, N, n, *arrays)
         support = None
         if A.nnz >= _SUPPORT_MIN_NNZ and _all_finite(A.data):
@@ -346,29 +344,18 @@ class WeightedL1:
 
 
 @dataclass(frozen=True)
-class BoxIndicator:
-    """Indicator of a box: 0 inside, +inf outside."""
-
-    box: Box
-
-    def value(self, x) -> float:
-        return 0.0 if self.box.contains(x) else np.inf
-
-
-@dataclass(frozen=True)
 class CompositeProblem:
     """The triple (h, psi, X) with its metric R.
 
     ``constraint is None`` means X is all of space.  The nonsmooth part is
-    one of :class:`Zero`, :class:`WeightedL1`, :class:`BoxIndicator`; this
-    family keeps the prox separable and closed form under the diagonal
-    metric.  Construction validates dimension agreement and that the
-    intersection of X with dom(psi) is a nonempty box (or all of space),
-    and sets ``feasible_box`` to that box (None when it is all of space).
+    :class:`Zero` or :class:`WeightedL1`, and construction raises
+    ``TypeError`` on any other: this family keeps the prox separable and
+    closed form under the diagonal metric.  Construction also validates
+    dimension agreement.
     """
 
     smooth: SmoothPart
-    nonsmooth: object
+    nonsmooth: Zero | WeightedL1
     metric: Metric
     constraint: Box | None = None
 
@@ -376,19 +363,13 @@ class CompositeProblem:
         n = self.smooth.dim
         if self.metric.dim != n:
             raise ValueError(f"metric dim {self.metric.dim} != problem dim {n}")
+        if not isinstance(self.nonsmooth, (Zero, WeightedL1)):
+            raise TypeError("the nonsmooth term must be Zero() or a WeightedL1, "
+                            f"got {type(self.nonsmooth).__name__}")
         if isinstance(self.nonsmooth, WeightedL1) and self.nonsmooth.weights.size != n:
             raise ValueError("l1 weight vector length disagrees with problem dim")
-        if isinstance(self.nonsmooth, BoxIndicator) and self.nonsmooth.box.dim != n:
-            raise ValueError("indicator box dim disagrees with problem dim")
         if self.constraint is not None and self.constraint.dim != n:
             raise ValueError("constraint box dim disagrees with problem dim")
-        # Intersection of the constraint set with dom(psi); Box.intersect
-        # raises on emptiness, which makes infeasibility a construction error.
-        feasible = self.constraint
-        if isinstance(self.nonsmooth, BoxIndicator):
-            inner = self.nonsmooth.box
-            feasible = inner if feasible is None else feasible.intersect(inner)
-        object.__setattr__(self, "feasible_box", feasible)
         # The soft-threshold level of the weighted-l1 prox and its negative,
         # computed once.
         threshold = neg_threshold = None
@@ -409,8 +390,7 @@ class ProxStep(NamedTuple):
     """Result of one composite gradient map evaluation at a point y.
 
     ``g = R (y - y_plus)`` exactly, and ``y_plus`` is feasible (it lies in
-    the intersection of X with dom(psi)).  A named tuple, because the
-    FISTA loop builds one per step.
+    X).  A named tuple, because the FISTA loop builds one per step.
     """
 
     y_plus: np.ndarray
@@ -452,7 +432,7 @@ def composite_gradient_map(
     composite gradient ``g(y) = R (y - y_plus)`` and its dual norm.  The
     diagonal metric makes the problem separable, so the solution is closed
     form per coordinate: an R-scaled gradient step, soft thresholding for a
-    weighted-l1 term, then clipping to the feasible box.
+    weighted-l1 term, then clipping to the constraint box.
 
     Parameters
     ----------
@@ -491,7 +471,7 @@ def composite_gradient_map(
     threshold = problem._l1_threshold
     if threshold is not None:
         u -= np.minimum(np.maximum(u, problem._l1_neg_threshold), threshold)
-    box = problem.feasible_box
+    box = problem.constraint
     if box is not None:
         u = np.minimum(np.maximum(u, box.lower), box.upper)
     g = diag * (y - u)
@@ -504,9 +484,9 @@ def composite_gradient_map(
 def objective(problem: CompositeProblem, x, residual=None) -> float:
     """Extended-real objective ``f(x) = h(x) + psi(x)``.
 
-    Returns +inf when ``x`` violates an indicator term or the constraint
-    set, following the convention that the constrained problem is the
-    unconstrained minimization of ``f + I_X``.  ``residual``, the value of
+    Returns +inf when ``x`` violates the constraint set, following the
+    convention that the constrained problem is the unconstrained
+    minimization of ``f + I_X``.  ``residual``, the value of
     ``A x - b`` under the smooth part's least-squares form, gives ``h(x)``
     without a matvec.
     """
@@ -514,8 +494,6 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     if problem.constraint is not None and not problem.constraint.contains(x):
         return np.inf
     psi = problem.nonsmooth.value(x)
-    if psi == math.inf:
-        return np.inf
     smooth = problem.smooth
     h = smooth.value(x) if residual is None else smooth.least_squares.value_at_residual(residual)
     return float(h) + float(psi)

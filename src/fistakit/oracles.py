@@ -16,7 +16,7 @@ from scipy import linalg
 
 from .fista import DEFAULT_ITERATION_BUDGET
 from .lasso import LassoProblem
-from .model import WeightedL1, Zero, objective
+from .model import objective
 from .restart import RestartRun, Scheme, run_scheme
 
 __all__ = ["OracleError", "kkt_residual", "oracle_fstar", "oracle_mu"]
@@ -43,12 +43,7 @@ def kkt_residual(lp: LassoProblem, x) -> float:
     """
     if lp.problem.constraint is not None:
         raise ValueError("KKT residual is only defined for unconstrained problems")
-    if isinstance(lp.problem.nonsmooth, Zero):
-        w = np.zeros(lp.n)
-    elif isinstance(lp.problem.nonsmooth, WeightedL1):
-        w = lp.problem.nonsmooth.weights
-    else:
-        raise ValueError("KKT residual needs an l1 or zero nonsmooth term")
+    w = np.zeros(lp.n) if lp.weights is None else lp.weights
     x = np.asarray(x, dtype=np.float64)
     grad = lp.problem.smooth.grad(x)
     on_support = x != 0.0
@@ -81,7 +76,7 @@ def oracle_fstar(
         )
     x_star = result.r_star
     f_star = objective(lp.problem, x_star)
-    if lp.problem.constraint is None and isinstance(lp.problem.nonsmooth, (Zero, WeightedL1)):
+    if lp.problem.constraint is None:
         resid = kkt_residual(lp, x_star)
         if resid > KKT_TOL:
             raise OracleError(
@@ -102,11 +97,7 @@ def oracle_mu(lp: LassoProblem) -> float:
     """
     if lp.problem.constraint is not None:
         raise OracleError("growth oracle requires an unconstrained instance")
-    unweighted = isinstance(lp.problem.nonsmooth, Zero) or (
-        isinstance(lp.problem.nonsmooth, WeightedL1)
-        and not np.any(lp.problem.nonsmooth.weights)
-    )
-    if not unweighted:
+    if lp.weights is not None and np.any(lp.weights):
         raise OracleError("growth oracle requires a smooth (weight-free) instance")
     if lp.N < lp.n:
         raise OracleError("growth oracle requires N >= n")

@@ -261,7 +261,7 @@ def small_lasso():
 def sample_feasible(rng, problem, scale=2.0):
     """Random point inside the problem's feasible set."""
     x = scale * rng.standard_normal(problem.dim)
-    box = problem.feasible_box
+    box = problem.constraint
     return x if box is None else np.clip(x, box.lower, box.upper)
 
 
@@ -271,11 +271,9 @@ def problem_zoo(rng, n=6):
     c = rng.standard_normal(n)
     w = rng.uniform(0.0, 0.5, n)
     box = Box(-0.5 * np.ones(n), 0.8 * np.ones(n))
-    from fistakit import BoxIndicator
-
     return [
         make_quadratic(Q, c),
         make_quadratic(Q, c, nonsmooth=WeightedL1(w)),
-        make_quadratic(Q, c, nonsmooth=BoxIndicator(box)),
+        make_quadratic(Q, c, constraint=box),
         make_quadratic(Q, c, nonsmooth=WeightedL1(w), constraint=box),
     ]

@@ -14,7 +14,6 @@ import pytest
 
 from fistakit import (
     Box,
-    BoxIndicator,
     LassoSpec,
     RestartRun,
     Scheme,
@@ -135,8 +134,8 @@ def test_criterion_2_prox_grid_equivalence():
                 metric = curv + rng.uniform(0.0, 2.0)
                 y = rng.uniform(-3.0, 3.0)
                 xs = y + offsets
+                nonsmooth, constraint = Zero(), None
                 if kind == "zero":
-                    nonsmooth = Zero()
                     psi = 0.0
                 elif kind == "l1":
                     w = rng.uniform(0.0, 2.0)
@@ -144,10 +143,10 @@ def test_criterion_2_prox_grid_equivalence():
                     psi = w * np.abs(xs)
                 else:
                     lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
-                    nonsmooth = BoxIndicator(Box([lo], [hi]))
+                    constraint = Box([lo], [hi])
                     psi = np.where((xs >= lo) & (xs <= hi), 0.0, np.inf)
                 prob = make_quadratic([[curv]], [center], metric_diag=[metric],
-                                      nonsmooth=nonsmooth)
+                                      nonsmooth=nonsmooth, constraint=constraint)
                 grad_val = curv * (y - center)
                 model = psi + grad_val * offsets + metric * quad_base
                 best = xs[np.argmin(model)]

@@ -94,6 +94,10 @@ class TestConfigHandling:
             ExperimentConfig(epsilon=1e-12, oracle_epsilon=1e-11)
         with pytest.raises(ValueError):
             ExperimentConfig(family="exotic")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(family="least-squares", N=30, n=12, seed=-1)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -127,6 +131,8 @@ class TestConfigHandling:
         ["solve", "--scheme", "opt", "--oracle-eps", "-1"],
         ["run", "--family", "least-squares"],
         ["gen", "--family", "least-squares"],
+        ["run", "--seed", "-1"],
+        ["gen", "--seed", "-1"],
     ])
     def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        flags):
@@ -147,6 +153,24 @@ class TestConfigHandling:
         if "least-squares" in rest:
             # Its shape must be set, since the default 600 x 800 has N < n.
             assert "the least-squares family needs --N and --n with N >= n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: {key: value for key, value in header.items() if key != "N"},
+        lambda header: header | {"spec": dict(N=3, n=3, alpha=0.0, bogus=1)},
+        lambda header: [1, 2],
+        lambda header: header | {"b": [math.nan, 1.0, 1.0]},
+        lambda header: header | {"b": {}},
+    ], ids=["no-N", "spec-key", "not-an-object", "nan-in-b", "b-not-a-list"])
+    def test_malformed_problem_file_is_a_config_error(self, tmp_path, capsys, edit):
+        # solve exits 2 with a config error, not a traceback, before it writes anything.
+        problem = tmp_path / "inst.lasso"
+        save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
+        first, body = problem.read_text().split("\n", 1)
+        problem.write_text(json.dumps(edit(json.loads(first))) + "\n" + body)
+        out = tmp_path / "out"
+        assert main(["solve", str(problem), "--scheme", "lcr", "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_from_config_file(self, tmp_path):

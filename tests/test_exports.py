@@ -26,7 +26,7 @@ def test_every_exported_name_resolves(name):
 
 # The package's names: the union of its modules' lists, each name once.
 PACKAGE_NAMES = [
-    "Box", "BoxIndicator", "CompositeProblem", "DEFAULT_ITERATION_BUDGET", "ExitCondition",
+    "Box", "CompositeProblem", "DEFAULT_ITERATION_BUDGET", "ExitCondition",
     "FistaResult", "IterationState", "LassoProblem", "LassoSpec", "LeastSquares", "Metric",
     "OracleError", "ProxCounter", "ProxStep", "RestartRecord", "RestartResult", "RestartRun",
     "RestartTrace", "Scheme", "SmoothPart", "SolveTrace", "TSequence", "WeightedL1", "Zero",

@@ -7,13 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from fistakit import (
     Box,
-    BoxIndicator,
     CompositeProblem,
     LassoSpec,
     Metric,
@@ -379,20 +378,13 @@ def declared_problems(draw):
                 for _ in range(n)]
         return Box([lo for lo, _ in ends], [hi for _, hi in ends])
 
-    nonsmooth = draw(st.sampled_from(["zero", "l1", "box"]))
-    if nonsmooth == "zero":
-        nonsmooth = Zero()
-    elif nonsmooth == "l1":
+    nonsmooth = Zero()
+    if draw(st.booleans()):
         nonsmooth = WeightedL1(np.abs(draw(vector(n, data_values))))
-    else:
-        nonsmooth = BoxIndicator(box())
     metric = Metric(draw(vector(n, st.sampled_from([5e-324, 1e300]) | st.floats(1e-3, 1e3))))
     constraint = box() if draw(st.booleans()) else None
-    try:
-        problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=metric,
-                                   constraint=constraint)
-    except ValueError:  # the indicator's box and the constraint do not meet
-        reject()
+    problem = CompositeProblem(smooth=smooth, nonsmooth=nonsmooth, metric=metric,
+                               constraint=constraint)
     return problem, draw(vector(n, data_values))
 
 
@@ -447,7 +439,7 @@ def test_fused_loop_changes_no_scheme(monkeypatch, name):
 @pytest.mark.parametrize("nonsmooth, constraint", [
     (Zero(), None),
     (WeightedL1([1.0]), None),
-    (BoxIndicator(Box([-1e-8], [1e-8])), None),
+    (Zero(), Box([-1e-8], [1e-8])),
     (WeightedL1([1.0]), Box([-1e-8], [1e-8])),
 ], ids=["zero", "l1", "box", "l1-constraint"])
 def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
@@ -464,7 +456,7 @@ def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
 
 
 def test_benchmark_instances_take_the_fused_loop(monkeypatch):
-    # No instance the benchmark solves has a feasible box, so its steps take
+    # No instance the benchmark solves has a box constraint, so its steps take
     # the unchecked prox and only each call's f(x_0) goes through the
     # objective name of fistakit.fista.
     tally = count_fista_module_calls(monkeypatch)

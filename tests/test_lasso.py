@@ -50,6 +50,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LassoSpec(N=2, n=3, alpha=-1.0)
 
+    def test_seed_nonnegative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            LassoSpec(N=2, n=3, alpha=0.1, seed=-1)
+
 
 class TestGenerate:
     def test_deterministic_given_seed(self):

@@ -13,7 +13,6 @@ from scipy import sparse
 
 from fistakit import (
     Box,
-    BoxIndicator,
     CompositeProblem,
     LassoSpec,
     LeastSquares,
@@ -140,19 +139,22 @@ class TestBox:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
-    def test_intersection_emptiness_is_construction_error(self):
-        with pytest.raises(ValueError):
-            CompositeProblem(
-                smooth=zero_smooth(1),
-                nonsmooth=BoxIndicator(Box([2.0], [3.0])),
-                metric=Metric([1.0]),
-                constraint=Box([0.0], [1.0]),
-            )
-
     def test_infinite_bounds(self):
         b = Box([-np.inf], [0.0])
         assert b.contains([-100.0])
         assert not b.contains([0.1])
+
+
+def test_nonsmooth_term_outside_the_family_is_rejected():
+    # The prox knows only Zero and WeightedL1; any other term with a value
+    # would be minimized as if it were zero.  Here psi = 10 ||x||^2 on
+    # h = ||x - (1, -1)||^2 / 4 would end at (1, -1), the minimizer of h alone.
+    class SquaredNorm:
+        def value(self, x):
+            return 10.0 * float(np.dot(x, x))
+
+    with pytest.raises(TypeError, match="Zero\\(\\) or a WeightedL1"):
+        make_quadratic(0.5 * np.eye(2), [1.0, -1.0], nonsmooth=SquaredNorm())
 
 
 class TestCompositeGradientMap:
@@ -191,18 +193,18 @@ class TestCompositeGradientMap:
             center = rng.uniform(-3.0, 3.0)
             metric = curv + rng.uniform(0.0, 2.0)
             y = rng.uniform(-4.0, 4.0)
+            nonsmooth = constraint = None
             if kind == "zero":
-                nonsmooth, psi = None, lambda x: np.zeros_like(x)
+                psi = lambda x: np.zeros_like(x)
             elif kind == "l1":
                 w = rng.uniform(0.0, 2.0)
                 nonsmooth, psi = WeightedL1([w]), lambda x, w=w: w * np.abs(x)
             else:
                 lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
-                box = Box([lo], [hi])
-                nonsmooth = BoxIndicator(box)
+                constraint = Box([lo], [hi])
                 psi = lambda x, lo=lo, hi=hi: np.where((x >= lo) & (x <= hi), 0.0, np.inf)
             prob = one_dim_problem(curvature=curv, center=center, metric=metric,
-                                   nonsmooth=nonsmooth)
+                                   nonsmooth=nonsmooth, constraint=constraint)
             grad_val = curv * (y - center)
             step = composite_gradient_map(prob, np.array([y]))
             best = grid_prox_1d(psi, grad_val, y, metric)
@@ -214,7 +216,7 @@ class TestCompositeGradientMap:
             step = composite_gradient_map(prob, y)
             expected = prob.metric.diag * (y - step.y_plus)
             assert np.array_equal(step.g, expected)
-            box = prob.feasible_box
+            box = prob.constraint
             if box is not None:
                 assert box.contains(step.y_plus)
             assert math.isfinite(objective(prob, step.y_plus))
@@ -263,21 +265,18 @@ class TestObjective:
                                 metric=Metric([1.0, 1.0]))
         assert objective(prob, np.array([1.0, -1.0])) == pytest.approx(3.0)
 
-    def test_indicator_outside_is_infinite(self):
-        prob = one_dim_problem(nonsmooth=BoxIndicator(Box([0.0], [1.0])))
-        assert objective(prob, np.array([2.0])) == np.inf
-        assert objective(prob, np.array([0.5])) == pytest.approx(0.125)
-
     def test_constraint_violation_is_infinite(self):
         prob = one_dim_problem(constraint=Box([0.0], [1.0]))
         assert objective(prob, np.array([2.0])) == np.inf
+        assert objective(prob, np.array([0.5])) == pytest.approx(0.125)
 
 
-def lsq_problem(nonsmooth, metric=(4.0, 2.0)):
+def lsq_problem(nonsmooth=None, metric=(4.0, 2.0), constraint=None):
     """Two-dimensional problem with a least-squares smooth part."""
     A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
     return CompositeProblem(smooth=SmoothPart.from_least_squares(A, np.ones(3)),
-                            nonsmooth=nonsmooth, metric=Metric(metric))
+                            nonsmooth=Zero() if nonsmooth is None else nonsmooth,
+                            metric=Metric(metric), constraint=constraint)
 
 
 EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
@@ -320,7 +319,7 @@ def prox_sign_form(problem, y, grad):
     if isinstance(problem.nonsmooth, WeightedL1):
         lam = problem.nonsmooth.weights / diag
         u = np.sign(u) * np.maximum(np.abs(u) - lam, 0.0)
-    box = problem.feasible_box
+    box = problem.constraint
     if box is not None:
         u = np.clip(u, box.lower, box.upper)
     g = diag * (y - u)
@@ -346,11 +345,7 @@ def prox_cases(draw, kind):
         nonsmooth = WeightedL1(weights)
     if kind in ("box", "l1-box"):
         ends = [sorted(draw(st.lists(BOUNDS, min_size=2, max_size=2))) for _ in range(n)]
-        box = Box([lo for lo, _ in ends], [hi for _, hi in ends])
-        if kind == "box":
-            nonsmooth = BoxIndicator(box)
-        else:
-            constraint = box
+        constraint = Box([lo for lo, _ in ends], [hi for _, hi in ends])
     problem = CompositeProblem(smooth=zero_smooth(n), nonsmooth=nonsmooth, metric=Metric(diag),
                                constraint=constraint)
     return problem, y, grad
@@ -398,16 +393,16 @@ class TestCheckedInput:
         with pytest.raises(ValueError, match=message):
             call(lsq_problem(WeightedL1([0.1, 0.2])))
 
-    @pytest.mark.parametrize("nonsmooth", [
-        lambda: WeightedL1([0.1, 0.2]),
-        Zero,
-        lambda: BoxIndicator(Box([-1e308, -1e308], [1e308, 1e308])),
+    @pytest.mark.parametrize("terms", [
+        lambda: dict(nonsmooth=WeightedL1([0.1, 0.2])),
+        dict,
+        lambda: dict(constraint=Box([-1e308, -1e308], [1e308, 1e308])),
     ], ids=["l1", "zero", "box"])
-    def test_huge_finite_entries_accepted(self, nonsmooth):
+    def test_huge_finite_entries_accepted(self, terms):
         # Entries near the float64 limit are finite and pass both checks without a
         # warning (pytest turns warnings into errors); the large metric keeps the
         # step itself in range.
-        prob = lsq_problem(nonsmooth(), metric=(1e300, 1e300))
+        prob = lsq_problem(**terms(), metric=(1e300, 1e300))
         y = np.array([1e308, -1e308])
         step = composite_gradient_map(prob, y, grad=[1e308, -1e308])
         assert np.array_equal(step.y_plus, y)
@@ -416,7 +411,8 @@ class TestCheckedInput:
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_objective_infinite_outside_indicator(self, carried):
-        prob = lsq_problem(BoxIndicator(Box([-1.0, -1.0], [1.0, 1.0])))
+        # The indicator of the constraint set X, with and without a carried residual.
+        prob = lsq_problem(constraint=Box([-1.0, -1.0], [1.0, 1.0]))
         for x in ([2.0, 0.0], [0.0, -1.5]):
             x = np.array(x)
             residual = prob.smooth.least_squares.residual(x) if carried else None
@@ -424,16 +420,16 @@ class TestCheckedInput:
         inside = np.array([0.5, -0.5])
         assert math.isfinite(objective(prob, inside))
 
-    @pytest.mark.parametrize("nonsmooth", [
-        lambda: WeightedL1([0.1, 0.2]),
-        Zero,
-        lambda: BoxIndicator(Box([-1.0, -1.0], [1.0, 1.0])),
+    @pytest.mark.parametrize("terms", [
+        lambda: dict(nonsmooth=WeightedL1([0.1, 0.2])),
+        dict,
+        lambda: dict(constraint=Box([-1.0, -1.0], [1.0, 1.0])),
     ], ids=["l1", "zero", "box"])
-    def test_replaced_metric_gives_the_fresh_prox(self, nonsmooth):
+    def test_replaced_metric_gives_the_fresh_prox(self, terms):
         # Derived data of a problem follows a metric swapped in by dataclasses.replace.
         other = (0.05, 9.0)
-        replaced = dataclasses.replace(lsq_problem(nonsmooth()), metric=Metric(other))
-        fresh = lsq_problem(nonsmooth(), metric=other)
+        replaced = dataclasses.replace(lsq_problem(**terms()), metric=Metric(other))
+        fresh = lsq_problem(**terms(), metric=other)
         y = np.array([0.3, -0.8])
         got, want = composite_gradient_map(replaced, y), composite_gradient_map(fresh, y)
         assert np.array_equal(got.y_plus, want.y_plus)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import math
 
@@ -447,6 +448,40 @@ def test_zoo_reaches_eps_in_every_scheme(seed, eps):
                     assert 0.5 * prev.g_dual_norm**2 <= prev.f_r - curr.f_r + noise, label
 
 
+def _box_path_digest(prob):
+    """sha256 over ``repr(trace)`` and the ``r_star`` bytes of every scheme, early and strict."""
+    ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim),
+                                      budget=5_000))
+    f_star = objective(prob, ref.r_star)
+    digest = hashlib.sha256()
+    for scheme in Scheme:
+        for early in (True, False):
+            run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(prob.dim),
+                             early_exit=early,
+                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             budget=5_000)
+            result = run_scheme(prob, run)
+            digest.update(repr(result.trace).encode())
+            digest.update(result.r_star.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed, box_only, l1_and_box", [
+    (0, "0ff4f20165b661d0d639af12ef344f5ef8413cdc6217d097c089c7f6ac76394c",
+        "d17787fe990863a7c85487b0d70c9f1f5117e5b042077e614aa60ace8199d855"),
+    (1, "e14fd7e2233b9f401e9a2afb95ef3dbdbfd5a977b22babacf8e226052424ed4d",
+        "4b6e86d60d2cdfe82c6741d2ec5ed5d5c578eff4fa1079950e9f9a9b871297f9"),
+    (2, "541218a0d5cfac878468eb8e78262dbf8b4a77719c8c0238055047049b0ebe05",
+        "c5dd7bcee5349cf513a960f55bd4b091628872cc806e3130bce44220be2af43b"),
+])
+def test_box_path_bits_are_pinned(seed, box_only, l1_and_box):
+    # The zoo's box problems (a box alone, and l1 plus a box) through every
+    # scheme in both exit modes: the traces and final iterates must keep
+    # their bits across refactors of how a box is stated and applied.
+    zoo = problem_zoo(np.random.default_rng(seed))
+    assert (_box_path_digest(zoo[2]), _box_path_digest(zoo[3])) == (box_only, l1_and_box)
+
+
 def test_strict_lcr_ends_when_f_cycles_at_rounding_level():
     # On this box-constrained draw the last lcr call reaches g = 0 exactly
     # at a fixed point whose f sits 4 rounding steps above f(x_0), so
@@ -481,7 +516,7 @@ def test_fista_module_names_see_every_prox_and_fused_starts(monkeypatch, early):
     # The benchmark wraps these two names of fistakit.fista: its host-speed
     # reading inside solves needs every prox of the inner calls through the
     # first, and its detailed trace times what passes through them.  Each
-    # step's prox goes unchecked, except on a problem with a feasible box,
+    # step's prox goes unchecked, except on a problem with a box constraint,
     # and only each call's f(x_0) goes through objective.  The outer checks
     # and the run's start objective live in restart.
     tally = count_fista_module_calls(monkeypatch)
