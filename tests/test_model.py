@@ -265,6 +265,13 @@ class TestObjective:
                                 metric=Metric([1.0, 1.0]))
         assert objective(prob, np.array([1.0, -1.0])) == pytest.approx(3.0)
 
+    def test_indicator_outside_is_infinite(self):
+        # The box's indicator sits beside the l1 term: +inf outside, 0 inside.
+        prob = one_dim_problem(nonsmooth=WeightedL1([1.0]), constraint=Box([0.0], [1.0]))
+        assert objective(prob, np.array([2.0])) == np.inf
+        assert objective(prob, np.array([-0.5])) == np.inf
+        assert objective(prob, np.array([0.5])) == pytest.approx(0.125 + 0.5)
+
     def test_constraint_violation_is_infinite(self):
         prob = one_dim_problem(constraint=Box([0.0], [1.0]))
         assert objective(prob, np.array([2.0])) == np.inf
