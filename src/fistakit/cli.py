@@ -423,6 +423,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
         _write_csv(out / "invalid.csv", "trial,reason",
                    (f"{s['trial']},{' '.join(s['reason'].replace(',', ';').split())}"
                     for s in invalid))
+    else:  # a clean rerun into the same directory leaves no stale list
+        (out / "invalid.csv").unlink(missing_ok=True)
 
     stats = _aggregate(config, summaries)
     _write_csv(out / "stats.csv",
@@ -650,10 +652,18 @@ def _flag_settings(args, keys) -> dict[str, str]:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
+def _check_out_dir(path: Path) -> None:
+    """Raise ``ValueError`` unless ``path``, or its nearest existing ancestor, is a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output directory {path}: {existing} is not a directory")
+
+
 def _cmd_run(args) -> int:
     try:
         settings = parse_config_file(args.config) if args.config else {}
         config = build_config(settings | _flag_settings(args, _RUN_KEYS))
+        _check_out_dir(config.out)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -685,6 +695,8 @@ def _cmd_solve(args) -> int:
         # f_star 0 stands in for the oracle's, so that bad settings stop
         # solve before the oracle runs.
         run = _restart_run(settings, scheme, lp.n, 0.0 if needs_oracle else args.f_star)
+        if args.out is not None:
+            _check_out_dir(args.out)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -43,9 +43,10 @@ stores no entry has a zero gradient entry and never creates one.  A clip
 to a box could turn such an entry into a finite ``x_k``, so on a problem
 with a box constraint the step keeps the prox's checks.
 
-Exit conditions are pure predicates over the iteration history; the
-concrete restart conditions live in :mod:`fistakit.restart`.  The loop is
-guarded by a hard iteration budget, and can optionally abort the moment
+Exit conditions are pure predicates called with the step's values, as
+``condition(k, f_history, prox, x_prev, x_k)`` (see :data:`ExitCondition`);
+the concrete restart conditions live in :mod:`fistakit.restart`.  The loop
+is guarded by a hard iteration budget, and can optionally abort the moment
 ``||g(y_{k-1})||_*`` drops below a tolerance, reusing the prox already
 computed in the x-update (the usual cheap stopping rule, and the one the
 restart driver uses in early-exit mode).
@@ -71,7 +72,6 @@ from .model import (
 __all__ = [
     "DEFAULT_ITERATION_BUDGET",
     "TSequence",
-    "IterationState",
     "SolveTrace",
     "FistaResult",
     "ExitCondition",
@@ -88,18 +88,16 @@ class TSequence:
     Satisfies ``t_{k-1}^2 = t_k^2 - t_k`` and ``t_k >= (k + 2) / 2``.
     """
 
-    __slots__ = ("t_prev", "t_curr", "k")
+    __slots__ = ("t_prev", "t_curr")
 
     def __init__(self):
         self.t_prev = 1.0
         self.t_curr = 1.0
-        self.k = 0
 
     def step(self) -> None:
         t = self.t_curr
         self.t_prev = t
         self.t_curr = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        self.k += 1
 
     @property
     def momentum(self) -> float:
@@ -119,24 +117,14 @@ class TSequence:
         return out
 
 
-@dataclass
-class IterationState:
-    """Read-only view of the loop state handed to exit conditions.
+ExitCondition = Callable[[int, list[float], ProxStep, np.ndarray, np.ndarray], bool]
+"""Exit test called as ``condition(k, f_history, prox, x_prev, x_k)`` after step ``k``.
 
-    ``f_history[i]`` is ``f(x_i)`` for ``i = 0..k`` (``x_0 = z_plus``), and
-    ``last_prox`` is the prox step computed at ``y_{k-1}`` this iteration,
-    so ``g(y_{k-1})`` is available without recomputation.  Conditions must
-    not mutate any field.
-    """
-
-    k: int
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    f_history: list[float]
-    last_prox: ProxStep
-
-
-ExitCondition = Callable[[IterationState], bool]
+``f_history[i]`` is ``f(x_i)`` for ``i = 0..k`` (``x_0 = z_plus``), and
+``prox`` is the prox step computed at ``y_{k-1}`` this iteration, so
+``g(y_{k-1})`` is available without recomputation.  A test must not mutate
+its arguments.
+"""
 
 
 def gradient_norm_below(eps: float) -> ExitCondition:
@@ -144,8 +132,8 @@ def gradient_norm_below(eps: float) -> ExitCondition:
     if eps <= 0:
         raise ValueError("eps must be > 0")
 
-    def condition(state: IterationState) -> bool:
-        return state.last_prox.g_dual_norm <= eps
+    def condition(k, f_history, prox, x_prev, x_k) -> bool:
+        return prox.g_dual_norm <= eps
 
     return condition
 
@@ -224,7 +212,8 @@ def fista(
     k_min : int
         Minimum iteration count before the exit condition may fire.
     exit_condition : callable, optional
-        Pure predicate over :class:`IterationState`; ``None`` never exits.
+        Pure predicate ``condition(k, f_history, prox, x_prev, x_k)`` (see
+        :data:`ExitCondition`); ``None`` never exits.
     budget : int
         Hard cap on iterations for this call.
     abort_tol : float, optional
@@ -257,18 +246,15 @@ def fista(
             init_g_dual_norm=init.g_dual_norm, residual=r_x,
         )
 
-    state = IterationState(
-        k=0, x_prev=x, x_curr=x, f_history=trace.f_history, last_prox=init
-    )
     ts = TSequence()
     y = x
     r_y = r_x
-    x_prev = x
     k = 0
     aborted = False
     exhausted = False
 
-    f_append, g_append = trace.f_history.append, trace.g_norms.append
+    f_history = trace.f_history
+    f_append, g_append = f_history.append, trace.g_norms.append
     isfinite = math.isfinite
     zeros = np.zeros
     h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
@@ -317,14 +303,9 @@ def fista(
         r_y = r_x - r_prev
         r_y *= beta
         r_y += r_x
-        if exit_condition is not None and k >= k_min:
-            # The state is filled only for a test that runs.
-            state.k = k
-            state.x_prev = x_prev
-            state.x_curr = x
-            state.last_prox = prox
-            if exit_condition(state):
-                break
+        if (exit_condition is not None and k >= k_min
+                and exit_condition(k, f_history, prox, x_prev, x)):
+            break
 
     return FistaResult(
         x=x, n=k, trace=trace, aborted=aborted, exhausted=exhausted,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -214,15 +214,7 @@ def save_problem(lp: LassoProblem, path) -> None:
         "n": lp.n,
         "b": lp.b.tolist(),
         "weights": None if lp.weights is None else lp.weights.tolist(),
-        "spec": None
-        if lp.spec is None
-        else {
-            "N": lp.spec.N,
-            "n": lp.spec.n,
-            "alpha": lp.spec.alpha,
-            "sparsity": lp.spec.sparsity,
-            "seed": lp.spec.seed,
-        },
+        "spec": None if lp.spec is None else asdict(lp.spec),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii"))

@@ -34,7 +34,6 @@ import numpy as np
 from .fista import (
     DEFAULT_ITERATION_BUDGET,
     ExitCondition,
-    IterationState,
     SolveTrace,
     fista,
     gradient_norm_below,
@@ -72,22 +71,21 @@ class Scheme(enum.Enum):
                          f"{[s.value for s in cls]}")
 
 
-def exit_function_scheme(state: IterationState) -> bool:
+def exit_function_scheme(k, f_history, prox, x_prev, x_k) -> bool:
     """True iff the objective failed to decrease: ``f(x_k) >= f(x_{k-1})``."""
-    return state.f_history[state.k] >= state.f_history[state.k - 1]
+    return f_history[k] >= f_history[k - 1]
 
 
-def exit_gradient_scheme(state: IterationState) -> bool:
+def exit_gradient_scheme(k, f_history, prox, x_prev, x_k) -> bool:
     """True iff ``<g(y_{k-1}), x_{k-1} - x_k> <= 0``.
 
     The prox step has stopped being aligned with the recent movement, the
     telltale of momentum overshoot.
     """
-    g = state.last_prox.g
-    return float(np.dot(g, state.x_prev - state.x_curr)) <= 0.0
+    return float(np.dot(prox.g, x_prev - x_k)) <= 0.0
 
 
-def exit_optimal_value_scheme(state: IterationState, f_star: float) -> bool:
+def exit_optimal_value_scheme(k, f_history, prox, x_prev, x_k, f_star: float) -> bool:
     """True iff ``f(x_k) - f_star <= (f(x_0) - f_star) / e^2``.
 
     Requires the optimal value; the call contracts the optimality gap by
@@ -96,12 +94,12 @@ def exit_optimal_value_scheme(state: IterationState, f_star: float) -> bool:
     and with ``f(x_0)`` a rounding step below ``f_star`` the gap test
     could never hold.
     """
-    if state.last_prox.g_dual_norm == 0.0:
+    if prox.g_dual_norm == 0.0:
         return True
-    return state.f_history[state.k] - f_star <= (state.f_history[0] - f_star) / (math.e ** 2)
+    return f_history[k] - f_star <= (f_history[0] - f_star) / (math.e ** 2)
 
 
-def exit_lcr(state: IterationState) -> bool:
+def exit_lcr(k, f_history, prox, x_prev, x_k) -> bool:
     """History-based contraction test with pivot ``m = floor(k/2) + 1``.
 
     True iff both ``f(x_m) - f(x_k) <= (f(x_0) - f(x_m)) / e`` and
@@ -111,10 +109,9 @@ def exit_lcr(state: IterationState) -> bool:
     applied literally.  It also holds when the last prox has ``||g||_* = 0``:
     ``x_k`` is then a fixed point, whose ``f`` may cycle at rounding level.
     """
-    if state.last_prox.g_dual_norm == 0.0:
+    if prox.g_dual_norm == 0.0:
         return True
-    fh = state.f_history
-    k = state.k
+    fh = f_history
     m = k // 2 + 1
     return (fh[m] - fh[k] <= (fh[0] - fh[m]) / math.e) and (fh[k] <= fh[0])
 

@@ -8,7 +8,7 @@ import pytest
 
 from fistakit import (Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero,
                       composite_gradient_map, model, objective)
-from fistakit.fista import FistaResult, IterationState, SolveTrace, TSequence
+from fistakit.fista import FistaResult, SolveTrace, TSequence
 from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
 
 
@@ -114,9 +114,8 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
         beta = ts.momentum
         y = x + beta * (x - x_prev)
         r_y = r_x + beta * (r_x - r_prev)
-        state = IterationState(k=k, x_prev=x_prev, x_curr=x, f_history=trace.f_history,
-                               last_prox=prox)
-        if exit_condition is not None and k >= k_min and exit_condition(state):
+        if (exit_condition is not None and k >= k_min
+                and exit_condition(k, trace.f_history, prox, x_prev, x)):
             break
     return FistaResult(x=x, n=k, trace=trace, residual=r_x, **result)
 

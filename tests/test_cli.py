@@ -155,6 +155,35 @@ class TestConfigHandling:
             assert "the least-squares family needs --N and --n with N >= n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run-flag", "run-config", "solve-lcr", "solve-opt"])
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, inside):
+        # An --out that is, or lies below, an existing file: exit 2 with a
+        # config error before any oracle or solve runs, the file untouched.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        for name in ("oracle_fstar", "run_scheme", "run_experiment"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        problem = tmp_path / "inst.lasso"
+        save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        out = taken / "sub" if inside else taken
+        if command == "run-flag":
+            argv = ["run", "--trials", "1", "--out", str(out)]
+        elif command == "run-config":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"trials = 1\nout = {out}\n")
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = ["solve", str(problem), "--scheme", command[len("solve-"):],
+                    "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert taken.read_bytes() == b"not a directory\n"
+
     @pytest.mark.parametrize("edit", [
         lambda header: {key: value for key, value in header.items() if key != "N"},
         lambda header: header | {"spec": dict(N=3, n=3, alpha=0.0, bogus=1)},
@@ -360,6 +389,18 @@ class TestInvalidTrials:
         assert code == 1
         assert (tmp_path / "invalid.csv").exists()
         assert stats == []  # nothing valid to aggregate
+
+    def test_clean_rerun_removes_the_stale_invalid_list(self, tmp_path):
+        out = tmp_path / "out"
+        flags = ["run", "--N", "15", "--n", "22", "--alpha", "0.01", "--sparsity", "0.5",
+                 "--trials", "2", "--eps", "1e-7", "--oracle-eps", "1e-9", "--seed", "42",
+                 "--out", str(out)]
+        assert main(flags + ["--budget", "20"]) == 1
+        assert len((out / "invalid.csv").read_text().splitlines()) == 3
+        assert main(flags) == 0
+        assert "(valid trials: 2)" in (out / "stats.txt").read_text()
+        assert not (out / "invalid.csv").exists()
+        assert main(["verify", "--out", str(out)]) == 0
 
     def test_exception_in_one_trial_marks_it_invalid(self, tmp_path, monkeypatch, capsys):
         real = cli.run_scheme

@@ -27,7 +27,7 @@ def test_every_exported_name_resolves(name):
 # The package's names: the union of its modules' lists, each name once.
 PACKAGE_NAMES = [
     "Box", "CompositeProblem", "DEFAULT_ITERATION_BUDGET", "ExitCondition",
-    "FistaResult", "IterationState", "LassoProblem", "LassoSpec", "LeastSquares", "Metric",
+    "FistaResult", "LassoProblem", "LassoSpec", "LeastSquares", "Metric",
     "OracleError", "ProxCounter", "ProxStep", "RestartRecord", "RestartResult", "RestartRun",
     "RestartTrace", "Scheme", "SmoothPart", "SolveTrace", "TSequence", "WeightedL1", "Zero",
     "check_least_squares_args", "composite_gradient_map", "exit_function_scheme",

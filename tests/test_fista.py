@@ -66,7 +66,6 @@ class TestTSequence:
         expected = TSequence.generate(50)
         for k in range(1, 51):
             ts.step()
-            assert ts.k == k
             assert ts.t_curr == expected[k]
             assert ts.t_prev == expected[k - 1]
 
@@ -102,7 +101,7 @@ class TestFistaBasics:
 
     def test_k_min_respected(self):
         prob = ill_conditioned_quadratic()
-        always = lambda state: True
+        always = lambda *step: True
         res = fista(prob, np.array([5.0, 5.0]), k_min=9, exit_condition=always, budget=50)
         assert res.n == 9
 
@@ -110,31 +109,32 @@ class TestFistaBasics:
         prob = ill_conditioned_quadratic()
         seen = []
 
-        def spy(state):
-            seen.append(state.k)
+        def spy(k, f_history, prox, x_prev, x_k):
+            seen.append(k)
             return False
 
         fista(prob, np.array([5.0, 5.0]), exit_condition=spy, budget=5)
         assert seen == [1, 2, 3, 4, 5]
 
     def test_exit_state_matches_the_step_it_follows(self):
-        # The loop fills the state only for a test that runs (k >= k_min).
+        # The loop calls the test only from k = k_min on.
         problem = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000)).problem
         z = np.zeros(problem.dim)
         k_min, n_calls = 7, 12
         calls = []
 
-        def record(state):
-            calls.append((state.k, state.x_prev, state.x_curr, state.last_prox,
-                          state.f_history[state.k], objective(problem, state.x_curr)))
+        def record(k, f_history, prox, x_prev, x_k):
+            calls.append((k, x_prev, x_k, prox, f_history[k], objective(problem, x_k),
+                          f_history))
             return len(calls) == n_calls
 
         res = fista(problem, z, k_min=k_min, exit_condition=record, budget=100)
         assert [call[0] for call in calls] == list(range(k_min, k_min + n_calls))
         assert res.n == calls[-1][0] and res.x is calls[-1][2]
-        for _, _, x_curr, prox, f_k, f_fresh in calls:
-            assert x_curr is prox.y_plus
+        for _, _, x_k, prox, f_k, f_fresh, f_history in calls:
+            assert x_k is prox.y_plus
             assert f_k == f_fresh
+            assert f_history is res.trace.f_history
         for before, after in zip(calls, calls[1:]):
             assert after[1] is before[2]
         # The first test sees x_{k_min - 1}: the end point of a call whose budget stops there.
@@ -142,20 +142,19 @@ class TestFistaBasics:
 
     def test_momentum_update_reconstructible(self):
         # x_k is the prox step at y_{k-1} = x_{k-1} + ((t_{k-2} - 1)/t_{k-1})
-        # (x_{k-1} - x_{k-2}), rebuilt from the states exposed to exit conditions.
+        # (x_{k-1} - x_{k-2}), rebuilt from the values passed to exit conditions.
         prob = ill_conditioned_quadratic()
         ts = TSequence.generate(30)
         iterates = []
 
-        def check(state):
-            k = state.k
+        def check(k, f_history, prox, x_prev, x_k):
             if k >= 2:
-                x1, x2 = iterates[-1], state.x_prev
+                x1, x2 = iterates[-1], x_prev
                 coeff = (ts[k - 2] - 1.0) / ts[k - 1]
                 y = x2 + coeff * (x2 - x1)
                 step = composite_gradient_map(prob, y)
-                assert np.allclose(step.y_plus, state.x_curr, rtol=0, atol=1e-14)
-            iterates.append(state.x_prev.copy())
+                assert np.allclose(step.y_plus, x_k, rtol=0, atol=1e-14)
+            iterates.append(x_prev.copy())
             return False
 
         res = fista(prob, np.array([5.0, 5.0]), exit_condition=check, budget=30)

@@ -26,23 +26,18 @@ from fistakit import (
     oracle_fstar,
     run_scheme,
 )
-from fistakit.fista import IterationState
-
 from conftest import count_fista_module_calls, make_quadratic, problem_zoo
 
 
-def state_with(f_history, k=None, x_prev=None, x_curr=None, g=None):
+def step_with(f_history, k=None, x_prev=None, x_k=None, g=None):
+    """Arguments ``(k, f_history, prox, x_prev, x_k)`` of an exit test."""
     k = len(f_history) - 1 if k is None else k
     prox = type("P", (), {})()
     prox.g = None if g is None else np.asarray(g, dtype=float)
     prox.g_dual_norm = 0.0 if g is None else float(np.linalg.norm(g))
-    return IterationState(
-        k=k,
-        x_prev=np.asarray(x_prev if x_prev is not None else [0.0]),
-        x_curr=np.asarray(x_curr if x_curr is not None else [0.0]),
-        f_history=list(f_history),
-        last_prox=prox,
-    )
+    return (k, list(f_history), prox,
+            np.asarray(x_prev if x_prev is not None else [0.0]),
+            np.asarray(x_k if x_k is not None else [0.0]))
 
 
 def ill_conditioned_quadratic(cond=200.0):
@@ -52,34 +47,34 @@ def ill_conditioned_quadratic(cond=200.0):
 
 class TestExitConditions:
     def test_function_scheme_includes_equality(self):
-        assert exit_function_scheme(state_with([5.0, 2.0, 2.0]))
-        assert not exit_function_scheme(state_with([5.0, 2.0, 1.9]))
-        assert not exit_function_scheme(state_with([3.0, 2.0]))
-        assert exit_function_scheme(state_with([2.0, 2.5]))
+        assert exit_function_scheme(*step_with([5.0, 2.0, 2.0]))
+        assert not exit_function_scheme(*step_with([5.0, 2.0, 1.9]))
+        assert not exit_function_scheme(*step_with([3.0, 2.0]))
+        assert exit_function_scheme(*step_with([2.0, 2.5]))
 
     def test_gradient_scheme_sign(self):
-        st = state_with([1.0, 0.5], g=[1.0, 0.0], x_prev=[0.0, 0.0], x_curr=[1.0, 0.0])
-        assert exit_gradient_scheme(st)  # inner product -1 <= 0
-        st = state_with([1.0, 0.5], g=[1.0, 0.0], x_prev=[1.0, 0.0], x_curr=[0.0, 0.0])
-        assert not exit_gradient_scheme(st)  # inner product +1
+        step = step_with([1.0, 0.5], g=[1.0, 0.0], x_prev=[0.0, 0.0], x_k=[1.0, 0.0])
+        assert exit_gradient_scheme(*step)  # inner product -1 <= 0
+        step = step_with([1.0, 0.5], g=[1.0, 0.0], x_prev=[1.0, 0.0], x_k=[0.0, 0.0])
+        assert not exit_gradient_scheme(*step)  # inner product +1
 
     def test_optimal_value_boundary(self):
         e2 = math.e ** 2
         g = [1.0]
-        assert exit_optimal_value_scheme(state_with([e2, 1.0], g=g), f_star=0.0)
-        assert not exit_optimal_value_scheme(state_with([e2, 1.01], g=g), f_star=0.0)
+        assert exit_optimal_value_scheme(*step_with([e2, 1.0], g=g), f_star=0.0)
+        assert not exit_optimal_value_scheme(*step_with([e2, 1.01], g=g), f_star=0.0)
         # g = 0 exactly: x_k is a fixed point, even above the given f_star.
-        assert exit_optimal_value_scheme(state_with([e2, 1.01], g=[0.0]), f_star=0.0)
+        assert exit_optimal_value_scheme(*step_with([e2, 1.01], g=[0.0]), f_star=0.0)
 
     def test_lcr_examples(self):
         g = [1.0]
-        assert exit_lcr(state_with([10.0, 6.0, 5.0, 4.9, 4.85], g=g))
-        assert not exit_lcr(state_with([10.0, 9.0, 8.0, 5.0, 1.0], g=g))
+        assert exit_lcr(*step_with([10.0, 6.0, 5.0, 4.9, 4.85], g=g))
+        assert not exit_lcr(*step_with([10.0, 9.0, 8.0, 5.0, 1.0], g=g))
         # k = 1 degenerate pivot m = k: fires after any single decrease.
-        assert exit_lcr(state_with([10.0, 9.0], g=g))
-        assert not exit_lcr(state_with([10.0, 11.0], g=g))
+        assert exit_lcr(*step_with([10.0, 9.0], g=g))
+        assert not exit_lcr(*step_with([10.0, 11.0], g=g))
         # g = 0 exactly: x_k is a fixed point, whatever the f history says.
-        assert exit_lcr(state_with([10.0, 11.0], g=[0.0]))
+        assert exit_lcr(*step_with([10.0, 11.0], g=[0.0]))
 
     def test_function_scheme_fires_at_first_nondecrease(self):
         prob = ill_conditioned_quadratic()
@@ -95,8 +90,8 @@ class TestExitConditions:
         z = np.array([4.0, 4.0])
         iterates = []
 
-        def spy(state):
-            iterates.append((state.x_prev.copy(), state.x_curr.copy()))
+        def spy(k, f_history, prox, x_prev, x_k):
+            iterates.append((x_prev.copy(), x_k.copy()))
             return False
 
         fista(prob, z, exit_condition=spy, budget=300)
@@ -358,9 +353,9 @@ class TestNoRestart:
         def per_step_test(run):
             below = gradient_norm_below(run.epsilon)
 
-            def test(state):
-                tested.append(state.k)
-                return below(state)
+            def test(k, *step):
+                tested.append(k)
+                return below(k, *step)
             return test
 
         monkeypatch.setattr(importlib.import_module("fistakit.restart"), "_exit_test",
