@@ -392,7 +392,10 @@ def _stats_text(stats: list[SchemeStats]) -> str:
 def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
     """Execute the full protocol; returns the stats and a process exit code."""
     out = config.out
-    (out / "traces").mkdir(parents=True, exist_ok=True)
+    traces = out / "traces"
+    traces.mkdir(parents=True, exist_ok=True)
+    for stale in traces.glob("trial_*.csv"):  # a rerun keeps only the traces it writes
+        stale.unlink()
 
     meta = {key: getattr(config, name) for key, name, _ in _CONFIG_KEYS
             if key not in _UNRECORDED_KEYS}

@@ -1,8 +1,11 @@
 """High-accuracy reference values for verifying convergence guarantees.
 
-These oracles exist to check the solver, never to drive it: the optimal
-value comes from an extra-tight solve cross-checked against the first
-order optimality conditions, and the growth parameter of a strongly
+These oracles exist to check the solver, never to drive it.  The optimal
+value of an instance with no box and no nonzero l1 weight (the
+least-squares family) comes from one dense least-squares solve, so it
+does not depend on any restart scheme; that of a lasso or boxed instance
+comes from an extra-tight lcr solve.  Either is cross-checked against the
+first-order optimality conditions.  The growth parameter of a strongly
 convex least-squares instance comes from a dense eigendecomposition
 (desk scale only).
 """
@@ -16,7 +19,7 @@ from scipy import linalg
 
 from .fista import DEFAULT_ITERATION_BUDGET
 from .lasso import LassoProblem
-from .model import objective
+from .model import composite_gradient_map, objective
 from .restart import RestartRun, Scheme, run_scheme
 
 __all__ = ["OracleError", "kkt_residual", "oracle_fstar", "oracle_mu"]
@@ -55,26 +58,46 @@ def kkt_residual(lp: LassoProblem, x) -> float:
     return float(resid.max()) if resid.size else 0.0
 
 
+def _is_smooth(lp: LassoProblem) -> bool:
+    """No box and no nonzero l1 weight: the objective is ``h`` alone."""
+    return lp.problem.constraint is None and (lp.weights is None or not np.any(lp.weights))
+
+
 def oracle_fstar(
     lp: LassoProblem,
     tight_eps: float = 1e-12,
     budget: int = DEFAULT_ITERATION_BUDGET,
 ) -> tuple[float, np.ndarray]:
-    """Reference optimal value and minimizer via an extra-tight solve.
+    """Reference optimal value and minimizer.
 
-    Runs the lcr scheme from zero down to ``tight_eps`` (which must be
-    tighter than any tolerance the oracle's consumers use) and validates
-    the result against the first-order conditions when those apply.
-    Raises :class:`OracleError` when the budget runs out or validation
-    fails, so callers can skip rather than trust a bad reference.
+    Without a box or a nonzero l1 weight, the minimizer is one dense
+    least-squares solve (LAPACK ``gelsy``, which takes rank-deficient
+    designs and does not square the condition number), accepted only when
+    its composite gradient has dual norm at most ``tight_eps``.  Otherwise
+    the lcr scheme runs from zero down to ``tight_eps`` within ``budget``
+    prox calls.  ``tight_eps`` must be tighter than any tolerance the
+    oracle's consumers use.  An unconstrained result must also pass the
+    first-order conditions (:func:`kkt_residual` at most ``KKT_TOL``).
+    Raises :class:`OracleError` when the lcr budget runs out or a check
+    fails, so callers can skip rather than trust a bad reference; neither
+    path falls back on the other.
     """
-    run = RestartRun(scheme=Scheme.LCR, epsilon=tight_eps, r0=np.zeros(lp.n), budget=budget)
-    result = run_scheme(lp.problem, run)
-    if result.trace.exhausted:
-        raise OracleError(
-            f"optimal-value oracle exhausted its budget of {budget} prox calls"
-        )
-    x_star = result.r_star
+    if _is_smooth(lp):
+        x_star = linalg.lstsq(lp.A.toarray(), lp.b, lapack_driver="gelsy")[0]
+        g_norm = composite_gradient_map(lp.problem, x_star).g_dual_norm
+        if not g_norm <= tight_eps:
+            raise OracleError(
+                f"direct least-squares solution has ||g||_* = {g_norm:.3e} > {tight_eps:.1e}"
+            )
+    else:
+        run = RestartRun(scheme=Scheme.LCR, epsilon=tight_eps, r0=np.zeros(lp.n),
+                         budget=budget)
+        result = run_scheme(lp.problem, run)
+        if result.trace.exhausted:
+            raise OracleError(
+                f"optimal-value oracle exhausted its budget of {budget} prox calls"
+            )
+        x_star = result.r_star
     f_star = objective(lp.problem, x_star)
     if lp.problem.constraint is None:
         resid = kkt_residual(lp, x_star)
@@ -95,10 +118,8 @@ def oracle_mu(lp: LassoProblem) -> float:
     curvature ``R^{-1/2} H R^{-1/2}``, ``H = A^T A / N``.  Dense
     eigendecomposition; intended for desk-scale verification only.
     """
-    if lp.problem.constraint is not None:
-        raise OracleError("growth oracle requires an unconstrained instance")
-    if lp.weights is not None and np.any(lp.weights):
-        raise OracleError("growth oracle requires a smooth (weight-free) instance")
+    if not _is_smooth(lp):
+        raise OracleError("growth oracle requires an unconstrained, weight-free instance")
     if lp.N < lp.n:
         raise OracleError("growth oracle requires N >= n")
     H = (lp.A.T @ lp.A).toarray() / lp.N

@@ -402,6 +402,35 @@ class TestInvalidTrials:
         assert not (out / "invalid.csv").exists()
         assert main(["verify", "--out", str(out)]) == 0
 
+    def test_rerun_with_fewer_trials_keeps_only_its_traces(self, tmp_path):
+        out = tmp_path / "out"
+        flags = ["run", "--N", "15", "--n", "22", "--alpha", "0.01", "--sparsity", "0.5",
+                 "--eps", "1e-7", "--oracle-eps", "1e-9", "--seed", "42", "--out", str(out)]
+        assert main(flags + ["--trials", "4"]) == 0
+        assert len(list((out / "traces").iterdir())) == 8
+        assert main(flags + ["--trials", "2"]) == 0
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [
+            "trial_0000.csv", "trial_0000_restarts.csv",
+            "trial_0001.csv", "trial_0001_restarts.csv",
+        ]
+
+    def test_rerun_drops_the_traces_of_a_trial_now_invalid(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(out=tmp_path, **TINY)
+        assert run_experiment(cfg)[1] == 0
+        real = cli.oracle_fstar
+
+        def failing_on_trial_1(lp, **kwargs):
+            if lp.spec.seed == TINY["seed"] + 1:
+                raise cli.OracleError("no reference")
+            return real(lp, **kwargs)
+
+        monkeypatch.setattr(cli, "oracle_fstar", failing_on_trial_1)
+        assert run_experiment(cfg)[1] == 1
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == [
+            "trial_0000.csv", "trial_0000_restarts.csv",
+            "trial_0002.csv", "trial_0002_restarts.csv",
+        ]
+
     def test_exception_in_one_trial_marks_it_invalid(self, tmp_path, monkeypatch, capsys):
         real = cli.run_scheme
         gradient_runs = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import fistakit.oracles as oracles
 from fistakit import (
     LassoProblem,
     LassoSpec,
@@ -279,6 +280,75 @@ class TestOracleFstar:
     def test_budget_exhaustion_raises(self, small_lasso):
         with pytest.raises(OracleError):
             oracle_fstar(small_lasso, tight_eps=1e-12, budget=10)
+
+
+def lcr_fstar(lp) -> float:
+    """The optimal value an lcr run from zero to 1e-12 reaches."""
+    run = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(lp.n), budget=200_000)
+    out = run_scheme(lp.problem, run)
+    assert not out.trace.exhausted
+    return objective(lp.problem, out.r_star)
+
+
+def without_lcr(monkeypatch):
+    """Make any lcr solve inside the oracle fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct path ran the lcr scheme")
+
+    monkeypatch.setattr(oracles, "run_scheme", forbidden)
+
+
+def duplicated_column(lp) -> LassoProblem:
+    """``lp`` with its first column repeated: same range, so the same f*, but rank deficient."""
+    A = lp.A.toarray()
+    return LassoProblem.build(sparse.csc_array(np.column_stack([A, A[:, 0]])), lp.b)
+
+
+class TestDirectLeastSquaresOracle:
+    """Without a box or a nonzero l1 weight, f* is one least-squares solve.
+
+    The lcr run to 1e-12, the oracle of the other families, is the cross-check.
+    """
+
+    @pytest.mark.parametrize("N, n, seed, sparsity", [
+        (120, 80, 1000, 0.9), (120, 80, 5000, 0.9), (40, 20, 7000, 0.0),
+        (30, 12, 9, 0.0), (10, 10, 23, 0.0), (60, 40, 3, 0.5),
+    ])
+    def test_agrees_with_an_lcr_run(self, monkeypatch, N, n, seed, sparsity):
+        lp = generate_least_squares(N, n, seed=seed, sparsity=sparsity)
+        want = lcr_fstar(lp)
+        without_lcr(monkeypatch)
+        f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
+        assert f_star == pytest.approx(want, rel=1e-12)
+        assert f_star == objective(lp.problem, x_star)
+        assert kkt_residual(lp, x_star) <= 1e-12
+
+    def test_rank_deficient_design_keeps_the_exact_value(self, monkeypatch):
+        full = generate_least_squares(40, 20, seed=7001)
+        lp = duplicated_column(full)
+        with pytest.raises(OracleError, match="rank deficient"):
+            oracle_mu(lp)
+        want = lcr_fstar(full)
+        assert lcr_fstar(lp) == pytest.approx(want, rel=1e-12)
+        without_lcr(monkeypatch)
+        f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
+        assert f_star == pytest.approx(want, rel=1e-12)
+
+    def test_all_zero_weights_take_the_direct_path(self, monkeypatch):
+        plain = generate_least_squares(40, 20, seed=7002)
+        lp = LassoProblem.build(plain.A, plain.b, weights=np.zeros(20))
+        assert lp.weights is not None
+        want = lcr_fstar(lp)
+        without_lcr(monkeypatch)
+        f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
+        assert f_star == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(x_star, oracle_fstar(plain, tight_eps=1e-12)[1])
+
+    def test_unmet_tolerance_raises_without_a_fallback(self, monkeypatch):
+        lp = generate_least_squares(120, 80, seed=1000, sparsity=0.9)
+        without_lcr(monkeypatch)
+        with pytest.raises(OracleError, match="direct least-squares solution"):
+            oracle_fstar(lp, tight_eps=1e-300)
 
 
 class TestOracleMu:
