@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not (self.epsilon > 0 and self.oracle_epsilon > 0):
             raise ValueError("epsilon and oracle_epsilon must be > 0")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if not self.oracle_epsilon < self.epsilon:
             raise ValueError("oracle_epsilon must be smaller than epsilon")
         if self.budget < 1:
@@ -113,6 +115,9 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        repeated = {s.value for s in self.schemes if self.schemes.count(s) > 1}
+        if repeated:
+            raise ValueError(f"schemes repeated: {', '.join(sorted(repeated))}")
 
     def instance(self, trial: int) -> LassoProblem:
         seed = self.seed + trial
@@ -693,8 +698,8 @@ def _cmd_solve(args) -> int:
         lp = load_problem(args.problem)
         scheme = Scheme.from_name(args.scheme)
         needs_oracle = scheme is Scheme.OPTIMAL_VALUE and args.f_star is None
-        if needs_oracle and not settings.oracle_epsilon > 0:
-            raise ValueError("oracle_epsilon must be > 0")
+        if needs_oracle and not 0 < settings.oracle_epsilon < math.inf:
+            raise ValueError("oracle_epsilon must be finite and > 0")
         # f_star 0 stands in for the oracle's, so that bad settings stop
         # solve before the oracle runs.
         run = _restart_run(settings, scheme, lp.n, 0.0 if needs_oracle else args.f_star)

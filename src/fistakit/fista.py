@@ -24,11 +24,18 @@ so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
 The call returns ``r_x`` of its final iterate, and the restart driver hands
 it to the next call, whose initialization prox then needs only ``A^T``.
 
-Each step is fused: ``A^T r_y`` and ``A x_k`` straight on the compiled
-kernels that the form holds (see :class:`~fistakit.model.LeastSquares`),
-the prox of :func:`~fistakit.model.composite_gradient_map` without its
-checks (``checked=False``), then ``f`` from the residual and ``psi``
-without a call to :func:`~fistakit.model.objective`.  Every prox goes
+Each step is fused and writes one new zeroed vector ``s`` of length
+``n + N``, which holds ``x_k`` in its head and ``r_x`` in its tail:
+``A^T r_y`` goes into the head straight from the compiled kernel that the
+form holds (see :class:`~fistakit.model.LeastSquares`), the prox of
+:func:`~fistakit.model.composite_gradient_map` turns it into ``x_k`` in
+place (``out=``) without its checks (``checked=False``), ``A x_k - b``
+goes into the tail, and ``f`` follows from the residual and ``psi``
+without a call to :func:`~fistakit.model.objective`.  ``x_k`` and
+``r_x`` move together, so one extrapolation of ``s`` gives ``y_k`` and
+``r_y`` at once, as the head and tail of one vector.  Every step's vectors
+are new, so the iterates and residuals a call hands out, views of its
+last ``s``, never change.  Every prox goes
 through this module's name ``composite_gradient_map``, and each call's
 ``f(x_0)`` through its name ``objective``; the benchmark wraps these
 names to read the host's speed inside long solves and to time the step.
@@ -164,7 +171,9 @@ class FistaResult:
     initialization prox at z).  ``aborted`` marks an early exit on the
     gradient tolerance; ``exhausted`` marks a budget stop.  ``residual``
     is ``A x - b`` of the smooth part's least-squares form, ready to be
-    passed to the next call started from ``x``.
+    passed to the next call started from ``x``.  After a step, ``x`` and
+    ``residual`` are the head and tail of the step's one vector, which
+    nothing writes once the step is done.
     """
 
     x: np.ndarray
@@ -249,6 +258,9 @@ def fista(
     ts = TSequence()
     y = x
     r_y = r_x
+    # x_0 and its residual in one vector, as each step's s holds x_k and r_x,
+    # for the first extrapolation.
+    s = np.concatenate((x, r_x))
     k = 0
     aborted = False
     exhausted = False
@@ -263,6 +275,7 @@ def fista(
     csr_matvec, n, N, indptr, indices, data = form._ATr
     csc_matvec = form._Ax[0]
     support, b, N_float = form._support, form.b, form._N
+    size = n + N
     # A clip to a box can turn a non-finite entry of y or of the gradient
     # into a finite x that f never sees, so a boxed problem keeps the checks.
     checked = problem.constraint is not None
@@ -271,18 +284,19 @@ def fista(
             exhausted = True
             break
         k += 1
-        grad = zeros(n)
+        # The kernels add into the zeroed s: A^T r_y into its head, which the
+        # prox then turns into x_k in place, and A x_k into its tail.
+        s_prev, s = s, zeros(size)
+        grad, r_x = s[:n], s[n:]
         csr_matvec(n, N, indptr, indices, data, r_y, grad)
         grad /= N_float
-        prox = composite_gradient_map(problem, y, counter, grad, checked=checked)
-        x_prev, x = x, prox.y_plus
+        prox = composite_gradient_map(problem, y, counter, grad, checked=checked, out=grad)
+        x_prev, x = x, grad
         if support is None:
-            Ax = zeros(N)
-            csc_matvec(N, n, indptr, indices, data, x, Ax)
+            csc_matvec(N, n, indptr, indices, data, x, r_x)
         else:
-            Ax = support(x)
-        Ax -= b
-        r_prev, r_x = r_x, Ax
+            support(x, r_x)
+        r_x -= b
         # f is the objective without its checks; the prox clips x into the
         # constraint box, so no constraint test.
         fk = h_of(r_x) + psi_of(x)
@@ -296,13 +310,12 @@ def fista(
             break
         ts.step()
         beta = ts.momentum
-        # x + beta * (x - x_prev) with one temporary; the same bits.
-        y = x - x_prev
-        y *= beta
-        y += x
-        r_y = r_x - r_prev
-        r_y *= beta
-        r_y += r_x
+        # s + beta * (s - s_prev) with one temporary, which gives y_k and
+        # r_y with the bits of their own extrapolations.
+        ys = s - s_prev
+        ys *= beta
+        ys += s
+        y, r_y = ys[:n], ys[n:]
         if (exit_condition is not None and k >= k_min
                 and exit_condition(k, f_history, prox, x_prev, x)):
             break

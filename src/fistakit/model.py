@@ -30,6 +30,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
+try:  # the ufunc behind np.clip, without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1
+    from numpy.core.umath import clip as _clip
+
 __all__ = [
     "Metric",
     "Box",
@@ -67,7 +72,7 @@ def _vector(v, size: int) -> np.ndarray:
     return v
 
 
-def _sparse_matvec(M, v) -> np.ndarray:
+def _sparse_matvec(M, v, out=None) -> np.ndarray:
     """``M @ v`` for ``M = (kernel, n_row, n_col, indptr, indices, data)``, float64 data.
 
     ``kernel`` is scipy's compiled ``_sparsetools.csc_matvec`` (for ``A x``
@@ -79,11 +84,14 @@ def _sparse_matvec(M, v) -> np.ndarray:
     through here; the fused FISTA loop calls them itself.  Both start
     each output entry at +0 and add its terms in ascending index order
     (``csr_matvec`` when the stored indices are sorted), so a canonical
-    CSR ``A`` and its CSC copy give ``A x`` the same bits.
+    CSR ``A`` and its CSC copy give ``A x`` the same bits.  The kernels
+    add into their output, so ``out``, when given, must be a zeroed
+    contiguous float64 vector of length ``n_row``; it is returned.
     """
     kernel, n_row, n_col, indptr, indices, data = M
     v = _vector(v, n_col)
-    out = np.zeros(n_row)
+    if out is None:
+        out = np.zeros(n_row)
     kernel(n_row, n_col, indptr, indices, data, v, out)
     return out
 
@@ -127,16 +135,17 @@ class _SupportProduct:
         sub = (_sparsetools.csc_matvec, n_row, cols.size, sub_indptr, indices[keep], data[keep])
         return cols, np.flatnonzero(~mask), sub, missed
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x, out=None) -> np.ndarray:
+        """``A x``, written into ``out`` when given (see :func:`_sparse_matvec`)."""
         x = _vector(x, self._full[2])
         cols, outside, sub, missed = self._memo
         if np.count_nonzero(x.take(outside)):
             mask = x != 0
             if missed is None or not np.array_equal(mask, missed):
                 self._memo = (cols, outside, sub, mask)
-                return _sparse_matvec(self._full, x)
+                return _sparse_matvec(self._full, x, out)
             cols, outside, sub, missed = self._memo = self._cached(mask, None)
-        return _sparse_matvec(sub, x.take(cols))
+        return _sparse_matvec(sub, x.take(cols), out)
 
 
 @dataclass(frozen=True)
@@ -227,8 +236,9 @@ class LeastSquares:
 
     The methods check their vector's length before a kernel runs.  The
     fused loop of :func:`fistakit.fista.fista` calls the kernels of
-    ``_ATr`` and ``_Ax`` (or ``_support``) itself, on vectors it builds,
-    with the bits of :meth:`grad_at_residual` and :meth:`residual`.
+    ``_ATr`` and ``_Ax`` (or ``_support``) itself, writing into the two
+    halves of the one buffer it builds per step, with the bits of
+    :meth:`grad_at_residual` and :meth:`residual`.
     """
 
     A: sparse.csc_array
@@ -423,7 +433,7 @@ def _validate_point(problem: CompositeProblem, x, name: str) -> np.ndarray:
 
 def composite_gradient_map(
     problem: CompositeProblem, y, counter: ProxCounter | None = None, grad=None,
-    *, checked: bool = True,
+    *, checked: bool = True, out: np.ndarray | None = None,
 ) -> ProxStep:
     """Composite gradient map at ``y``.
 
@@ -449,6 +459,12 @@ def composite_gradient_map(
         that both are float64 vectors of length ``problem.dim``, and a
         non-finite entry gives a non-finite result instead of an error.
         The fused step of :func:`fistakit.fista.fista` passes False.
+    out : ndarray, optional
+        Contiguous float64 vector of length ``problem.dim`` that receives
+        ``y_plus``, which the step then holds; a new vector otherwise.  It
+        may be ``grad`` itself, which is then overwritten (the fused step
+        turns its gradient into ``x_k`` this way), but must not overlap
+        ``y``.  The result has the same bits either way.
 
     Raises
     ------
@@ -464,16 +480,21 @@ def composite_gradient_map(
             raise ValueError("gradient shape disagrees with problem dim")
         if not _all_finite(grad):
             raise ValueError("gradient is non-finite at the query point")
-    # Soft thresholding, the clip to the box and Metric.dual_norm inline, by
-    # ufuncs without np.clip's Python wrapper, since this runs once per step.
+    # y - grad / diag, soft thresholding, the clip to the box and
+    # Metric.dual_norm inline, by ufuncs without np.clip's Python wrapper,
+    # since this runs once per step.
     diag = problem.metric.diag
-    u = y - grad / diag
+    u = np.divide(grad, diag, out=out)
+    np.subtract(y, u, out=u)
     threshold = problem._l1_threshold
     if threshold is not None:
-        u -= np.minimum(np.maximum(u, problem._l1_neg_threshold), threshold)
+        u -= _clip(u, problem._l1_neg_threshold, threshold)
     box = problem.constraint
     if box is not None:
-        u = np.minimum(np.maximum(u, box.lower), box.upper)
+        # Not the clip ufunc in place: over a vector of one entry it keeps
+        # u at a tie of signed zeros, where this pair gives the bound.
+        np.maximum(u, box.lower, out=u)
+        np.minimum(u, box.upper, out=u)
     g = diag * (y - u)
     step = ProxStep(u, g, math.sqrt((g / diag).dot(g)))
     if counter is not None:

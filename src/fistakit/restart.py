@@ -136,6 +136,8 @@ class RestartRun:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.scheme is Scheme.OPTIMAL_VALUE:

@@ -133,6 +133,12 @@ class TestConfigHandling:
         ["gen", "--family", "least-squares"],
         ["run", "--seed", "-1"],
         ["gen", "--seed", "-1"],
+        ["run", "--eps", "inf"],
+        ["solve", "--scheme", "lcr", "--eps", "inf"],
+        ["solve", "--scheme", "opt", "--eps", "inf"],
+        ["solve", "--scheme", "opt", "--oracle-eps", "inf"],
+        ["run", "--schemes", "none,none"],
+        ["run", "--schemes", "lcr,none,lcr"],
     ])
     def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        flags):

@@ -309,6 +309,51 @@ class TestDeclaredLeastSquares:
                 assert tally[0] == 2 * inner + trace.outer_checks + 2
 
 
+def support_instance():
+    """A lasso above the support product's gate, so ``A x`` takes the cached columns."""
+    problem = generate(LassoSpec(N=100, n=200, alpha=0.01, sparsity=0.0, seed=7)).problem
+    assert problem.smooth.least_squares._support is not None
+    return problem
+
+
+@pytest.mark.parametrize("name", ["desk", "box", "least-squares", "support"])
+class TestStepBuffers:
+    """Each step writes x_k and r_x into one new vector; nothing a call hands out changes."""
+
+    def problem(self, name):
+        return support_instance() if name == "support" else declared_instances()[name]
+
+    def test_handed_out_vectors_keep_their_bits(self, name):
+        # The exit test's x_prev, x_k and prox, and the returned x and residual,
+        # across the rest of the call and a later call started from them.
+        problem = self.problem(name)
+        seen = []
+
+        def remember(k, f_history, prox, x_prev, x_k):
+            seen.extend((v, v.copy()) for v in (x_prev, x_k, prox.y_plus, prox.g))
+            return False
+
+        res = fista(problem, np.zeros(problem.dim), exit_condition=remember, budget=30)
+        seen.extend((v, v.copy()) for v in (res.x, res.residual))
+        later = fista(problem, res.x, residual=res.residual, budget=30)
+        run_scheme(problem, RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=res.x, budget=200))
+        assert later.n == 30
+        for v, copy in seen:
+            assert v.tobytes() == copy.tobytes()
+        form = problem.smooth.least_squares
+        assert res.residual.tobytes() == form.residual(res.x).tobytes()
+        assert later.residual.tobytes() == form.residual(later.x).tobytes()
+
+    @pytest.mark.parametrize("budget", [0, 1, 30])
+    def test_x_and_residual_do_not_overlap(self, name, budget):
+        problem = self.problem(name)
+        res = fista(problem, np.zeros(problem.dim), budget=budget)
+        assert res.n == budget
+        assert res.x.shape == (problem.dim,)
+        assert res.residual.shape == problem.smooth.least_squares.b.shape
+        assert not np.shares_memory(res.x, res.residual)
+
+
 class TestResidualArgument:
     def test_start_point_still_validated(self):
         problem = declared_instances()["least-squares"]

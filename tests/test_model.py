@@ -358,12 +358,23 @@ def prox_cases(draw, kind):
     return problem, y, grad
 
 
-@pytest.mark.parametrize("kind", ["l1", "zero", "box", "l1-box"])
+@pytest.mark.parametrize("kind", ["l1", "zero", "box", "l1-box",
+                                  "l1-out", "zero-out", "box-out", "l1-box-out"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_prox_equals_the_sign_form_prox(kind, data):
-    problem, y, grad = data.draw(prox_cases(kind))
+    # A "-out" kind writes y_plus over the gradient, as the fused FISTA step
+    # does, checked and unchecked, and must give the bits of a call without out.
+    problem, y, grad = data.draw(prox_cases(kind.removesuffix("-out")))
     step = composite_gradient_map(problem, y, grad=grad)
+    if kind.endswith("-out"):
+        for checked in (True, False):
+            buf = grad.copy()
+            got = composite_gradient_map(problem, y, grad=buf, checked=checked, out=buf)
+            assert got.y_plus is buf
+            assert got.y_plus.tobytes() == step.y_plus.tobytes()
+            assert got.g.tobytes() == step.g.tobytes()
+            assert got.g_dual_norm == step.g_dual_norm
     y_plus, g, g_dual_norm = prox_sign_form(problem, y, grad)
     # Equal values; a zero entry may differ in sign, which no later value sees.
     assert np.array_equal(step.y_plus, y_plus)

@@ -582,9 +582,9 @@ def test_support_product_changes_no_scheme(monkeypatch):
     restricted = [0]
     kernel = model._sparse_matvec
 
-    def counting(M, v):
+    def counting(M, v, out=None):
         restricted[0] += M[0] is model._sparsetools.csc_matvec and M[2] < spec.n
-        return kernel(M, v)
+        return kernel(M, v, out)
 
     monkeypatch.setattr(model, "_sparse_matvec", counting)
     budget = 20_000
