@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("budget must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError("alpha must be finite and >= 0")
         if self.family == "lasso":
             LassoSpec(N=self.N, n=self.n, alpha=self.alpha, sparsity=self.sparsity)
         elif self.family == "least-squares":

@@ -26,11 +26,11 @@ it to the next call, whose initialization prox then needs only ``A^T``.
 
 Each step is fused and writes one new zeroed vector ``s`` of length
 ``n + N``, which holds ``x_k`` in its head and ``r_x`` in its tail:
-``A^T r_y`` goes into the head straight from the compiled kernel that the
-form holds (see :class:`~fistakit.model.LeastSquares`), the prox of
+``A^T r_y`` goes into the head from the form's bound product ``_ATr``
+(see :class:`~fistakit.model.LeastSquares`), the prox of
 :func:`~fistakit.model.composite_gradient_map` turns it into ``x_k`` in
 place (``out=``) without its checks (``checked=False``), ``A x_k - b``
-goes into the tail, and ``f`` follows from the residual and ``psi``
+goes into the tail from ``_Ax``, and ``f`` follows from the residual and ``psi``
 without a call to :func:`~fistakit.model.objective`.  ``x_k`` and
 ``r_x`` move together, so one extrapolation of ``s`` gives ``y_k`` and
 ``r_y`` at once, as the head and tail of one vector.  Every step's vectors
@@ -41,8 +41,9 @@ through this module's name ``composite_gradient_map``, and each call's
 names to read the host's speed inside long solves and to time the step.
 Each call's start stays checked: ``z``, the caller's ``residual`` and
 its products, which go through the form's checked methods, the init
-prox and ``f(x_0)``.  The kernels check no length, and inside the loop
-``r_y`` and ``x_k`` have the right length and dtype by construction.
+prox and ``f(x_0)``.  The bound products check no length, and inside
+the loop ``r_y`` and ``x_k`` have the right length and dtype by
+construction.
 Inside the loop only ``f`` is checked.  A non-finite entry of ``y``,
 of the gradient or of ``x_k`` reaches ``f`` through ``A x_k``, so the loop
 raises ``non-finite objective at iteration k``; a column of ``A`` that
@@ -136,7 +137,7 @@ its arguments.
 
 def gradient_norm_below(eps: float) -> ExitCondition:
     """Exit condition ``||g(y_{k-1})||_* <= eps``."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
 
     def condition(k, f_history, prox, x_prev, x_k) -> bool:
@@ -237,6 +238,8 @@ def fista(
         raise ValueError("k_min must be >= 0")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if abort_tol is not None and not abort_tol >= 0:
+        raise ValueError("abort_tol must be >= 0")
     z = _validate_point(problem, z, "z")
     form = problem.smooth.least_squares
     if residual is None:
@@ -270,12 +273,11 @@ def fista(
     isfinite = math.isfinite
     zeros = np.zeros
     h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
-    # The form's two products straight on its kernels (see LeastSquares):
-    # r_y and x are float64 vectors of the right length by construction.
-    csr_matvec, n, N, indptr, indices, data = form._ATr
-    csc_matvec = form._Ax[0]
-    support, b, N_float = form._support, form.b, form._N
-    size = n + N
+    # The form's two bound products (see LeastSquares), which check no
+    # length: r_y and x are float64 vectors of the right length by construction.
+    ATr, Ax, b, N_float = form._ATr, form._Ax, form.b, form._N
+    n = form.dim
+    size = n + b.size
     # A clip to a box can turn a non-finite entry of y or of the gradient
     # into a finite x that f never sees, so a boxed problem keeps the checks.
     checked = problem.constraint is not None
@@ -284,18 +286,15 @@ def fista(
             exhausted = True
             break
         k += 1
-        # The kernels add into the zeroed s: A^T r_y into its head, which the
+        # The products add into the zeroed s: A^T r_y into its head, which the
         # prox then turns into x_k in place, and A x_k into its tail.
         s_prev, s = s, zeros(size)
         grad, r_x = s[:n], s[n:]
-        csr_matvec(n, N, indptr, indices, data, r_y, grad)
+        ATr(r_y, grad)
         grad /= N_float
         prox = composite_gradient_map(problem, y, counter, grad, checked=checked, out=grad)
         x_prev, x = x, grad
-        if support is None:
-            csc_matvec(N, n, indptr, indices, data, x, r_x)
-        else:
-            support(x, r_x)
+        Ax(x, r_x)
         r_x -= b
         # f is the objective without its checks; the prox clips x into the
         # constraint box, so no constraint test.

@@ -22,6 +22,7 @@ never changes a result, only the time the product takes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -72,30 +73,6 @@ def _vector(v, size: int) -> np.ndarray:
     return v
 
 
-def _sparse_matvec(M, v, out=None) -> np.ndarray:
-    """``M @ v`` for ``M = (kernel, n_row, n_col, indptr, indices, data)``, float64 data.
-
-    ``kernel`` is scipy's compiled ``_sparsetools.csc_matvec`` (for ``A x``
-    of a CSC ``A``) or ``csr_matvec`` (for ``A^T r``, reading the same
-    arrays as the CSR matrix ``A^T``): private names, the kernels that
-    ``@`` calls, reached without reading scipy's properties.  The form's
-    methods (which each solver call's start, the restart driver's outer
-    checks and the oracles use) and the support product call the kernels
-    through here; the fused FISTA loop calls them itself.  Both start
-    each output entry at +0 and add its terms in ascending index order
-    (``csr_matvec`` when the stored indices are sorted), so a canonical
-    CSR ``A`` and its CSC copy give ``A x`` the same bits.  The kernels
-    add into their output, so ``out``, when given, must be a zeroed
-    contiguous float64 vector of length ``n_row``; it is returned.
-    """
-    kernel, n_row, n_col, indptr, indices, data = M
-    v = _vector(v, n_col)
-    if out is None:
-        out = np.zeros(n_row)
-    kernel(n_row, n_col, indptr, indices, data, v, out)
-    return out
-
-
 class _SupportProduct:
     """``A x`` of a finite float64 CSC ``A`` over a cached set of its columns.
 
@@ -104,11 +81,13 @@ class _SupportProduct:
     never -0.  A column with ``x_j = +-0`` adds a finite ``+-0``, which
     leaves such a sum unchanged, so the product over any column set that
     holds the support of ``x`` has the bits of the full one.  ``A`` must
-    be finite (``inf * 0`` is NaN) and must not change.
+    be finite (``inf * 0`` is NaN) and must not change.  Like the kernel
+    it stands in for, a call adds ``A x`` into a zeroed ``out`` and checks
+    no length: ``x`` must be a contiguous float64 vector of length ``n``.
 
     The cache is a memo: one tuple of the cached columns, the others, the
-    product operand of ``A`` restricted to the cached columns, and the
-    support of the last point that had a nonzero outside them.  A call
+    ``csc_matvec`` product of ``A`` restricted to the cached columns, and
+    the support of the last point that had a nonzero outside them.  A call
     reads it once and replaces it whole, so a call that runs beside
     another still gets the full product's bits.  A point that is zero
     outside the cached columns takes the restricted product.  Any other
@@ -119,33 +98,32 @@ class _SupportProduct:
 
     __slots__ = ("_full", "_counts", "_memo")
 
-    def __init__(self, full):
-        """``full`` is the ``csc_matvec`` operand of all of ``A`` (see :func:`_sparse_matvec`)."""
-        _, _, n_col, indptr, _, _ = full
+    def __init__(self, full: functools.partial):
+        """``full`` is the ``csc_matvec`` product of all of ``A`` (see :class:`LeastSquares`)."""
+        _, n_col, indptr, _, _ = full.args
         self._full = full
         self._counts = np.diff(indptr)  # stored entries per column
         self._memo = self._cached(np.zeros(n_col, dtype=bool), None)
 
     def _cached(self, mask, missed):
-        _, n_row, _, indptr, indices, data = self._full
+        n_row, _, indptr, indices, data = self._full.args
         cols = np.flatnonzero(mask)
         keep = np.repeat(mask, self._counts)
         sub_indptr = np.zeros(cols.size + 1, dtype=indptr.dtype)
         np.cumsum(self._counts[mask], out=sub_indptr[1:])
-        sub = (_sparsetools.csc_matvec, n_row, cols.size, sub_indptr, indices[keep], data[keep])
+        sub = functools.partial(_sparsetools.csc_matvec, n_row, cols.size, sub_indptr,
+                                indices[keep], data[keep])
         return cols, np.flatnonzero(~mask), sub, missed
 
-    def __call__(self, x, out=None) -> np.ndarray:
-        """``A x``, written into ``out`` when given (see :func:`_sparse_matvec`)."""
-        x = _vector(x, self._full[2])
+    def __call__(self, x, out) -> None:
         cols, outside, sub, missed = self._memo
         if np.count_nonzero(x.take(outside)):
             mask = x != 0
             if missed is None or not np.array_equal(mask, missed):
                 self._memo = (cols, outside, sub, mask)
-                return _sparse_matvec(self._full, x, out)
+                return self._full(x, out)
             cols, outside, sub, missed = self._memo = self._cached(mask, None)
-        return _sparse_matvec(sub, x.take(cols), out)
+        sub(x.take(cols), out)
 
 
 @dataclass(frozen=True)
@@ -153,7 +131,8 @@ class Metric:
     """Diagonal positive definite metric R.
 
     Defines the primal norm ``||x||_R = sqrt(sum R_ii x_i^2)`` and its dual
-    ``||v||_* = sqrt(sum v_i^2 / R_ii)``.  Every diagonal entry must be
+    ``||v||_* = sqrt(sum v_i^2 / R_ii)``, which the prox computes inline
+    for ``g``.  Every diagonal entry must be
     strictly positive and finite; degenerate entries are rejected here
     rather than patched (generators are responsible for flooring).
     """
@@ -176,11 +155,6 @@ class Metric:
         """Weighted norm ``||x||_R``."""
         x = np.asarray(x, dtype=np.float64)
         return float(np.sqrt(np.dot(self.diag * x, x)))
-
-    def dual_norm(self, v) -> float:
-        """Dual norm ``||v||_* = ||v||_{R^-1}``."""
-        v = np.asarray(v, dtype=np.float64)
-        return float(np.sqrt(np.dot(v / self.diag, v)))
 
 
 @dataclass(frozen=True)
@@ -227,27 +201,32 @@ class LeastSquares:
 
     The form holds ``A`` as its own float64 CSC copy, with ``data``,
     ``indices`` and ``indptr`` locked, so later edits to the caller's
-    matrix reach neither ``A`` nor the products.  Both products call
-    scipy's compiled kernels on these arrays: ``csr_matvec`` reads them as
-    the CSR matrix ``A^T`` for ``A^T r``, and ``csc_matvec`` gives ``A x``.
-    When ``A`` is finite and stores at least ``_SUPPORT_MIN_NNZ`` entries,
-    ``A x`` runs over a cached column set that holds the support of ``x``
-    instead (see :class:`_SupportProduct`), with the same bits.
+    matrix reach neither ``A`` nor the products.  It binds each product
+    once, as ``product(v, out)``, which adds it into a zeroed contiguous
+    float64 ``out`` and checks no length: ``_ATr`` is scipy's compiled
+    ``csr_matvec`` reading these arrays as the CSR matrix ``A^T``, and
+    ``_Ax`` is ``csc_matvec``, or, when ``A`` is finite and stores at
+    least ``_SUPPORT_MIN_NNZ`` entries, the same product over a cached
+    column set that holds the support of ``x`` (see
+    :class:`_SupportProduct`), with the same bits.  These are private
+    names, the kernels that ``@`` calls, reached without its dispatch.
+    Both start each output entry at +0 and add its terms in ascending
+    index order (``csr_matvec`` when the stored indices are sorted), so a
+    canonical CSR ``A`` and its CSC copy give ``A x`` the same bits.
 
-    The methods check their vector's length before a kernel runs.  The
-    fused loop of :func:`fistakit.fista.fista` calls the kernels of
-    ``_ATr`` and ``_Ax`` (or ``_support``) itself, writing into the two
-    halves of the one buffer it builds per step, with the bits of
-    :meth:`grad_at_residual` and :meth:`residual`.
+    The methods check their vector's length before the product runs.  The
+    fused loop of :func:`fistakit.fista.fista` calls ``_ATr`` and ``_Ax``
+    itself, writing into the two halves of the one buffer it builds per
+    step, with the bits of :meth:`grad_at_residual` and :meth:`residual`.
     """
 
     A: sparse.csc_array
     b: np.ndarray
+    dim: int = field(init=False, repr=False)  # n, the width of A
     _N: float = field(init=False, repr=False)  # N as a float, for the divisions
-    # The _sparse_matvec operands of A x and A^T r.
-    _Ax: tuple = field(init=False, repr=False)
-    _ATr: tuple = field(init=False, repr=False)
-    _support: _SupportProduct | None = field(init=False, repr=False)
+    # A x and A^T r, each called as product(v, out).
+    _Ax: Callable[[np.ndarray, np.ndarray], None] = field(init=False, repr=False)
+    _ATr: Callable[[np.ndarray, np.ndarray], None] = field(init=False, repr=False)
 
     def __post_init__(self):
         A = sparse.csc_array(self.A, dtype=np.float64, copy=True)
@@ -260,25 +239,20 @@ class LeastSquares:
             raise ValueError(f"b has shape {b.shape}, expected ({N},)")
         if not _all_finite(b):
             raise ValueError("b must be finite")
-        Ax = (_sparsetools.csc_matvec, N, n, *arrays)
-        support = None
+        Ax = functools.partial(_sparsetools.csc_matvec, N, n, *arrays)
         if A.nnz >= _SUPPORT_MIN_NNZ and _all_finite(A.data):
-            support = _SupportProduct(Ax)
+            Ax = _SupportProduct(Ax)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_N", float(N))
         object.__setattr__(self, "_Ax", Ax)
-        object.__setattr__(self, "_ATr", (_sparsetools.csr_matvec, n, N, *arrays))
-        object.__setattr__(self, "_support", support)
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
+        object.__setattr__(self, "_ATr", functools.partial(_sparsetools.csr_matvec, n, N, *arrays))
 
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
-        support = self._support
-        Ax = _sparse_matvec(self._Ax, x) if support is None else support(x)
+        Ax = np.zeros(self.b.size)
+        self._Ax(_vector(x, self.dim), Ax)
         return Ax - self.b
 
     def value_at_residual(self, r) -> float:
@@ -287,7 +261,9 @@ class LeastSquares:
 
     def grad_at_residual(self, r) -> np.ndarray:
         """``A^T r / N`` (one matvec), the gradient at the point whose residual is ``r``."""
-        return _sparse_matvec(self._ATr, r) / self._N
+        ATr = np.zeros(self.dim)
+        self._ATr(_vector(r, self.b.size), ATr)
+        return ATr / self._N
 
     def value(self, x) -> float:
         return self.value_at_residual(self.residual(x))
@@ -480,9 +456,9 @@ def composite_gradient_map(
             raise ValueError("gradient shape disagrees with problem dim")
         if not _all_finite(grad):
             raise ValueError("gradient is non-finite at the query point")
-    # y - grad / diag, soft thresholding, the clip to the box and
-    # Metric.dual_norm inline, by ufuncs without np.clip's Python wrapper,
-    # since this runs once per step.
+    # y - grad / diag, soft thresholding, the clip to the box and the dual
+    # norm ||g||_* inline, by ufuncs without np.clip's Python wrapper, since
+    # this runs once per step.
     diag = problem.metric.diag
     u = np.divide(grad, diag, out=out)
     np.subtract(y, u, out=u)

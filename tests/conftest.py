@@ -127,25 +127,30 @@ def random_spd(rng, n, cond=10.0):
     return (basis * evals) @ basis.T
 
 
-def count_kernel_calls(monkeypatch):
-    """Wrap the compiled kernels on ``model._sparsetools``; each call adds one to the returned tally.
+def count_kernel_calls(monkeypatch, n=None):
+    """Wrap the compiled kernels on ``model._sparsetools``; each call adds one to ``tally[0]``.
 
     Every product of a least-squares form, ``A x`` and ``A^T r``, makes
     exactly one kernel call, whether through the form's methods or in the
-    fused loop of ``fistakit.fista``.  A form takes its kernels when it is
-    built, so only forms built after this call are counted.
+    fused loop of ``fistakit.fista``.  A form binds its kernels when it is
+    built, and a support cache its restricted product when it is rebuilt,
+    so only forms built after this call are counted.  With ``n`` given,
+    ``tally[1]`` counts the ``csc_matvec`` calls over fewer than ``n``
+    columns: the restricted products of a support cache.
     """
-    tally = [0]
+    tally = [0, 0]
     kernels = model._sparsetools
 
-    def counting(kernel):
+    def counting(kernel, restricted):
         def wrapper(*args):
             tally[0] += 1
+            tally[1] += restricted and n is not None and args[1] < n
             return kernel(*args)
         return wrapper
 
     monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
-        csr_matvec=counting(kernels.csr_matvec), csc_matvec=counting(kernels.csc_matvec)))
+        csr_matvec=counting(kernels.csr_matvec, False),
+        csc_matvec=counting(kernels.csc_matvec, True)))
     return tally
 
 

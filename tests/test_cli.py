@@ -98,6 +98,10 @@ class TestConfigHandling:
             ExperimentConfig(seed=-1)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ExperimentConfig(family="least-squares", N=30, n=12, seed=-1)
+        for family in ("lasso", "least-squares"):
+            for alpha in (math.nan, math.inf, -0.5):
+                with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+                    ExperimentConfig(family=family, N=30, n=12, alpha=alpha)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -139,6 +143,8 @@ class TestConfigHandling:
         ["solve", "--scheme", "opt", "--oracle-eps", "inf"],
         ["run", "--schemes", "none,none"],
         ["run", "--schemes", "lcr,none,lcr"],
+        ["run", "--family", "least-squares", "--N", "12", "--n", "8", "--alpha", "nan"],
+        ["gen", "--family", "least-squares", "--N", "12", "--n", "8", "--alpha", "-1"],
     ])
     def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        flags):
@@ -156,7 +162,9 @@ class TestConfigHandling:
         assert main([command, *lead, "--out", str(out), *rest]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
-        if "least-squares" in rest:
+        if "--alpha" in rest:
+            assert "alpha must be finite and >= 0" in err
+        elif "least-squares" in rest:
             # Its shape must be set, since the default 600 x 800 has N < n.
             assert "the least-squares family needs --N and --n with N >= n" in err
         assert not out.exists()

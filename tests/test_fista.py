@@ -188,6 +188,12 @@ class TestFistaBasics:
             fista(prob, np.array([1.0, 1.0]), k_min=-1)
         with pytest.raises(ValueError):
             fista(prob, np.array([np.inf, 1.0]))
+        for abort_tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="abort_tol must be >= 0"):
+                fista(prob, np.array([1.0, 1.0]), abort_tol=abort_tol, budget=10)
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="eps must be > 0"):
+                gradient_norm_below(eps)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +252,18 @@ def declared_instances():
     return {"desk": desk.problem, "box": boxed, "least-squares": lsq.problem, "zoo": zoo}
 
 
+def support_instance():
+    """A lasso above the support product's gate, so ``A x`` takes the cached columns."""
+    problem = generate(LassoSpec(N=100, n=200, alpha=0.01, sparsity=0.0, seed=7)).problem
+    assert isinstance(problem.smooth.least_squares._Ax, model._SupportProduct)
+    return problem
+
+
+def declared_problem(name):
+    """``declared_instances()[name]``, or :func:`support_instance` for ``"support"``."""
+    return support_instance() if name == "support" else declared_instances()[name]
+
+
 def run_with(monkeypatch, solver, problem, run):
     """``run_scheme(problem, run)`` with ``solver`` in place of ``fistakit.restart.fista``."""
     with monkeypatch.context() as mp:
@@ -253,8 +271,8 @@ def run_with(monkeypatch, solver, problem, run):
         return run_scheme(problem, run)
 
 
-@pytest.mark.parametrize("name", ["desk", "box", "least-squares"])
 class TestDeclaredLeastSquares:
+    @pytest.mark.parametrize("name", ["desk", "box", "least-squares"])
     def test_both_forms_reach_eps_with_exact_prox_accounting(self, monkeypatch, name):
         # The fused loop and its checked reference, conftest.checked_fista.
         declared = declared_instances()[name]
@@ -279,10 +297,11 @@ class TestDeclaredLeastSquares:
                         trace.total_iterations + trace.calls + trace.outer_checks
                     ), label
 
+    @pytest.mark.parametrize("name", ["desk", "box", "least-squares", "support"])
     def test_two_matvecs_per_prox(self, monkeypatch, name):
-        # Built after the kernels are wrapped: a form takes them when it is built.
+        # Built after the kernels are wrapped: a form binds them when it is built.
         tally = count_kernel_calls(monkeypatch)
-        problem = declared_instances()[name]
+        problem = declared_problem(name)
         res = fista(problem, np.zeros(problem.dim), budget=50)
         # A^T inside each prox (n + 1 per call), A x for the point it returns, plus A z.
         assert tally[0] == 2 * (res.n + 1) + 1
@@ -292,10 +311,11 @@ class TestDeclaredLeastSquares:
         again = fista(problem, res.x, budget=50)
         assert again.trace.f_vals == carried.trace.f_vals
 
+    @pytest.mark.parametrize("name", ["desk", "box", "least-squares", "support"])
     def test_restarts_carry_the_residual(self, monkeypatch, name):
-        # Built after the kernels are wrapped: a form takes them when it is built.
+        # Built after the kernels are wrapped: a form binds them when it is built.
         tally = count_kernel_calls(monkeypatch)
-        problem = declared_instances()[name]
+        problem = declared_problem(name)
         for scheme in (Scheme.FUNCTION, Scheme.LCR):
             for early in (True, False):
                 tally[0] = 0
@@ -309,24 +329,14 @@ class TestDeclaredLeastSquares:
                 assert tally[0] == 2 * inner + trace.outer_checks + 2
 
 
-def support_instance():
-    """A lasso above the support product's gate, so ``A x`` takes the cached columns."""
-    problem = generate(LassoSpec(N=100, n=200, alpha=0.01, sparsity=0.0, seed=7)).problem
-    assert problem.smooth.least_squares._support is not None
-    return problem
-
-
 @pytest.mark.parametrize("name", ["desk", "box", "least-squares", "support"])
 class TestStepBuffers:
     """Each step writes x_k and r_x into one new vector; nothing a call hands out changes."""
 
-    def problem(self, name):
-        return support_instance() if name == "support" else declared_instances()[name]
-
     def test_handed_out_vectors_keep_their_bits(self, name):
         # The exit test's x_prev, x_k and prox, and the returned x and residual,
         # across the rest of the call and a later call started from them.
-        problem = self.problem(name)
+        problem = declared_problem(name)
         seen = []
 
         def remember(k, f_history, prox, x_prev, x_k):
@@ -346,7 +356,7 @@ class TestStepBuffers:
 
     @pytest.mark.parametrize("budget", [0, 1, 30])
     def test_x_and_residual_do_not_overlap(self, name, budget):
-        problem = self.problem(name)
+        problem = declared_problem(name)
         res = fista(problem, np.zeros(problem.dim), budget=budget)
         assert res.n == budget
         assert res.x.shape == (problem.dim,)
@@ -415,7 +425,7 @@ def declared_problems(draw):
         if support:
             mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
         smooth = SmoothPart.from_least_squares(A, draw(vector(N, data_values)))
-    assert (smooth.least_squares._support is not None) == support
+    assert isinstance(smooth.least_squares._Ax, model._SupportProduct) == support
 
     def box():
         ends = [sorted(draw(vector(2, data_values | st.sampled_from([-np.inf, np.inf]))))

@@ -84,24 +84,15 @@ class TestMetric:
             with pytest.raises(ValueError):
                 Metric(bad)
 
-    def test_identity_dual_norm(self):
-        m = Metric([1.0, 1.0])
-        assert m.dual_norm([3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_scaled_dual_norm(self):
-        assert Metric([4.0]).dual_norm([2.0]) == pytest.approx(1.0)
-
-    def test_dual_norm_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            Metric([1.0, 2.0]).dual_norm([1.0])
-
     def test_dual_of_scaled_vector_is_primal_norm(self, rng):
-        # ||R x||_* == ||x||_R, an algebraic identity.
+        # ||R x||_* == ||x||_R, an algebraic identity; the dual norm is the
+        # prox's inline sqrt(v @ (v / diag)).
         for _ in range(20):
             diag = rng.uniform(0.1, 10.0, 8)
             m = Metric(diag)
             x = rng.standard_normal(8)
-            assert m.dual_norm(diag * x) == pytest.approx(m.norm(x), rel=1e-12)
+            v = diag * x
+            assert math.sqrt(v @ (v / diag)) == pytest.approx(m.norm(x), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -123,7 +114,7 @@ class TestMetric:
         # rounding d x^2 and x^2 / d loses up to about tiny (d + 1/d) / 2 per
         # entry; the absolute term is below 1e-320 and changes nothing for
         # normal-range inputs.
-        lhs = m.norm(x) * m.dual_norm(x)
+        lhs = m.norm(x) * math.sqrt(x @ (x / diag))
         rhs = float(x @ x)
         tiny = np.finfo(float).smallest_subnormal
         assert lhs >= rhs * (1 - 1e-9) - tiny * float(np.sum(diag + 1.0 / diag))
@@ -503,14 +494,18 @@ class TestLeastSquaresKernel:
         def kernel_must_not_run(*args):
             raise AssertionError("kernel called")
 
-        # The form takes its kernels when it is built.
+        # The form binds its kernels when it is built.  The support product
+        # checks no length either, so the gate is tried off and on.
         monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
             csr_matvec=kernel_must_not_run, csc_matvec=kernel_must_not_run))
-        form = LeastSquares(A, np.ones(A.shape[0]))
-        for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
-                    np.ones((1, size)), [1.0] * (size + 1), [[1.0] * size]):
-            with pytest.raises(ValueError, match="vector has shape"):
-                getattr(form, product)(bad)
+        for min_nnz in (math.inf, 0):
+            monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", min_nnz)
+            form = LeastSquares(A, np.ones(A.shape[0]))
+            assert isinstance(form._Ax, model._SupportProduct) == (min_nnz == 0)
+            for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
+                        np.ones((1, size)), [1.0] * (size + 1), [[1.0] * size]):
+                with pytest.raises(ValueError, match="vector has shape"):
+                    getattr(form, product)(bad)
 
     def test_non_contiguous_vector_accepted(self):
         A = sparse_with_empty_lines("csc")
@@ -540,7 +535,7 @@ class TestLeastSquaresKernel:
         for min_nnz in (0, want.nnz, want.nnz + 1):
             monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", min_nnz)
             form = LeastSquares(A, np.ones(7))
-            assert (form._support is not None) == (want.nnz >= min_nnz)
+            assert isinstance(form._Ax, model._SupportProduct) == (want.nnz >= min_nnz)
             assert form.A.format == "csc" and form.A.dtype == np.float64
             assert same_bits(form.A.toarray(), want.toarray())
             for _ in range(3):  # the support product's miss, rebuild and hit
@@ -569,9 +564,9 @@ class TestLeastSquaresKernel:
 
 def support_path(form, x):
     """``form.residual(x)`` and the path its support product took: hit, miss or rebuild."""
-    before = form._support._memo
+    before = form._Ax._memo
     r = form.residual(x)
-    after = form._support._memo
+    after = form._Ax._memo
     path = "hit" if after is before else "miss" if after[0] is before[0] else "rebuild"
     return r, path
 
@@ -621,7 +616,7 @@ class TestSupportProduct:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
             form = LeastSquares(A, np.zeros(A.shape[0]))
-        assert form._support is not None
+        assert isinstance(form._Ax, model._SupportProduct)
         paths = set()
         # Three points per support: the first misses unless the support is
         # cached, the second (same support) rebuilds the cache, the third hits.
@@ -654,7 +649,7 @@ class TestSupportProduct:
         base.data[0] = np.inf
         A = matrix(base)
         form = LeastSquares(A, np.ones(7))
-        assert form._support is None
+        assert not isinstance(form._Ax, model._SupportProduct)
         x = np.linspace(-1.0, 1.0, 5)
         x[0] = 0.0  # inf * 0 gives NaN in the rows of column 0's inf
         got = form.residual(x)
@@ -664,9 +659,9 @@ class TestSupportProduct:
     def test_large_finite_csc_takes_the_support_product(self, monkeypatch):
         A = sparse_with_empty_lines("csc")
         monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", A.nnz + 1)
-        assert LeastSquares(A, np.ones(7))._support is None
+        assert not isinstance(LeastSquares(A, np.ones(7))._Ax, model._SupportProduct)
         monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", A.nnz)
-        assert LeastSquares(A, np.ones(7))._support is not None
+        assert isinstance(LeastSquares(A, np.ones(7))._Ax, model._SupportProduct)
 
     def test_gate_splits_the_benchmark_workloads(self):
         # Desk and lsq-strict keep the full product, the paper-scale slice
@@ -679,10 +674,11 @@ class TestSupportProduct:
                 config = ExperimentConfig(**spec["config"], seed=seed)
                 for trial in range(config.trials):
                     form = config.instance(trial).problem.smooth.least_squares
-                    assert form._support is None, (name, trial)
+                    assert not isinstance(form._Ax, model._SupportProduct), (name, trial)
         paper = ExperimentConfig(**workloads["paper"]["config"])
         assert (paper.N, paper.n, paper.sparsity) == (600, 800, 0.9)
-        assert paper.instance(0).problem.smooth.least_squares._support is not None
+        form = paper.instance(0).problem.smooth.least_squares
+        assert isinstance(form._Ax, model._SupportProduct)
 
 
 class TestCompositeGradientProperties:
@@ -696,7 +692,7 @@ class TestCompositeGradientProperties:
                 x = sample_feasible(rng, prob)
                 step = composite_gradient_map(prob, y)
                 g = step.g
-                gsq = m.dual_norm(g) ** 2
+                gsq = g @ (g / m.diag)
                 a = float(g @ (step.y_plus - x)) + 0.5 * gsq
                 b = float(g @ (y - x)) - 0.5 * gsq
                 c = 0.5 * m.norm(y - x) ** 2 - 0.5 * m.norm(step.y_plus - x) ** 2
