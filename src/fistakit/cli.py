@@ -242,24 +242,21 @@ def _write_csv(path, header: str, lines) -> None:
     Path(path).write_text("\n".join([header, *lines]) + "\n", newline="\n")
 
 
-def _trace_lines(scheme: str, trace: RestartTrace):
-    """Yield the rows ``scheme,k,f(x_k),||g(y_{k-1})||_*`` of each inner call as one string.
+def _trace_lines(scheme: str, trace: RestartTrace) -> list[str]:
+    """The rows ``scheme,k,f(x_k),||g(y_{k-1})||_*`` of the run, as one string.
 
-    ``k`` counts across restarts.  Each call's rows take one ``%`` over a
-    flat tuple (``%.17g`` is :func:`fmt`); a call without rows yields
-    nothing, so that no blank line is written.
+    ``k`` counts across restarts.  The rows take one ``%`` over a flat
+    tuple of the run's history (``%.17g`` is :func:`fmt`); a run without
+    rows gives no string, so that no blank line is written.
     """
-    row = scheme.replace("%", "%%") + ",%d,%.17g,%.17g"
-    k = 0
-    for seg in trace.segments:
-        n = len(seg.g_norms)
-        if n:
-            flat = [None] * (3 * n)
-            flat[0::3] = range(k + 1, k + n + 1)
-            flat[1::3] = seg.f_vals
-            flat[2::3] = seg.g_norms
-            yield "\n".join([row] * n) % tuple(flat)
-            k += n
+    n = len(trace.g_norms)
+    if not n:
+        return []
+    flat = [None] * (3 * n)
+    flat[0::3] = range(1, n + 1)
+    flat[1::3] = trace.f_vals
+    flat[2::3] = trace.g_norms
+    return ["\n".join([scheme.replace("%", "%%") + ",%d,%.17g,%.17g"] * n) % tuple(flat)]
 
 
 def _restart_line(rec: RestartRecord) -> str:
@@ -348,9 +345,10 @@ def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
             "f_final": trace.records[-1].f_r,
             "exhausted": trace.exhausted,
         }
-        if trace.exhausted:
-            summary["valid"] = False
-            summary["reason"] = f"scheme {scheme.value}: budget exhausted"
+    exhausted = [name for name, row in summary["schemes"].items() if row["exhausted"]]
+    if exhausted:
+        summary["valid"] = False
+        summary["reason"] = "budget exhausted: " + " ".join(exhausted)
     _write_trial_traces(config.out, trial, results)
     return summary
 
@@ -673,7 +671,7 @@ def _cmd_run(args) -> int:
     try:
         settings = parse_config_file(args.config) if args.config else {}
         config = build_config(settings | _flag_settings(args, _RUN_KEYS))
-        _check_out_dir(config.out)
+        _check_out_dir(config.out / "traces")
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

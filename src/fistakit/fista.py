@@ -63,7 +63,7 @@ restart driver uses in early-exit mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,7 +80,6 @@ from .model import (
 __all__ = [
     "DEFAULT_ITERATION_BUDGET",
     "TSequence",
-    "SolveTrace",
     "FistaResult",
     "ExitCondition",
     "gradient_norm_below",
@@ -147,31 +146,16 @@ def gradient_norm_below(eps: float) -> ExitCondition:
 
 
 @dataclass
-class SolveTrace:
-    """Per-iteration record of one solver call.
-
-    ``f_history[k]`` is the objective at ``x_k`` for ``k = 0..n``, where
-    ``x_0 = z_plus`` is the post-prox start point.  ``g_norms[i]`` belongs
-    to iteration ``k = i + 1``: ``||g(y_{k-1})||_*``.
-    """
-
-    f_history: list[float]
-    g_norms: list[float] = field(default_factory=list)
-
-    @property
-    def f_vals(self) -> list[float]:
-        """``[f(x_1), ..., f(x_n)]``, one per iteration."""
-        return self.f_history[1:]
-
-
-@dataclass
 class FistaResult:
     """Outcome of one solver call: ``x`` is the final iterate, ``n`` its index.
 
-    The call took ``n + 1`` prox evaluations (the iterations plus the
-    initialization prox at z).  ``aborted`` marks an early exit on the
-    gradient tolerance; ``exhausted`` marks a budget stop.  ``residual``
-    is ``A x - b`` of the smooth part's least-squares form, ready to be
+    ``f_history[k]`` is the objective at ``x_k`` for ``k = 0..n``, where
+    ``x_0 = z_plus`` is the post-prox start point.  ``g_norms[i]`` belongs
+    to iteration ``k = i + 1``: ``||g(y_{k-1})||_*``.  The call took
+    ``n + 1`` prox evaluations (the iterations plus the initialization
+    prox at z).  ``aborted`` marks an early exit on the gradient
+    tolerance; ``exhausted`` marks a budget stop.  ``residual`` is
+    ``A x - b`` of the smooth part's least-squares form, ready to be
     passed to the next call started from ``x``.  After a step, ``x`` and
     ``residual`` are the head and tail of the step's one vector, which
     nothing writes once the step is done.
@@ -179,20 +163,17 @@ class FistaResult:
 
     x: np.ndarray
     n: int
-    trace: SolveTrace
+    f_history: list[float]
+    g_norms: list[float]
     aborted: bool
     exhausted: bool
     init_g_dual_norm: float
     residual: np.ndarray
 
     @property
-    def f_final(self) -> float:
-        return self.trace.f_history[-1]
-
-    @property
     def last_g_dual_norm(self) -> float:
         """Most recent ``||g||_*`` seen (the qualifying value on abort)."""
-        return self.trace.g_norms[-1] if self.trace.g_norms else self.init_g_dual_norm
+        return self.g_norms[-1] if self.g_norms else self.init_g_dual_norm
 
 
 def fista(
@@ -250,11 +231,11 @@ def fista(
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
-    trace = SolveTrace(f_history=[f0])
+    f_history, g_norms = [f0], []
 
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
         return FistaResult(
-            x=x, n=0, trace=trace, aborted=True, exhausted=False,
+            x=x, n=0, f_history=f_history, g_norms=g_norms, aborted=True, exhausted=False,
             init_g_dual_norm=init.g_dual_norm, residual=r_x,
         )
 
@@ -268,8 +249,7 @@ def fista(
     aborted = False
     exhausted = False
 
-    f_history = trace.f_history
-    f_append, g_append = f_history.append, trace.g_norms.append
+    f_append, g_append = f_history.append, g_norms.append
     isfinite = math.isfinite
     zeros = np.zeros
     h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
@@ -320,6 +300,6 @@ def fista(
             break
 
     return FistaResult(
-        x=x, n=k, trace=trace, aborted=aborted, exhausted=exhausted,
+        x=x, n=k, f_history=f_history, g_norms=g_norms, aborted=aborted, exhausted=exhausted,
         init_g_dual_norm=init.g_dual_norm, residual=r_x,
     )

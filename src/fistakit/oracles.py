@@ -76,12 +76,15 @@ def oracle_fstar(
     its composite gradient has dual norm at most ``tight_eps``.  Otherwise
     the lcr scheme runs from zero down to ``tight_eps`` within ``budget``
     prox calls.  ``tight_eps`` must be tighter than any tolerance the
-    oracle's consumers use.  An unconstrained result must also pass the
+    oracle's consumers use, and must be finite and > 0 (``ValueError``
+    otherwise).  An unconstrained result must also pass the
     first-order conditions (:func:`kkt_residual` at most ``KKT_TOL``).
     Raises :class:`OracleError` when the lcr budget runs out or a check
     fails, so callers can skip rather than trust a bad reference; neither
     path falls back on the other.
     """
+    if not 0 < tight_eps < math.inf:
+        raise ValueError(f"tight_eps must be finite and > 0, got {tight_eps!r}")
     if _is_smooth(lp):
         x_star = linalg.lstsq(lp.A.toarray(), lp.b, lapack_driver="gelsy")[0]
         g_norm = composite_gradient_map(lp.problem, x_star).g_dual_norm

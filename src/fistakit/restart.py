@@ -34,7 +34,6 @@ import numpy as np
 from .fista import (
     DEFAULT_ITERATION_BUDGET,
     ExitCondition,
-    SolveTrace,
     fista,
     gradient_norm_below,
 )
@@ -171,10 +170,16 @@ class RestartRecord:
 
 @dataclass
 class RestartTrace:
-    """Aggregate trace of one run: restart records plus inner traces."""
+    """Aggregate trace of one run: restart records plus its per-iteration history.
+
+    ``f_vals[i]`` and ``g_norms[i]`` are ``f(x_k)`` and ``||g(y_{k-1})||_*``
+    of the run's ``k = i + 1``, counted across inner calls; the records'
+    ``n_obs`` place the restarts.
+    """
 
     records: list[RestartRecord] = field(default_factory=list)
-    segments: list[SolveTrace] = field(default_factory=list)
+    f_vals: list[float] = field(default_factory=list)
+    g_norms: list[float] = field(default_factory=list)
     total_prox_calls: int = 0
     outer_checks: int = 0
     final_g_norm: float = math.nan
@@ -188,7 +193,7 @@ class RestartTrace:
     @property
     def calls(self) -> int:
         """Number of inner solver invocations (each costs one init prox)."""
-        return len(self.segments)
+        return max(len(self.records) - 1, 0)
 
 
 @dataclass
@@ -265,7 +270,7 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             counter=counter,
             residual=r_res,
         )
-        decrease = trace.records[-1].f_r - res.f_final
+        decrease = trace.records[-1].f_r - res.f_history[-1]
         r, r_res = res.x, res.residual
         n_eff = res.n
         if lcr and not (res.aborted or res.exhausted):
@@ -275,9 +280,10 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             k_min = n_eff
         # The init prox of this call evaluates g at the previous restart point.
         trace.records[-1].g_dual_norm = res.init_g_dual_norm
-        rec = RestartRecord(j=j, n_obs=res.n, n_eff=n_eff, f_r=res.f_final)
+        rec = RestartRecord(j=j, n_obs=res.n, n_eff=n_eff, f_r=res.f_history[-1])
         trace.records.append(rec)
-        trace.segments.append(res.trace)
+        trace.f_vals += res.f_history[1:]
+        trace.g_norms += res.g_norms
         if res.exhausted:
             trace.exhausted = True
             break

@@ -8,7 +8,7 @@ import pytest
 
 from fistakit import (Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero,
                       composite_gradient_map, model, objective)
-from fistakit.fista import FistaResult, SolveTrace, TSequence
+from fistakit.fista import FistaResult, TSequence
 from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
 
 
@@ -86,12 +86,13 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
     init = composite_gradient_map(problem, z, counter, grad=form.grad_at_residual(residual))
     x = init.y_plus
     r_x = form.residual(x)
-    trace = SolveTrace(f_history=[objective(problem, x, r_x)])
-    if not math.isfinite(trace.f_history[0]):
+    f_history, g_norms = [objective(problem, x, r_x)], []
+    if not math.isfinite(f_history[0]):
         raise ValueError("non-finite objective at the start point")
-    result = dict(init_g_dual_norm=init.g_dual_norm, aborted=False, exhausted=False)
+    result = dict(f_history=f_history, g_norms=g_norms, init_g_dual_norm=init.g_dual_norm,
+                  aborted=False, exhausted=False)
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
-        return FistaResult(x=x, n=0, trace=trace, residual=r_x, **dict(result, aborted=True))
+        return FistaResult(x=x, n=0, residual=r_x, **dict(result, aborted=True))
     ts = TSequence()
     y, r_y, k = x, r_x, 0
     while True:
@@ -105,8 +106,8 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
         fk = objective(problem, x, r_x)
         if not math.isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
-        trace.f_history.append(fk)
-        trace.g_norms.append(prox.g_dual_norm)
+        f_history.append(fk)
+        g_norms.append(prox.g_dual_norm)
         if abort_tol is not None and prox.g_dual_norm <= abort_tol:
             result["aborted"] = True
             break
@@ -115,9 +116,9 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
         y = x + beta * (x - x_prev)
         r_y = r_x + beta * (r_x - r_prev)
         if (exit_condition is not None and k >= k_min
-                and exit_condition(k, trace.f_history, prox, x_prev, x)):
+                and exit_condition(k, f_history, prox, x_prev, x)):
             break
-    return FistaResult(x=x, n=k, trace=trace, residual=r_x, **result)
+    return FistaResult(x=x, n=k, residual=r_x, **result)
 
 
 def random_spd(rng, n, cond=10.0):

@@ -161,7 +161,7 @@ def test_criterion_3_objective_rate(free_runs):
         for lp, f_star, x_star, res in free_runs:
             x0 = composite_gradient_map(lp.problem, np.zeros(80)).y_plus
             dist = lp.metric.norm(x0 - x_star)
-            for i, f_val in enumerate(res.trace.f_vals):
+            for i, f_val in enumerate(res.f_history[1:]):
                 k = i + 1
                 bound = 2.0 * dist * dist / (k + 1) ** 2
                 assert f_val - f_star <= bound * (1 + 1e-8) + 1e-12, (
@@ -174,7 +174,7 @@ def test_criterion_4_gradient_rate(free_runs):
         for lp, f_star, x_star, res in free_runs:
             x0 = composite_gradient_map(lp.problem, np.zeros(80)).y_plus
             dist = lp.metric.norm(x0 - x_star)
-            for i, g_val in enumerate(res.trace.g_norms):
+            for i, g_val in enumerate(res.g_norms):
                 bound = 4.0 * dist / (i + 2)  # g evaluated at y_i
                 assert g_val <= bound * (1 + 1e-8) + 1e-12, (
                     f"seed={lp.spec.seed} k={i + 1}"
@@ -231,7 +231,7 @@ def test_criterion_8_single_call_growth_claims(quad_family):
                       " 2 sqrt(e+1)/sqrt(mu)"):
         for lp, mu, f_star, x_star in quad_family:
             res = fista(lp.problem, np.zeros(20), budget=300)
-            hist = res.trace.f_history
+            hist = res.f_history
             k_mono = math.floor(2.0 / math.sqrt(mu))
             k_contr = math.floor(2.0 * math.sqrt(math.e + 1.0) / math.sqrt(mu))
             assert k_contr < len(hist), "run too short to exercise the claims"

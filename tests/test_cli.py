@@ -81,6 +81,19 @@ class TestConfigHandling:
         assert cfg.trials == 9
         assert cfg.seed == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("trials 1\n", "expected 'key = value'"),
+        ("strict_exit = maybe\n", "not a boolean: 'maybe'"),
+    ], ids=["no-equals", "not-a-boolean"])
+    def test_bad_config_line_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("bogus = 1\n")
@@ -145,6 +158,8 @@ class TestConfigHandling:
         ["run", "--schemes", "lcr,none,lcr"],
         ["run", "--family", "least-squares", "--N", "12", "--n", "8", "--alpha", "nan"],
         ["gen", "--family", "least-squares", "--N", "12", "--n", "8", "--alpha", "-1"],
+        ["run", "--jobs", "0"],
+        ["run", "--schemes", ","],
     ])
     def test_bad_run_input_rejected_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        flags):
@@ -169,12 +184,16 @@ class TestConfigHandling:
             assert "the least-squares family needs --N and --n with N >= n" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run-flag", "run-config", "solve-lcr", "solve-opt"])
-    @pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("where, command", [
+        *((where, command) for where in ("file", "below-file")
+          for command in ("run-flag", "run-config", "solve-lcr", "solve-opt")),
+        ("traces-file", "run-flag"), ("traces-file", "run-config"),
+    ])
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
-                                                  command, inside):
-        # An --out that is, or lies below, an existing file: exit 2 with a
-        # config error before any oracle or solve runs, the file untouched.
+                                                  command, where):
+        # An --out that is, or lies below, an existing file, or a run's --out
+        # whose traces entry is a file: exit 2 with a config error before any
+        # oracle or solve runs, the file untouched.
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
@@ -183,8 +202,11 @@ class TestConfigHandling:
         problem = tmp_path / "inst.lasso"
         save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
         taken = tmp_path / "taken"
+        if where == "traces-file":
+            taken.mkdir()
+            taken = taken / "traces"
         taken.write_bytes(b"not a directory\n")
-        out = taken / "sub" if inside else taken
+        out = {"file": taken, "below-file": taken / "sub", "traces-file": taken.parent}[where]
         if command == "run-flag":
             argv = ["run", "--trials", "1", "--out", str(out)]
         elif command == "run-config":
@@ -204,7 +226,10 @@ class TestConfigHandling:
         lambda header: [1, 2],
         lambda header: header | {"b": [math.nan, 1.0, 1.0]},
         lambda header: header | {"b": {}},
-    ], ids=["no-N", "spec-key", "not-an-object", "nan-in-b", "b-not-a-list"])
+        lambda header: header | {"format": "other"},
+        lambda header: header | {"N": 4},
+    ], ids=["no-N", "spec-key", "not-an-object", "nan-in-b", "b-not-a-list", "format",
+            "shape"])
     def test_malformed_problem_file_is_a_config_error(self, tmp_path, capsys, edit):
         # solve exits 2 with a config error, not a traceback, before it writes anything.
         problem = tmp_path / "inst.lasso"
@@ -404,6 +429,18 @@ class TestInvalidTrials:
         assert (tmp_path / "invalid.csv").exists()
         assert stats == []  # nothing valid to aggregate
 
+    def test_every_exhausted_scheme_is_named_in_run_order(self, tmp_path, capsys):
+        # The least-squares oracle is one direct solve, which takes no prox
+        # budget, so the oracle succeeds and every scheme runs out.
+        out = tmp_path / "out"
+        assert main(["run", "--family", "least-squares", "--N", "12", "--n", "8",
+                     "--trials", "2", "--budget", "5", "--schemes", "lcr,none,grad",
+                     "--out", str(out)]) == 1
+        reason = "budget exhausted: lcr none grad"
+        assert (out / "invalid.csv").read_text() == f"trial,reason\n0,{reason}\n1,{reason}\n"
+        assert len((out / "oracles.csv").read_text().splitlines()) == 3
+        assert f"invalid trial 1: {reason}\n" in capsys.readouterr().err
+
     def test_clean_rerun_removes_the_stale_invalid_list(self, tmp_path):
         out = tmp_path / "out"
         flags = ["run", "--N", "15", "--n", "22", "--alpha", "0.01", "--sparsity", "0.5",
@@ -522,6 +559,17 @@ class TestCommands:
               "--sparsity", "0.5", "--seed", "3", "--out", str(problem_file)])
         assert main(["solve", str(problem_file), "--scheme", "opt",
                      "--eps", "1e-7", "--oracle-eps", "1e-9"]) == 0
+
+    def test_solve_opt_oracle_out_of_budget_is_an_oracle_failure(self, tmp_path, capsys):
+        problem_file = tmp_path / "inst.lasso"
+        main(["gen", "--N", "12", "--n", "18", "--alpha", "0.01",
+              "--sparsity", "0.5", "--seed", "3", "--out", str(problem_file)])
+        out = tmp_path / "solved"
+        assert main(["solve", str(problem_file), "--scheme", "opt", "--budget", "5",
+                     "--out", str(out)]) == 1
+        assert ("oracle failure: optimal-value oracle exhausted its budget of 5 prox calls"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_solve_single_restart_lcr_nj_file(self, tmp_path):
         # An instance whose start point is already optimal produces exactly

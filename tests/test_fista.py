@@ -95,7 +95,7 @@ class TestFistaBasics:
         prob = ill_conditioned_quadratic()
         z = np.array([5.0, 5.0])
         res = fista(prob, z, budget=20)
-        hist = res.trace.f_history
+        hist = res.f_history
         assert len(hist) == res.n + 1
         assert hist[0] == objective(prob, composite_gradient_map(prob, z).y_plus)
 
@@ -134,7 +134,7 @@ class TestFistaBasics:
         for _, _, x_k, prox, f_k, f_fresh, f_history in calls:
             assert x_k is prox.y_plus
             assert f_k == f_fresh
-            assert f_history is res.trace.f_history
+            assert f_history is res.f_history
         for before, after in zip(calls, calls[1:]):
             assert after[1] is before[2]
         # The first test sees x_{k_min - 1}: the end point of a call whose budget stops there.
@@ -175,7 +175,7 @@ class TestFistaBasics:
         res = fista(prob, np.array([4.0, 4.0]), abort_tol=1e-6, budget=10_000)
         assert res.aborted
         assert res.last_g_dual_norm <= 1e-6
-        assert res.trace.g_norms[-1] == res.last_g_dual_norm
+        assert res.g_norms[-1] == res.last_g_dual_norm
 
     def test_budget_zero_returns_start(self):
         prob = ill_conditioned_quadratic()
@@ -186,6 +186,8 @@ class TestFistaBasics:
         prob = ill_conditioned_quadratic()
         with pytest.raises(ValueError):
             fista(prob, np.array([1.0, 1.0]), k_min=-1)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            fista(prob, np.array([1.0, 1.0]), budget=-1)
         with pytest.raises(ValueError):
             fista(prob, np.array([np.inf, 1.0]))
         for abort_tol in (-1.0, math.nan):
@@ -215,7 +217,7 @@ class TestFistaConvergence:
         for lp, f_star, x_star, res in traced_instances:
             x0 = composite_gradient_map(lp.problem, np.zeros(30)).y_plus
             dist = lp.metric.norm(x0 - x_star)
-            for i, f_val in enumerate(res.trace.f_vals):
+            for i, f_val in enumerate(res.f_history[1:]):
                 k = i + 1
                 bound = 2.0 * dist * dist / (k + 1) ** 2
                 assert f_val - f_star <= bound * (1 + 1e-8) + 1e-12
@@ -225,14 +227,14 @@ class TestFistaConvergence:
         for lp, f_star, x_star, res in traced_instances:
             x0 = composite_gradient_map(lp.problem, np.zeros(30)).y_plus
             dist = lp.metric.norm(x0 - x_star)
-            for i, g_val in enumerate(res.trace.g_norms):
+            for i, g_val in enumerate(res.g_norms):
                 # g_norms[i] was evaluated at y_i (iteration i + 1).
                 bound = 4.0 * dist / (i + 2)
                 assert g_val <= bound * (1 + 1e-8) + 1e-12
 
     def test_running_minimum_nonincreasing(self, traced_instances):
         for _, f_star, _, res in traced_instances:
-            best = np.minimum.accumulate(res.trace.f_vals)
+            best = np.minimum.accumulate(res.f_history[1:])
             assert np.all(np.diff(best) <= 0.0)
             assert best[-1] >= f_star - 1e-12
 
@@ -309,7 +311,7 @@ class TestDeclaredLeastSquares:
         carried = fista(problem, res.x, budget=50, residual=res.residual)
         assert tally[0] == 2 * (carried.n + 1)
         again = fista(problem, res.x, budget=50)
-        assert again.trace.f_vals == carried.trace.f_vals
+        assert again.f_history[1:] == carried.f_history[1:]
 
     @pytest.mark.parametrize("name", ["desk", "box", "least-squares", "support"])
     def test_restarts_carry_the_residual(self, monkeypatch, name):
@@ -456,7 +458,7 @@ def solve_bits(solve, problem, z, **kwargs):
         return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
 
     return (res.n, res.aborted, res.exhausted, counter.count, bits(res.init_g_dual_norm),
-            bits(res.trace.f_history), bits(res.trace.g_norms), bits(res.x), bits(res.residual))
+            bits(res.f_history), bits(res.g_norms), bits(res.x), bits(res.residual))
 
 
 @settings(max_examples=300, deadline=None)

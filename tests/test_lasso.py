@@ -7,6 +7,7 @@ from scipy import sparse
 
 import fistakit.oracles as oracles
 from fistakit import (
+    Box,
     LassoProblem,
     LassoSpec,
     LeastSquares,
@@ -280,6 +281,33 @@ class TestOracleFstar:
     def test_budget_exhaustion_raises(self, small_lasso):
         with pytest.raises(OracleError):
             oracle_fstar(small_lasso, tight_eps=1e-12, budget=10)
+
+    @pytest.mark.parametrize("tight_eps", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("family", ["lasso", "least-squares"])
+    def test_tight_eps_must_be_finite_and_positive(self, small_lasso, family, tight_eps):
+        # Checked on both paths: the direct least-squares solve would accept
+        # any solution at inf and report a bogus tolerance at nan, 0 or -1.
+        lp = small_lasso if family == "lasso" else generate_least_squares(30, 12, seed=9)
+        with pytest.raises(ValueError, match="tight_eps must be finite and > 0"):
+            oracle_fstar(lp, tight_eps=tight_eps)
+
+    def test_solution_failing_the_optimality_check_raises(self):
+        # A metric far above the curvature makes ||g||_* tiny at the start,
+        # so the lcr run stops at its first prox, far from the minimizer 2.
+        lp = with_metric(LassoProblem.build(
+            A=sparse.csc_array(np.array([[1.0]])),
+            b=np.array([3.0]),
+            weights=np.array([1.0]),
+        ), [1e30])
+        with pytest.raises(OracleError, match="fails the optimality check"):
+            oracle_fstar(lp, tight_eps=1e-12)
+
+    def test_kkt_residual_rejects_a_box(self, small_lasso):
+        n = small_lasso.n
+        boxed = dataclasses.replace(small_lasso, problem=dataclasses.replace(
+            small_lasso.problem, constraint=Box(-np.ones(n), np.ones(n))))
+        with pytest.raises(ValueError, match="only defined for unconstrained problems"):
+            kkt_residual(boxed, np.zeros(n))
 
 
 def lcr_fstar(lp) -> float:

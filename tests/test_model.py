@@ -125,6 +125,24 @@ class TestMetric:
             m.diag[0] = 3.0
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Metric([[1.0, 2.0]]), "diag must be a 1-D vector", id="metric-2d"),
+    pytest.param(lambda: Box([0.0, 0.0], [1.0]), "equal length", id="box-shapes"),
+    pytest.param(lambda: Box([0.0, np.nan], [1.0, 1.0]), "must not be NaN", id="box-nan"),
+    pytest.param(lambda: SmoothPart.from_least_squares(np.eye(3), np.ones(2)),
+                 "b has shape", id="b-length"),
+    pytest.param(lambda: WeightedL1([0.5, -1.0]), "finite and >= 0", id="l1-negative"),
+    pytest.param(lambda: lsq_problem(metric=(1.0, 2.0, 3.0)),
+                 "metric dim 3 != problem dim 2", id="metric-dim"),
+    pytest.param(lambda: lsq_problem(WeightedL1([0.1])), "weight vector length",
+                 id="l1-dim"),
+    pytest.param(lambda: lsq_problem(constraint=Box([0.0], [1.0])), "box dim", id="box-dim"),
+])
+def test_bad_problem_part_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestBox:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):

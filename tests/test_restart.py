@@ -80,7 +80,7 @@ class TestExitConditions:
         prob = ill_conditioned_quadratic()
         z = np.array([4.0, 4.0])
         free = fista(prob, z, budget=300)
-        hist = free.trace.f_history
+        hist = free.f_history
         first_up = next(k for k in range(1, len(hist)) if hist[k] >= hist[k - 1])
         gated = fista(prob, z, exit_condition=exit_function_scheme, budget=300)
         assert gated.n == first_up
@@ -111,6 +111,10 @@ class TestRestartRunValidation:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             RestartRun(scheme=Scheme.LCR, epsilon=0.0, r0=np.zeros(2))
+
+    def test_r0_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="r0 must be a 1-D vector"):
+            RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros((2, 2)))
 
     def test_opt_requires_f_star(self):
         with pytest.raises(ValueError):
@@ -182,6 +186,24 @@ class TestRestartFista:
                 out = run_scheme(desk_lasso.problem, run)
                 assert out.trace.exhausted
                 assert out.trace.total_prox_calls <= budget
+
+    def test_strict_budget_running_out_before_an_outer_check(self, desk_lasso):
+        # A budget that the first call's init prox and iterations use up
+        # exactly: the call ends on its exit test, and the run stops where
+        # its outer check would need one more prox.
+        run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-13, r0=np.zeros(40),
+                         early_exit=False, budget=2_000)
+        first = run_scheme(desk_lasso.problem, run).trace.records[1]
+        budget = first.n_obs + 1
+        trace = run_scheme(desk_lasso.problem, dataclasses.replace(run, budget=budget)).trace
+        assert trace.exhausted
+        last = trace.records[-1]
+        assert (last.j, last.n_obs, last.f_r) == (1, first.n_obs, first.f_r)
+        assert math.isnan(last.g_dual_norm)  # no prox was left to check r_1
+        assert trace.calls == 1 and trace.outer_checks == 0
+        assert trace.total_prox_calls == budget == (
+            trace.total_iterations + trace.calls + trace.outer_checks
+        )
 
     def test_optimal_value_interval_within_rate_window(self):
         # On a growth instance, the e^2-contraction exit must fire within
@@ -444,7 +466,12 @@ def test_zoo_reaches_eps_in_every_scheme(seed, eps):
 
 
 def _box_path_digest(prob):
-    """sha256 over ``repr(trace)`` and the ``r_star`` bytes of every scheme, early and strict."""
+    """sha256 over each run of every scheme, early and strict.
+
+    A run adds the ``repr`` of its records, the float64 bytes of its
+    ``f_vals`` and ``g_norms``, the ``repr`` of its counters and the bytes
+    of ``r_star``: data that does not depend on how a trace is laid out.
+    """
     ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim),
                                       budget=5_000))
     f_star = objective(prob, ref.r_star)
@@ -456,18 +483,23 @@ def _box_path_digest(prob):
                              f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
                              budget=5_000)
             result = run_scheme(prob, run)
-            digest.update(repr(result.trace).encode())
+            t = result.trace
+            digest.update(repr(t.records).encode())
+            digest.update(np.array(t.f_vals, dtype=np.float64).tobytes())
+            digest.update(np.array(t.g_norms, dtype=np.float64).tobytes())
+            digest.update(repr((t.calls, t.total_prox_calls, t.outer_checks, t.final_g_norm,
+                                t.exhausted)).encode())
             digest.update(result.r_star.tobytes())
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("seed, box_only, l1_and_box", [
-    (0, "0ff4f20165b661d0d639af12ef344f5ef8413cdc6217d097c089c7f6ac76394c",
-        "d17787fe990863a7c85487b0d70c9f1f5117e5b042077e614aa60ace8199d855"),
-    (1, "e14fd7e2233b9f401e9a2afb95ef3dbdbfd5a977b22babacf8e226052424ed4d",
-        "4b6e86d60d2cdfe82c6741d2ec5ed5d5c578eff4fa1079950e9f9a9b871297f9"),
-    (2, "541218a0d5cfac878468eb8e78262dbf8b4a77719c8c0238055047049b0ebe05",
-        "c5dd7bcee5349cf513a960f55bd4b091628872cc806e3130bce44220be2af43b"),
+    (0, "598cf57127ae1911bf272754617109f8c8e01e0d4aafb990dd6db49812eb1640",
+        "387654b075e28cb5ddb2abb0b3598a9b1b64d3e31fa7cf6ee1ebd2bcacce3557"),
+    (1, "8c0d752939b2fea5afa9b13a5bd6a502ce6bd4d14ca2503d6a1a369f4ba20565",
+        "f7e3b6cbc58c826a30222e695d624a094d96b5957f7556a840fe5d3ab06e8c49"),
+    (2, "f8cd3ca77757d1c6b346121d6ef87cbeeed89574e8e9df58bbf984a365dc02c1",
+        "d966b90c53b7124f0cc19496a5ab13a27b30d00c9247528a74fd8e698ca2e0fb"),
 ])
 def test_box_path_bits_are_pinned(seed, box_only, l1_and_box):
     # The zoo's box problems (a box alone, and l1 plus a box) through every
