@@ -57,8 +57,6 @@ __all__ = [
     "main",
 ]
 
-ALL_SCHEMES = tuple(Scheme)
-
 # Tolerance policy for rate checks: a relative factor on the bound plus an
 # absolute allowance for float evaluation noise.
 BOUND_REL = 1e-8
@@ -80,7 +78,7 @@ class ExperimentConfig:
     sparsity: float = 0.9
     family: str = "lasso"
     trials: int = 100
-    schemes: tuple[Scheme, ...] = ALL_SCHEMES
+    schemes: tuple[Scheme, ...] = tuple(Scheme)
     epsilon: float = 1e-11
     oracle_epsilon: float = 1e-12
     seed: int = 0
@@ -299,11 +297,11 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
                 "schemes": {}, "oracle": None}
 
 
-def _restart_run(settings, scheme: Scheme, n: int, f_star: float | None) -> RestartRun:
+def _restart_run(settings, scheme: Scheme, x_star: np.ndarray) -> RestartRun:
     """The run from zero that ``settings`` (a config, or solve's flags) ask for."""
-    return RestartRun(scheme=scheme, epsilon=settings.epsilon, r0=np.zeros(n),
-                      early_exit=not settings.strict_exit, f_star=f_star,
-                      budget=settings.budget)
+    return RestartRun(scheme=scheme, epsilon=settings.epsilon, r0=np.zeros(x_star.size),
+                      early_exit=not settings.strict_exit, budget=settings.budget,
+                      x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None)
 
 
 def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
@@ -333,10 +331,7 @@ def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
 
     results: dict[str, RestartTrace] = {}
     for scheme in config.schemes:
-        run = _restart_run(config, scheme, lp.n,
-                           f_star if scheme is Scheme.OPTIMAL_VALUE else None)
-        outcome = run_scheme(lp.problem, run)
-        trace = outcome.trace
+        trace = run_scheme(lp.problem, _restart_run(config, scheme, x_star)).trace
         results[scheme.value] = trace
         summary["schemes"][scheme.value] = {
             "iterations": trace.total_iterations,
@@ -634,8 +629,7 @@ def verify_bounds(out_dir) -> tuple[list[BoundCheck], int]:
                         bound=total_bound, observed=float(total),
                     ))
 
-    failures = sum(1 for c in checks if c.status == "FAIL")
-    return checks, failures
+    return checks, sum(c.status == "FAIL" for c in checks)
 
 
 # ----------------------------------------------------------------------
@@ -660,11 +654,14 @@ def _flag_settings(args, keys) -> dict[str, str]:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _check_out_dir(path: Path) -> None:
-    """Raise ``ValueError`` unless ``path``, or its nearest existing ancestor, is a directory."""
+def _check_out_dir(path: Path, *files: str) -> None:
+    """Raise ``ValueError`` unless ``path`` can be a directory and each of its ``files`` a file."""
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ValueError(f"output directory {path}: {existing} is not a directory")
+    for taken in (path / name for name in files):
+        if taken.exists() and not taken.is_file():
+            raise ValueError(f"output file {taken} exists and is not a file")
 
 
 def _cmd_run(args) -> int:
@@ -672,6 +669,8 @@ def _cmd_run(args) -> int:
         settings = parse_config_file(args.config) if args.config else {}
         config = build_config(settings | _flag_settings(args, _RUN_KEYS))
         _check_out_dir(config.out / "traces")
+        _check_out_dir(config.out, "run_meta.json", "trials.csv", "oracles.csv", "invalid.csv",
+                       "stats.csv", "stats.txt")
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -697,24 +696,23 @@ def _cmd_solve(args) -> int:
         settings = SimpleNamespace(**_parse_settings(_flag_settings(args, _SOLVE_KEYS)))
         lp = load_problem(args.problem)
         scheme = Scheme.from_name(args.scheme)
-        needs_oracle = scheme is Scheme.OPTIMAL_VALUE and args.f_star is None
+        needs_oracle = scheme is Scheme.OPTIMAL_VALUE
         if needs_oracle and not 0 < settings.oracle_epsilon < math.inf:
             raise ValueError("oracle_epsilon must be finite and > 0")
-        # f_star 0 stands in for the oracle's, so that bad settings stop
-        # solve before the oracle runs.
-        run = _restart_run(settings, scheme, lp.n, 0.0 if needs_oracle else args.f_star)
+        # Zero stands in for x*, so that bad settings stop solve before the oracle runs.
+        run = _restart_run(settings, scheme, np.zeros(lp.n))
         if args.out is not None:
-            _check_out_dir(args.out)
+            _check_out_dir(args.out, "trace.csv", "restarts.csv")
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if needs_oracle:
         try:
-            f_star, _ = oracle_fstar(lp, tight_eps=settings.oracle_epsilon, budget=run.budget)
+            _, x_star = oracle_fstar(lp, tight_eps=settings.oracle_epsilon, budget=run.budget)
         except OracleError as exc:
             print(f"oracle failure: {exc}", file=sys.stderr)
             return 1
-        run = replace(run, f_star=f_star)
+        run = replace(run, x_star=x_star)
     outcome = run_scheme(lp.problem, run)
     trace = outcome.trace
     print(f"scheme={scheme.value} iterations={trace.total_iterations} "
@@ -764,7 +762,6 @@ def main(argv=None) -> int:
     p_solve.add_argument("--scheme", required=True,
                          choices=[s.value for s in Scheme])
     _add_config_flags(p_solve, _SOLVE_KEYS)
-    p_solve.add_argument("--f-star", type=float, default=None, dest="f_star")
     p_solve.add_argument("--out", type=Path, default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -51,8 +51,8 @@ stores no entry has a zero gradient entry and never creates one.  A clip
 to a box could turn such an entry into a finite ``x_k``, so on a problem
 with a box constraint the step keeps the prox's checks.
 
-Exit conditions are pure predicates called with the step's values, as
-``condition(k, f_history, prox, x_prev, x_k)`` (see :data:`ExitCondition`);
+Exit conditions are predicates called with the step's values, as
+``condition(k, f_history, prox, x_prev, x_k, r_x)`` (see :data:`ExitCondition`);
 the concrete restart conditions live in :mod:`fistakit.restart`.  The loop
 is guarded by a hard iteration budget, and can optionally abort the moment
 ``||g(y_{k-1})||_*`` drops below a tolerance, reusing the prox already
@@ -71,7 +71,6 @@ import numpy as np
 from .model import (
     CompositeProblem,
     ProxCounter,
-    ProxStep,
     _validate_point,
     composite_gradient_map,
     objective,
@@ -124,13 +123,13 @@ class TSequence:
         return out
 
 
-ExitCondition = Callable[[int, list[float], ProxStep, np.ndarray, np.ndarray], bool]
-"""Exit test called as ``condition(k, f_history, prox, x_prev, x_k)`` after step ``k``.
+ExitCondition = Callable[..., bool]
+"""Exit test called as ``condition(k, f_history, prox, x_prev, x_k, r_x)`` after step ``k``.
 
-``f_history[i]`` is ``f(x_i)`` for ``i = 0..k`` (``x_0 = z_plus``), and
-``prox`` is the prox step computed at ``y_{k-1}`` this iteration, so
-``g(y_{k-1})`` is available without recomputation.  A test must not mutate
-its arguments.
+``f_history[i]`` is ``f(x_i)`` for ``i = 0..k`` (``x_0 = z_plus``),
+``prox`` the prox step at ``y_{k-1}`` of this iteration (so ``g(y_{k-1})``
+needs no recomputation) and ``r_x`` the residual ``A x_k - b`` the loop
+carries (so a test needs no matvec).  A test must not mutate them.
 """
 
 
@@ -139,7 +138,7 @@ def gradient_norm_below(eps: float) -> ExitCondition:
     if not eps > 0:
         raise ValueError("eps must be > 0")
 
-    def condition(k, f_history, prox, x_prev, x_k) -> bool:
+    def condition(k, f_history, prox, x_prev, x_k, r_x) -> bool:
         return prox.g_dual_norm <= eps
 
     return condition
@@ -203,7 +202,7 @@ def fista(
     k_min : int
         Minimum iteration count before the exit condition may fire.
     exit_condition : callable, optional
-        Pure predicate ``condition(k, f_history, prox, x_prev, x_k)`` (see
+        Predicate ``condition(k, f_history, prox, x_prev, x_k, r_x)`` (see
         :data:`ExitCondition`); ``None`` never exits.
     budget : int
         Hard cap on iterations for this call.
@@ -296,7 +295,7 @@ def fista(
         ys += s
         y, r_y = ys[:n], ys[n:]
         if (exit_condition is not None and k >= k_min
-                and exit_condition(k, f_history, prox, x_prev, x)):
+                and exit_condition(k, f_history, prox, x_prev, x, r_x)):
             break
 
     return FistaResult(

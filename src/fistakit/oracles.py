@@ -1,7 +1,7 @@
 """High-accuracy reference values for verifying convergence guarantees.
 
-These oracles exist to check the solver, never to drive it.  The optimal
-value of an instance with no box and no nonzero l1 weight (the
+These oracles check the solver; only the opt scheme, which needs the
+minimizer, runs on one.  The optimum of an instance with no box and no nonzero l1 weight (the
 least-squares family) comes from one dense least-squares solve, so it
 does not depend on any restart scheme; that of a lasso or boxed instance
 comes from an extra-tight lcr solve.  Either is cross-checked against the
@@ -76,15 +76,17 @@ def oracle_fstar(
     its composite gradient has dual norm at most ``tight_eps``.  Otherwise
     the lcr scheme runs from zero down to ``tight_eps`` within ``budget``
     prox calls.  ``tight_eps`` must be tighter than any tolerance the
-    oracle's consumers use, and must be finite and > 0 (``ValueError``
-    otherwise).  An unconstrained result must also pass the
-    first-order conditions (:func:`kkt_residual` at most ``KKT_TOL``).
-    Raises :class:`OracleError` when the lcr budget runs out or a check
-    fails, so callers can skip rather than trust a bad reference; neither
-    path falls back on the other.
+    oracle's consumers use and finite and > 0, and ``budget`` at least 1,
+    on either path (``ValueError`` otherwise).  An unconstrained result
+    must also pass the first-order conditions (:func:`kkt_residual` at
+    most ``KKT_TOL``).  Raises :class:`OracleError` when the lcr budget
+    runs out or a check fails, so callers can skip rather than trust a bad
+    reference; neither path falls back on the other.
     """
     if not 0 < tight_eps < math.inf:
         raise ValueError(f"tight_eps must be finite and > 0, got {tight_eps!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
     if _is_smooth(lp):
         x_star = linalg.lstsq(lp.A.toarray(), lp.b, lapack_driver="gelsy")[0]
         g_norm = composite_gradient_map(lp.problem, x_star).g_dual_norm

@@ -7,8 +7,8 @@ shipped:
 
 * function scheme: restart when the objective stops decreasing,
 * gradient scheme: restart when the prox step opposes recent movement,
-* optimal-value scheme: restart once the gap to a known optimum has
-  contracted by a factor e^2,
+* optimal-value scheme: restart once the gap to a known minimizer ``x*``,
+  taken from ``x*`` and the loop's residual, has contracted by e^2,
 * lcr scheme: a history-based contraction test (no optimum needed) that,
   combined with a doubling rule on the minimum inner iteration count,
   yields a linearly convergent method on problems with quadratic
@@ -37,7 +37,8 @@ from .fista import (
     fista,
     gradient_norm_below,
 )
-from .model import CompositeProblem, ProxCounter, composite_gradient_map, objective
+from .model import (CompositeProblem, ProxCounter, WeightedL1, _as_locked_vector,
+                    composite_gradient_map, objective)
 
 __all__ = [
     "Scheme",
@@ -70,12 +71,12 @@ class Scheme(enum.Enum):
                          f"{[s.value for s in cls]}")
 
 
-def exit_function_scheme(k, f_history, prox, x_prev, x_k) -> bool:
+def exit_function_scheme(k, f_history, prox, x_prev, x_k, r_x) -> bool:
     """True iff the objective failed to decrease: ``f(x_k) >= f(x_{k-1})``."""
     return f_history[k] >= f_history[k - 1]
 
 
-def exit_gradient_scheme(k, f_history, prox, x_prev, x_k) -> bool:
+def exit_gradient_scheme(k, f_history, prox, x_prev, x_k, r_x) -> bool:
     """True iff ``<g(y_{k-1}), x_{k-1} - x_k> <= 0``.
 
     The prox step has stopped being aligned with the recent movement, the
@@ -84,21 +85,63 @@ def exit_gradient_scheme(k, f_history, prox, x_prev, x_k) -> bool:
     return float(np.dot(prox.g, x_prev - x_k)) <= 0.0
 
 
-def exit_optimal_value_scheme(k, f_history, prox, x_prev, x_k, f_star: float) -> bool:
-    """True iff ``f(x_k) - f_star <= (f(x_0) - f_star) / e^2``.
+class _OptimalGap:
+    """``f(x) - f(x*)`` from ``x`` and its residual ``r = A x - b``, with no matvec::
 
-    Requires the optimal value; the call contracts the optimality gap by
-    at least e^2 before restarting.  Like :func:`exit_lcr`, it also holds
-    when the last prox has ``||g||_* = 0``: ``x_k`` is then a fixed point,
-    and with ``f(x_0)`` a rounding step below ``f_star`` the gap test
-    could never hold.
+        gap(x, r) = ||r - r*||^2 / (2N) + w . (|x| - sigma x) + c . x - c . x*
+
+    Here ``r* = A x* - b``, ``g* = A^T r* / N``, ``w`` the l1 weights (0
+    without an l1 term), ``sigma = sign(x*)``, or ``clip(-g*/w, -1, 1)``
+    where ``x* = 0`` (0 where ``w = 0``), and ``c = g* + w sigma``, a KKT
+    defect or a box multiplier, so no term cancels at the size of ``f``.
+    ``target`` is ``gap(x_0) / e^2`` of the call the test last started.
+    ``slack = m u / (1 - m u)``, ``m = n + N + 8``, ``u = 2^-53``, bounds
+    the rounding of ``f(x_k) - f*`` relative to ``f(x_k) + f*``.
+    """
+
+    def __init__(self, problem: CompositeProblem, x_star: np.ndarray):
+        form = self.form = problem.smooth.least_squares
+        r_star = self.r_star = form.residual(x_star)
+        g_star = form.grad_at_residual(r_star)
+        psi = problem.nonsmooth
+        w = psi.weights if isinstance(psi, WeightedL1) else np.zeros_like(g_star)
+        ratio = np.divide(-g_star, w, out=np.zeros_like(g_star), where=w > 0)
+        self.sigma = np.where(x_star != 0, np.sign(x_star), np.clip(ratio, -1.0, 1.0))
+        self.w = w if w.any() else None  # no weight: that term of the gap is +0
+        self.c = g_star + w * self.sigma
+        self.c_x_star = float(self.c.dot(x_star))
+        self.f_star = form.value_at_residual(r_star) + psi.value(x_star)
+        m_u = (form.dim + form.b.size + 8) * 2.0 ** -53
+        self.slack = m_u / (1.0 - m_u)
+
+    def __call__(self, x, r) -> float:
+        d = r - self.r_star
+        gap = 0.5 * float(d.dot(d)) / self.form._N
+        if self.w is not None:
+            gap += float(self.w.dot(abs(x) - self.sigma * x))
+        return gap + float(self.c.dot(x)) - self.c_x_star
+
+
+def exit_optimal_value_scheme(k, f_history, prox, x_prev, x_k, r_x, gap: _OptimalGap) -> bool:
+    """True iff ``gap(x_k, r_x) <= gap(x_0, r_0) / e^2`` (see :class:`_OptimalGap`).
+
+    The gap stays exact where ``f(x_k) - f*`` is below the rounding of
+    ``f``.  At ``k = 1`` the test fixes the call's start gap from ``x_prev
+    = x_0``, one matvec per call.  It returns False early, at no vector
+    cost, when ``f(x_k) - f* > target + slack (f(x_k) + f*)``, which only
+    steps the gap rejects meet.  Like :func:`exit_lcr`, it holds at ``g = 0``.
     """
     if prox.g_dual_norm == 0.0:
         return True
-    return f_history[k] - f_star <= (f_history[0] - f_star) / (math.e ** 2)
+    if k == 1:
+        gap.target = gap(x_prev, gap.form.residual(x_prev)) / math.e ** 2
+    f_k, f_star = f_history[k], gap.f_star
+    if f_k - f_star > gap.target + gap.slack * (f_k + f_star):
+        return False
+    return gap(x_k, r_x) <= gap.target
 
 
-def exit_lcr(k, f_history, prox, x_prev, x_k) -> bool:
+def exit_lcr(k, f_history, prox, x_prev, x_k, r_x) -> bool:
     """History-based contraction test with pivot ``m = floor(k/2) + 1``.
 
     True iff both ``f(x_m) - f(x_k) <= (f(x_0) - f(x_m)) / e`` and
@@ -122,31 +165,30 @@ class RestartRun:
     ``early_exit`` selects the stopping style: when True every computed
     prox is tested against ``epsilon`` and the run aborts on success; when
     False the test happens only between restarts, via one extra counted
-    prox at each restart point.
+    prox at each restart point.  The optimal-value scheme measures its
+    gap from ``x_star``, a minimizer, held as a locked finite 1-D copy.
     """
 
     scheme: Scheme
     epsilon: float
     r0: np.ndarray
     early_exit: bool = True
-    f_star: float | None = None
+    x_star: np.ndarray | None = None
     budget: int = DEFAULT_ITERATION_BUDGET
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.scheme is Scheme.OPTIMAL_VALUE:
-            if self.f_star is None or not math.isfinite(self.f_star):
-                raise ValueError("the optimal-value scheme requires a finite f_star")
-        r0 = np.array(self.r0, dtype=np.float64, copy=True)
-        if r0.ndim != 1:
-            raise ValueError("r0 must be a 1-D vector")
-        r0.setflags(write=False)
-        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "r0", _as_locked_vector(self.r0, "r0"))
+        if self.x_star is not None:
+            x_star = _as_locked_vector(self.x_star, "x_star")
+            if not np.all(np.isfinite(x_star)):
+                raise ValueError("x_star must be finite")
+            object.__setattr__(self, "x_star", x_star)
+        elif self.scheme is Scheme.OPTIMAL_VALUE:
+            raise ValueError("the optimal-value scheme requires a minimizer x_star")
 
 
 @dataclass
@@ -204,7 +246,7 @@ class RestartResult:
     trace: RestartTrace
 
 
-def _exit_test(run: RestartRun) -> ExitCondition | None:
+def _exit_test(problem: CompositeProblem, run: RestartRun) -> ExitCondition | None:
     """Exit test of the inner calls of ``run.scheme``.
 
     "none" exits on the tolerance itself, so its single call ends the run.
@@ -220,7 +262,7 @@ def _exit_test(run: RestartRun) -> ExitCondition | None:
     if run.scheme is Scheme.GRADIENT:
         return exit_gradient_scheme
     if run.scheme is Scheme.OPTIMAL_VALUE:
-        return partial(exit_optimal_value_scheme, f_star=run.f_star)
+        return partial(exit_optimal_value_scheme, gap=_OptimalGap(problem, run.x_star))
     return exit_lcr
 
 
@@ -245,7 +287,7 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
     never, since its call ends the run.  One prox per call is reserved
     inside the budget for the call's initialization.
     """
-    exit_test = _exit_test(run)
+    exit_test = _exit_test(problem, run)
     lcr = run.scheme is Scheme.LCR
     counter = ProxCounter()
     abort_tol = run.epsilon if run.early_exit else None

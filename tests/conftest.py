@@ -116,7 +116,7 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
         y = x + beta * (x - x_prev)
         r_y = r_x + beta * (r_x - r_prev)
         if (exit_condition is not None and k >= k_min
-                and exit_condition(k, f_history, prox, x_prev, x)):
+                and exit_condition(k, f_history, prox, x_prev, x, r_x)):
             break
     return FistaResult(x=x, n=k, residual=r_x, **result)
 

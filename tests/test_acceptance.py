@@ -295,13 +295,13 @@ def test_criterion_10_determinism(ranking_run, tmp_path):
 
 def test_criterion_11_prox_accounting(lasso_family):
     with criterion(11, "prox counter equals iterations + restarts + outer checks"):
-        lp, f_star, _ = lasso_family[0]
+        lp, _, x_star = lasso_family[0]
         for scheme in Scheme:
             for early in (True, False):
                 run = RestartRun(
                     scheme=scheme, epsilon=1e-8, r0=np.zeros(80),
                     early_exit=early,
-                    f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                    x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None,
                     budget=10_000,
                 )
                 trace = run_scheme(lp.problem, run).trace

@@ -143,7 +143,7 @@ class TestConfigHandling:
         ["solve", "--scheme", "lcr", "--eps", "-1"],
         ["solve", "--scheme", "lcr", "--eps", "nan"],
         ["solve", "--scheme", "lcr", "--budget", "0"],
-        ["solve", "--scheme", "opt", "--f-star", "nan"],
+        ["solve", "--scheme", "opt", "--budget", "0"],
         ["solve", "--scheme", "opt", "--eps", "-1"],
         ["solve", "--scheme", "opt", "--oracle-eps", "-1"],
         ["run", "--family", "least-squares"],
@@ -188,12 +188,17 @@ class TestConfigHandling:
         *((where, command) for where in ("file", "below-file")
           for command in ("run-flag", "run-config", "solve-lcr", "solve-opt")),
         ("traces-file", "run-flag"), ("traces-file", "run-config"),
+        ("trace.csv", "solve-lcr"), ("restarts.csv", "solve-opt"),
+        *((name, "run-flag") for name in ("run_meta.json", "trials.csv", "oracles.csv",
+                                          "invalid.csv", "stats.csv", "stats.txt")),
+        ("stats.csv", "run-config"),
     ])
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                   command, where):
-        # An --out that is, or lies below, an existing file, or a run's --out
-        # whose traces entry is a file: exit 2 with a config error before any
-        # oracle or solve runs, the file untouched.
+        # An --out that is, or lies below, an existing file, a run's --out
+        # whose traces entry is a file, or an --out where a file the command
+        # writes is a directory: exit 2 with a config error before any oracle
+        # or solve runs, the entry in the way untouched.
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
@@ -202,11 +207,16 @@ class TestConfigHandling:
         problem = tmp_path / "inst.lasso"
         save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
         taken = tmp_path / "taken"
-        if where == "traces-file":
+        if where not in ("file", "below-file"):
             taken.mkdir()
-            taken = taken / "traces"
-        taken.write_bytes(b"not a directory\n")
-        out = {"file": taken, "below-file": taken / "sub", "traces-file": taken.parent}[where]
+            taken = taken / ("traces" if where == "traces-file" else where)
+        if where.endswith((".csv", ".json", ".txt")):
+            taken.mkdir()
+            (taken / "kept").write_bytes(b"not a directory\n")
+            taken = taken / "kept"
+        else:
+            taken.write_bytes(b"not a directory\n")
+        out = {"file": taken, "below-file": taken / "sub"}.get(where, tmp_path / "taken")
         if command == "run-flag":
             argv = ["run", "--trials", "1", "--out", str(out)]
         elif command == "run-config":
@@ -219,6 +229,8 @@ class TestConfigHandling:
         assert main(argv) == 2
         assert "config error:" in capsys.readouterr().err
         assert taken.read_bytes() == b"not a directory\n"
+        if where not in ("file", "below-file"):  # nothing written beside the entry
+            assert [p.name for p in out.iterdir()] == [taken.relative_to(out).parts[0]]
 
     @pytest.mark.parametrize("edit", [
         lambda header: {key: value for key, value in header.items() if key != "N"},
@@ -790,3 +802,12 @@ def test_none_checks_match_the_scalar_reference(tmp_path_factory, lines, f_star,
     assert [c.line() for c in checks] == [c.line() for c in expected]
     assert [c.status for c in checks] == [c.status for c in expected]
     assert repr(checks) == repr(expected)
+
+
+def test_solve_has_no_f_star_flag(tmp_path):
+    # solve --scheme opt always takes x* from the oracle.
+    problem = tmp_path / "inst.lasso"
+    save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", str(problem), "--scheme", "opt", "--f-star", "0.5"])
+    assert stop.value.code == 2

@@ -109,7 +109,7 @@ class TestFistaBasics:
         prob = ill_conditioned_quadratic()
         seen = []
 
-        def spy(k, f_history, prox, x_prev, x_k):
+        def spy(k, f_history, prox, x_prev, x_k, r_x):
             seen.append(k)
             return False
 
@@ -123,7 +123,7 @@ class TestFistaBasics:
         k_min, n_calls = 7, 12
         calls = []
 
-        def record(k, f_history, prox, x_prev, x_k):
+        def record(k, f_history, prox, x_prev, x_k, r_x):
             calls.append((k, x_prev, x_k, prox, f_history[k], objective(problem, x_k),
                           f_history))
             return len(calls) == n_calls
@@ -147,7 +147,7 @@ class TestFistaBasics:
         ts = TSequence.generate(30)
         iterates = []
 
-        def check(k, f_history, prox, x_prev, x_k):
+        def check(k, f_history, prox, x_prev, x_k, r_x):
             if k >= 2:
                 x1, x2 = iterates[-1], x_prev
                 coeff = (ts[k - 2] - 1.0) / ts[k - 1]
@@ -281,14 +281,14 @@ class TestDeclaredLeastSquares:
         eps = 1e-9
         tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(declared.dim),
                            budget=20_000)
-        f_star = objective(declared, run_scheme(declared, tight).r_star)
+        x_star = run_scheme(declared, tight).r_star
         for solver in (fista, checked_fista):
             for scheme in Scheme:
                 for early in (True, False):
                     run = RestartRun(
                         scheme=scheme, epsilon=eps, r0=np.zeros(declared.dim),
                         early_exit=early,
-                        f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                        x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None,
                         budget=20_000,
                     )
                     trace = run_with(monkeypatch, solver, declared, run).trace
@@ -341,7 +341,7 @@ class TestStepBuffers:
         problem = declared_problem(name)
         seen = []
 
-        def remember(k, f_history, prox, x_prev, x_k):
+        def remember(k, f_history, prox, x_prev, x_k, r_x):
             seen.extend((v, v.copy()) for v in (x_prev, x_k, prox.y_plus, prox.g))
             return False
 
@@ -477,12 +477,12 @@ def test_fused_loop_changes_no_scheme(monkeypatch, name):
     """Every scheme in both exit modes, with the fused loop and with the checked reference."""
     problem = declared_instances()[name]
     tight = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(problem.dim), budget=20_000)
-    f_star = objective(problem, run_scheme(problem, tight).r_star)
+    x_star = run_scheme(problem, tight).r_star
     for early in (True, False):
         for scheme in Scheme:
             run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(problem.dim),
                              early_exit=early, budget=20_000,
-                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None)
+                             x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None)
             got = run_scheme(problem, run)
             want = run_with(monkeypatch, checked_fista, problem, run)
             assert not got.trace.exhausted and got.trace.calls > 0

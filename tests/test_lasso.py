@@ -291,6 +291,14 @@ class TestOracleFstar:
         with pytest.raises(ValueError, match="tight_eps must be finite and > 0"):
             oracle_fstar(lp, tight_eps=tight_eps)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("family", ["lasso", "least-squares"])
+    def test_budget_must_be_at_least_one(self, small_lasso, family, budget):
+        # Checked on both paths, though only the lcr solve spends it.
+        lp = small_lasso if family == "lasso" else generate_least_squares(30, 12, seed=9)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            oracle_fstar(lp, budget=budget)
+
     def test_solution_failing_the_optimality_check_raises(self):
         # A metric far above the curvature makes ||g||_* tiny at the start,
         # so the lcr run stops at its first prox, far from the minimizer 2.

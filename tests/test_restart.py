@@ -20,24 +20,27 @@ from fistakit import (
     exit_optimal_value_scheme,
     fista,
     generate,
+    generate_least_squares,
     gradient_norm_below,
     model,
     objective,
     oracle_fstar,
+    restart,
     run_scheme,
 )
 from conftest import count_fista_module_calls, count_kernel_calls, make_quadratic, problem_zoo
 
 
-def step_with(f_history, k=None, x_prev=None, x_k=None, g=None):
-    """Arguments ``(k, f_history, prox, x_prev, x_k)`` of an exit test."""
+def step_with(f_history, k=None, x_prev=None, x_k=None, g=None, r_x=None):
+    """Arguments ``(k, f_history, prox, x_prev, x_k, r_x)`` of an exit test."""
     k = len(f_history) - 1 if k is None else k
     prox = type("P", (), {})()
     prox.g = None if g is None else np.asarray(g, dtype=float)
     prox.g_dual_norm = 0.0 if g is None else float(np.linalg.norm(g))
     return (k, list(f_history), prox,
             np.asarray(x_prev if x_prev is not None else [0.0]),
-            np.asarray(x_k if x_k is not None else [0.0]))
+            np.asarray(x_k if x_k is not None else [0.0]),
+            np.asarray(r_x if r_x is not None else [0.0]))
 
 
 def ill_conditioned_quadratic(cond=200.0):
@@ -59,12 +62,21 @@ class TestExitConditions:
         assert not exit_gradient_scheme(*step)  # inner product +1
 
     def test_optimal_value_boundary(self):
-        e2 = math.e ** 2
-        g = [1.0]
-        assert exit_optimal_value_scheme(*step_with([e2, 1.0], g=g), f_star=0.0)
-        assert not exit_optimal_value_scheme(*step_with([e2, 1.01], g=g), f_star=0.0)
-        # g = 0 exactly: x_k is a fixed point, even above the given f_star.
-        assert exit_optimal_value_scheme(*step_with([e2, 1.01], g=[0.0]), f_star=0.0)
+        # h(x) = x^2 / 2 with x* = 0, so gap(x, r) = r^2 / 2: a call from
+        # x_0 = e sqrt(2), whose gap is e^2, exits once the gap is at most 1.
+        prob = make_quadratic(np.array([[1.0]]), np.array([0.0]), metric_diag=[1.0])
+        form = prob.smooth.least_squares
+
+        def decide(x_k, g):
+            x0, xk = np.array([math.e * math.sqrt(2.0)]), np.array([x_k])
+            step = step_with([objective(prob, x0), objective(prob, xk)], x_prev=x0, x_k=xk,
+                             g=g, r_x=form.residual(xk))
+            return exit_optimal_value_scheme(*step, gap=restart._OptimalGap(prob, np.zeros(1)))
+
+        assert decide(1.41, g=[1.0])  # gap 0.994
+        assert not decide(1.42, g=[1.0])  # gap 1.008
+        # g = 0 exactly: x_k is a fixed point, even above the target.
+        assert decide(1.42, g=[0.0])
 
     def test_lcr_examples(self):
         g = [1.0]
@@ -90,7 +102,7 @@ class TestExitConditions:
         z = np.array([4.0, 4.0])
         iterates = []
 
-        def spy(k, f_history, prox, x_prev, x_k):
+        def spy(k, f_history, prox, x_prev, x_k, r_x):
             iterates.append((x_prev.copy(), x_k.copy()))
             return False
 
@@ -116,9 +128,25 @@ class TestRestartRunValidation:
         with pytest.raises(ValueError, match="r0 must be a 1-D vector"):
             RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros((2, 2)))
 
-    def test_opt_requires_f_star(self):
-        with pytest.raises(ValueError):
-            RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(2))
+    @pytest.mark.parametrize("x_star, match", [
+        (None, "requires a minimizer x_star"),
+        (np.zeros((2, 1)), "x_star must be a 1-D vector"),
+        (np.array([0.0, math.nan]), "x_star must be finite"),
+        (np.array([math.inf, 0.0]), "x_star must be finite"),
+    ], ids=["missing", "2-D", "nan", "inf"])
+    def test_opt_requires_a_finite_x_star(self, x_star, match):
+        with pytest.raises(ValueError, match=match):
+            RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(2), x_star=x_star)
+
+    def test_x_star_is_a_locked_copy_of_the_problem_length(self, desk_lasso):
+        x_star = np.zeros(40)
+        run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(40),
+                         x_star=x_star, budget=50)
+        x_star[0] = 1.0
+        assert not run.x_star.flags.writeable and run.x_star[0] == 0.0
+        short = dataclasses.replace(run, x_star=np.zeros(39))
+        with pytest.raises(ValueError, match="expected"):
+            run_scheme(desk_lasso.problem, short)
 
     def test_scheme_names(self):
         assert Scheme.from_name("lcr") is Scheme.LCR
@@ -215,10 +243,10 @@ class TestRestartFista:
         for seed in (7000, 7001, 7002):
             lp = generate_least_squares(40, 20, seed=seed)
             mu = oracle_mu(lp)
-            f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
+            _, x_star = oracle_fstar(lp, tight_eps=1e-12)
             window = math.ceil(2.0 * math.e / math.sqrt(mu))
             run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9,
-                             r0=np.zeros(20), f_star=f_star, budget=1_000)
+                             r0=np.zeros(20), x_star=x_star, budget=1_000)
             out = run_scheme(lp.problem, run)
             assert not out.trace.exhausted
             for rec in out.trace.records:
@@ -372,7 +400,7 @@ class TestNoRestart:
         lean = run_scheme(desk_lasso.problem, run)
         tested = []
 
-        def per_step_test(run):
+        def per_step_test(problem, run):
             below = gradient_norm_below(run.epsilon)
 
             def test(k, *step):
@@ -442,12 +470,11 @@ def test_zoo_reaches_eps_in_every_scheme(seed, eps):
     for prob in problem_zoo(np.random.default_rng(seed)):
         ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12,
                                           r0=np.zeros(prob.dim), budget=5_000))
-        f_star = objective(prob, ref.r_star)
         for scheme in Scheme:
             for early in (True, False):
                 run = RestartRun(scheme=scheme, epsilon=eps, r0=np.zeros(prob.dim),
                                  early_exit=early,
-                                 f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                                 x_star=ref.r_star if scheme is Scheme.OPTIMAL_VALUE else None,
                                  budget=5_000)
                 trace = run_scheme(prob, run).trace
                 label = f"{scheme.value} early_exit={early}"
@@ -474,13 +501,12 @@ def _box_path_digest(prob):
     """
     ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim),
                                       budget=5_000))
-    f_star = objective(prob, ref.r_star)
     digest = hashlib.sha256()
     for scheme in Scheme:
         for early in (True, False):
             run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(prob.dim),
                              early_exit=early,
-                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             x_star=ref.r_star if scheme is Scheme.OPTIMAL_VALUE else None,
                              budget=5_000)
             result = run_scheme(prob, run)
             t = result.trace
@@ -494,12 +520,12 @@ def _box_path_digest(prob):
 
 
 @pytest.mark.parametrize("seed, box_only, l1_and_box", [
-    (0, "598cf57127ae1911bf272754617109f8c8e01e0d4aafb990dd6db49812eb1640",
-        "387654b075e28cb5ddb2abb0b3598a9b1b64d3e31fa7cf6ee1ebd2bcacce3557"),
-    (1, "8c0d752939b2fea5afa9b13a5bd6a502ce6bd4d14ca2503d6a1a369f4ba20565",
-        "f7e3b6cbc58c826a30222e695d624a094d96b5957f7556a840fe5d3ab06e8c49"),
-    (2, "f8cd3ca77757d1c6b346121d6ef87cbeeed89574e8e9df58bbf984a365dc02c1",
-        "d966b90c53b7124f0cc19496a5ab13a27b30d00c9247528a74fd8e698ca2e0fb"),
+    (0, "fe84943a571ea31768a03765412814751391a1b262c67e16d7560551b4797611",
+        "cc8f17b304fed46dbdf490405f3f59308deeecf062d15e8cf1deb4b73c1f8eb2"),
+    (1, "b07ea921b87d447ded1210fac4ee965b488ffccccdfb0cda1406acd8e1a8bc88",
+        "f9e671d2865aea14ac8f4ef71d01813f949140780790627957de09da2c70444d"),
+    (2, "4ccdf6335957f067373d35034c0f88c8dd43e52ee97588710f25a917c2be3539",
+        "eecdc73aa2971041862e5d81d9f0b98b4a6aa72e8b623d6ccbe024e770692174"),
 ])
 def test_box_path_bits_are_pinned(seed, box_only, l1_and_box):
     # The zoo's box problems (a box alone, and l1 plus a box) through every
@@ -522,20 +548,32 @@ def test_strict_lcr_ends_when_f_cycles_at_rounding_level():
     assert trace.final_g_norm <= 1e-9
 
 
-def test_strict_opt_ends_at_a_fixed_point_above_f_star():
-    # On this l1-plus-box draw the last opt call starts at f(x_0) a rounding
-    # step above the reference f_star and reaches g = 0 exactly at points
-    # whose f sits 1 to 3 steps above f_star, so the gap test, whose right
-    # side is then 1/e^2 of a step, never fires; without the g = 0 test in
-    # exit_optimal_value_scheme only the budget stops the call.
+def test_strict_opt_ends_at_rounding_level_above_f_star(monkeypatch):
+    # On this l1-plus-box draw the last strict opt calls start and stop at
+    # points whose f sits 1 or 2 rounding steps above f(x*), where a test on
+    # f - f* could never see the gap contract and only a g = 0 fixed point
+    # or the budget ends a call.  The gap from x* and the loop's residual
+    # reads 0 there, so the gap test, not the g = 0 clause, ends every call.
     prob = problem_zoo(np.random.default_rng(904249022))[3]
     ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim),
                                       budget=500))
+    exits = []
+
+    def spy(k, f_history, prox, x_prev, x_k, r_x, gap):
+        decision = exit_optimal_value_scheme(k, f_history, prox, x_prev, x_k, r_x, gap=gap)
+        if decision:
+            f_drop = (f_history[0] - gap.f_star) / math.e ** 2
+            exits.append((prox.g_dual_norm, f_history[k] - gap.f_star > f_drop))
+        return decision
+
+    monkeypatch.setattr(restart, "exit_optimal_value_scheme", spy)
     run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(prob.dim),
-                     early_exit=False, f_star=objective(prob, ref.r_star), budget=20_000)
+                     early_exit=False, x_star=ref.r_star, budget=20_000)
     trace = run_scheme(prob, run).trace
     assert not trace.exhausted
     assert trace.final_g_norm <= 1e-9
+    assert len(exits) == trace.calls and all(g > 0.0 for g, _ in exits)
+    assert sum(f_above for _, f_above in exits) >= 3
 
 
 @pytest.mark.parametrize("early", [True, False], ids=["early", "strict"])
@@ -575,12 +613,12 @@ def test_pinned_iteration_counts():
     # calls), so that a broken exit test fails in seconds.
     budget = 10_000
     lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
-    f_star, _ = oracle_fstar(lp, tight_eps=1e-12, budget=budget)
+    _, x_star = oracle_fstar(lp, tight_eps=1e-12, budget=budget)
     counts = {}
     for early in (True, False):
         for scheme in Scheme:
             run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(lp.n), early_exit=early,
-                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None,
                              budget=budget)
             trace = run_scheme(lp.problem, run).trace
             mode = "early" if early else "strict"
@@ -594,7 +632,7 @@ def test_pinned_iteration_counts():
         ("strict", "none"): (1270, 1271),
         ("strict", "func"): (235, 247),
         ("strict", "grad"): (241, 253),
-        ("strict", "opt"): (420, 454),
+        ("strict", "opt"): (421, 455),
         ("strict", "lcr"): (327, 352),
     }
 
@@ -614,11 +652,11 @@ def test_support_product_changes_no_scheme(monkeypatch):
     off = generate(spec)
     assert not isinstance(off.problem.smooth.least_squares._Ax, model._SupportProduct)
     budget = 20_000
-    f_star, _ = oracle_fstar(off, tight_eps=1e-12, budget=budget)
+    _, x_star = oracle_fstar(off, tight_eps=1e-12, budget=budget)
     for early in (True, False):
         for scheme in Scheme:
             run = RestartRun(scheme=scheme, epsilon=1e-6, r0=np.zeros(spec.n), early_exit=early,
-                             f_star=f_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None,
                              budget=budget)
             tally[1] = 0
             got = run_scheme(on.problem, run)
@@ -627,3 +665,81 @@ def test_support_product_changes_no_scheme(monkeypatch):
             assert not got.trace.exhausted
             assert repr(got.trace) == repr(want.trace), (early, scheme)
             assert np.array_equal(got.r_star.view(np.uint64), want.r_star.view(np.uint64))
+
+
+def test_optimal_gap_matches_the_objective_difference():
+    # Where f(x_k) - f(x*) is far above the rounding of f, the gap from x*
+    # and the loop's residual is that difference; at no step does the gap
+    # fall below -1e-15 f(x*).
+    lp = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000))
+    zoo = problem_zoo(np.random.default_rng(3))[3]
+    zoo_star = run_scheme(zoo, RestartRun(scheme=Scheme.LCR, epsilon=1e-12,
+                                          r0=np.zeros(zoo.dim), budget=5_000)).r_star
+    for problem, x_star in ((lp.problem, oracle_fstar(lp, tight_eps=1e-12)[1]),
+                            (zoo, zoo_star)):
+        gap = restart._OptimalGap(problem, x_star)
+        f_star = objective(problem, x_star)
+        assert gap.f_star == f_star
+        steps = []
+
+        def record(k, f_history, prox, x_prev, x_k, r_x):
+            steps.append((f_history[k] - f_star, gap(x_k, r_x)))
+            return False
+
+        fista(problem, np.zeros(problem.dim), exit_condition=record, budget=1_500)
+        far = [(df, g) for df, g in steps if df >= 1e-5 * f_star]
+        assert 5 <= len(far) < len(steps)
+        for df, g in far:
+            assert g == pytest.approx(df, rel=1e-8)
+        assert min(g for _, g in steps) >= -1e-15 * f_star
+
+
+def _opt_instance(name):
+    """``(problem, x*)`` of desk trial 0, an l1-plus-box zoo problem or least squares."""
+    if name == "zoo":
+        zoo = problem_zoo(np.random.default_rng(904249022))[3]
+        return zoo, run_scheme(zoo, RestartRun(scheme=Scheme.LCR, epsilon=1e-12,
+                                               r0=np.zeros(zoo.dim), budget=5_000)).r_star
+    lp = (generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000)) if name == "desk"
+          else generate_least_squares(120, 80, seed=1000, sparsity=0.9))
+    return lp.problem, oracle_fstar(lp, tight_eps=1e-12)[1]
+
+
+@pytest.mark.parametrize("name", ["desk", "zoo", "least-squares"])
+def test_opt_early_return_takes_the_gap_tests_decision(monkeypatch, name):
+    # The test returns False early when f(x_k) - f* exceeds the target by
+    # more than the rounding of f could; at every step of opt runs in both
+    # exit modes that is the decision of the gap test alone.
+    problem, x_star = _opt_instance(name)
+    seen = []
+
+    def both(k, f_history, prox, x_prev, x_k, r_x, gap):
+        decision = exit_optimal_value_scheme(k, f_history, prox, x_prev, x_k, r_x, gap=gap)
+        bare = prox.g_dual_norm == 0.0 or gap(x_k, r_x) <= gap.target
+        f_k = f_history[k]
+        early = f_k - gap.f_star > gap.target + gap.slack * (f_k + gap.f_star)
+        seen.append((decision, bare, early))
+        return decision
+
+    monkeypatch.setattr(restart, "exit_optimal_value_scheme", both)
+    for early_exit in (True, False):
+        run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-9, r0=np.zeros(problem.dim),
+                         early_exit=early_exit, x_star=x_star, budget=20_000)
+        assert not run_scheme(problem, run).trace.exhausted
+    assert all(decision == bare for decision, bare, _ in seen)
+    rejected = sum(early for _, _, early in seen)
+    assert 0 < rejected < len(seen)
+
+
+def test_opt_counts_do_not_depend_on_the_last_digits_of_x_star():
+    # Paper scale, trial 0 of seed 0: the f - f* test moved this count by
+    # tens of percent with f* one rounding step away.
+    lp = generate(LassoSpec(N=600, n=800, alpha=0.01, sparsity=0.9, seed=0))
+    _, x_star = oracle_fstar(lp, tight_eps=1e-12)
+    counts = set()
+    for scale in (1.0, 1.0 - 1e-15, 1.0 + 1e-15):
+        run = RestartRun(scheme=Scheme.OPTIMAL_VALUE, epsilon=1e-11, r0=np.zeros(lp.n),
+                         x_star=x_star * scale)
+        trace = run_scheme(lp.problem, run).trace
+        counts.add((trace.total_iterations, trace.total_prox_calls))
+    assert len(counts) == 1
