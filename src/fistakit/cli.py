@@ -668,7 +668,8 @@ def _cmd_run(args) -> int:
     try:
         settings = parse_config_file(args.config) if args.config else {}
         config = build_config(settings | _flag_settings(args, _RUN_KEYS))
-        _check_out_dir(config.out / "traces")
+        traces = config.out / "traces"  # the run unlinks every trial_*.csv entry there
+        _check_out_dir(traces, *(stale.name for stale in traces.glob("trial_*.csv")))
         _check_out_dir(config.out, "run_meta.json", "trials.csv", "oracles.csv", "invalid.csv",
                        "stats.csv", "stats.txt")
     except (ValueError, OSError) as exc:
@@ -728,12 +729,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        _check_out_dir(args.out, "bound_report.txt")
         checks, failures = verify_bounds(args.out)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read run output: {exc}", file=sys.stderr)
         return 2
     report = "\n".join(c.line() for c in checks) + "\n"
-    (Path(args.out) / "bound_report.txt").write_text(report, newline="\n")
+    (args.out / "bound_report.txt").write_text(report, newline="\n")
     print(report, end="")
     counts = Counter(c.status for c in checks)
     print(f"{counts['PASS']} passed, {counts['FAIL']} failed, {counts['SKIP']} skipped")

@@ -154,7 +154,7 @@ class FistaResult:
     ``n + 1`` prox evaluations (the iterations plus the initialization
     prox at z).  ``aborted`` marks an early exit on the gradient
     tolerance; ``exhausted`` marks a budget stop.  ``residual`` is
-    ``A x - b`` of the smooth part's least-squares form, ready to be
+    ``A x - b`` of the smooth part, ready to be
     passed to the next call started from ``x``.  After a step, ``x`` and
     ``residual`` are the head and tail of the step's one vector, which
     nothing writes once the step is done.
@@ -211,7 +211,7 @@ def fista(
     counter : ProxCounter, optional
         Shared prox-call counter (one init prox plus one per iteration).
     residual : ndarray, optional
-        ``A z - b`` of the smooth part's least-squares form, as returned on
+        ``A z - b`` of the smooth part, as returned on
         :attr:`FistaResult.residual`; saves the matvec ``A z``.
     """
     if k_min < 0:
@@ -221,7 +221,7 @@ def fista(
     if abort_tol is not None and not abort_tol >= 0:
         raise ValueError("abort_tol must be >= 0")
     z = _validate_point(problem, z, "z")
-    form = problem.smooth.least_squares
+    form = problem.smooth
     if residual is None:
         residual = form.residual(z)
     init = composite_gradient_map(problem, z, counter, grad=form.grad_at_residual(residual))

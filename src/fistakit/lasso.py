@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from .model import CompositeProblem, Metric, SmoothPart, WeightedL1, Zero
+from .model import CompositeProblem, LeastSquares, Metric, WeightedL1, Zero
 
 __all__ = [
     "LassoSpec",
@@ -99,11 +99,11 @@ class LassoProblem:
 
     @property
     def A(self) -> sparse.csc_array:
-        return self.problem.smooth.least_squares.A
+        return self.problem.smooth.A
 
     @property
     def b(self) -> np.ndarray:
-        return self.problem.smooth.least_squares.b
+        return self.problem.smooth.b
 
     @property
     def weights(self) -> np.ndarray | None:
@@ -129,11 +129,11 @@ class LassoProblem:
 
         ``weights=None`` drops the l1 term entirely (plain least squares).
         """
-        smooth = SmoothPart.from_least_squares(A, b)
+        smooth = LeastSquares(A, b)
         problem = CompositeProblem(
             smooth=smooth,
             nonsmooth=Zero() if weights is None else WeightedL1(weights),
-            metric=gershgorin_metric(smooth.least_squares.A),
+            metric=gershgorin_metric(smooth.A),
         )
         return cls(problem=problem, spec=spec)
 

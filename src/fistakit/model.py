@@ -40,7 +40,6 @@ __all__ = [
     "Metric",
     "Box",
     "LeastSquares",
-    "SmoothPart",
     "Zero",
     "WeightedL1",
     "CompositeProblem",
@@ -52,6 +51,8 @@ __all__ = [
 
 
 def _as_locked_vector(v, name: str) -> np.ndarray:
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real, got a complex dtype")
     arr = np.array(v, dtype=np.float64, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got ndim={arr.ndim}")
@@ -165,6 +166,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.lower) or np.iscomplexobj(self.upper):
+            raise ValueError("box bounds must be real, got a complex dtype")
         lo = np.array(self.lower, dtype=np.float64, copy=True)
         hi = np.array(self.upper, dtype=np.float64, copy=True)
         if lo.shape != hi.shape or lo.ndim != 1:
@@ -189,12 +192,13 @@ class Box:
 
 @dataclass(frozen=True, eq=False)
 class LeastSquares:
-    """Least-squares form ``h(x) = ||A x - b||^2 / (2N)`` of a smooth part.
+    """Smooth part of a composite problem, ``h(x) = ||A x - b||^2 / (2N)``.
 
     ``A`` is an ``(N, n)`` matrix: a dense array or a scipy sparse matrix
-    of any format and real dtype, and ``b`` a finite vector of length
-    ``N``.  Value and gradient both follow from the residual
-    ``r = A x - b``: ``h = ||r||^2 / (2N)`` and ``grad h = A^T r / N``.
+    of any format and real dtype, and ``b`` a finite real vector of length
+    ``N``; a complex one raises ``ValueError``.  Value and gradient both
+    follow from the residual ``r = A x - b``: ``h = ||r||^2 / (2N)`` and
+    ``grad h = A^T r / N``.
     The residual is affine in ``x``, so a solver that forms a point as a
     linear combination of points whose residuals it holds gets that
     point's residual by the same combination, without a matvec.
@@ -218,10 +222,15 @@ class LeastSquares:
     fused loop of :func:`fistakit.fista.fista` calls ``_ATr`` and ``_Ax``
     itself, writing into the two halves of the one buffer it builds per
     step, with the bits of :meth:`grad_at_residual` and :meth:`residual`.
+    ``value`` and ``grad`` are the form's own ``_value`` and ``_grad``
+    unless given, so that a tracer can wrap them: the prox calls ``grad``
+    when given no gradient, and :func:`objective` ``value`` when given no residual.
     """
 
     A: sparse.csc_array
     b: np.ndarray
+    value: Callable[[np.ndarray], float] | None = field(default=None, repr=False)
+    grad: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     dim: int = field(init=False, repr=False)  # n, the width of A
     _N: float = field(init=False, repr=False)  # N as a float, for the divisions
     # A x and A^T r, each called as product(v, out).
@@ -229,6 +238,8 @@ class LeastSquares:
     _ATr: Callable[[np.ndarray, np.ndarray], None] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.A):
+            raise ValueError("A must have a real dtype, got a complex one")
         A = sparse.csc_array(self.A, dtype=np.float64, copy=True)
         arrays = (A.indptr, A.indices, A.data)
         for arr in arrays:
@@ -248,6 +259,10 @@ class LeastSquares:
         object.__setattr__(self, "_N", float(N))
         object.__setattr__(self, "_Ax", Ax)
         object.__setattr__(self, "_ATr", functools.partial(_sparsetools.csr_matvec, n, N, *arrays))
+        if self.value is None:
+            object.__setattr__(self, "value", self._value)
+        if self.grad is None:
+            object.__setattr__(self, "grad", self._grad)
 
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
@@ -265,42 +280,11 @@ class LeastSquares:
         self._ATr(_vector(r, self.b.size), ATr)
         return ATr / self._N
 
-    def value(self, x) -> float:
+    def _value(self, x) -> float:
         return self.value_at_residual(self.residual(x))
 
-    def grad(self, x) -> np.ndarray:
+    def _grad(self, x) -> np.ndarray:
         return self.grad_at_residual(self.residual(x))
-
-
-@dataclass(frozen=True)
-class SmoothPart:
-    """Smooth convex term in the least-squares form ``h(x) = ||A x - b||^2 / (2N)``.
-
-    Build one with :meth:`from_least_squares`.  The FISTA loop carries the
-    residual ``A x - b`` of ``least_squares`` from step to step, two
-    matvecs per step (``A x_k`` and ``A^T r_y``).  ``value`` and ``grad``
-    are the form's own pure callables unless replaced; the prox calls
-    ``grad`` when it is given no gradient, and :func:`objective` calls
-    ``value`` when it is given no residual.
-    """
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    least_squares: LeastSquares
-
-    def __post_init__(self):
-        if not isinstance(self.least_squares, LeastSquares):
-            raise TypeError("a smooth part needs its least-squares form")
-
-    @property
-    def dim(self) -> int:
-        return self.least_squares.dim
-
-    @classmethod
-    def from_least_squares(cls, A, b) -> "SmoothPart":
-        """Smooth part ``h(x) = ||A x - b||^2 / (2N)``."""
-        form = LeastSquares(A, b)
-        return cls(value=form.value, grad=form.grad, least_squares=form)
 
 
 class Zero:
@@ -333,19 +317,22 @@ class WeightedL1:
 class CompositeProblem:
     """The triple (h, psi, X) with its metric R.
 
-    ``constraint is None`` means X is all of space.  The nonsmooth part is
-    :class:`Zero` or :class:`WeightedL1`, and construction raises
-    ``TypeError`` on any other: this family keeps the prox separable and
-    closed form under the diagonal metric.  Construction also validates
-    dimension agreement.
+    ``constraint is None`` means X is all of space.  Construction raises
+    ``TypeError`` unless the smooth part is a :class:`LeastSquares` and the
+    nonsmooth part :class:`Zero` or :class:`WeightedL1`, the family whose
+    prox is separable and closed form under the diagonal metric, and
+    validates dimension agreement.
     """
 
-    smooth: SmoothPart
+    smooth: LeastSquares
     nonsmooth: Zero | WeightedL1
     metric: Metric
     constraint: Box | None = None
 
     def __post_init__(self):
+        if not isinstance(self.smooth, LeastSquares):
+            raise TypeError("the smooth part must be a LeastSquares, "
+                            f"got {type(self.smooth).__name__}")
         n = self.smooth.dim
         if self.metric.dim != n:
             raise ValueError(f"metric dim {self.metric.dim} != problem dim {n}")
@@ -484,14 +471,13 @@ def objective(problem: CompositeProblem, x, residual=None) -> float:
     Returns +inf when ``x`` violates the constraint set, following the
     convention that the constrained problem is the unconstrained
     minimization of ``f + I_X``.  ``residual``, the value of
-    ``A x - b`` under the smooth part's least-squares form, gives ``h(x)``
-    without a matvec.
+    ``A x - b`` under the smooth part, gives ``h(x)`` without a matvec.
     """
     x = _validate_point(problem, x, "x")
     if problem.constraint is not None and not problem.constraint.contains(x):
         return np.inf
     psi = problem.nonsmooth.value(x)
     smooth = problem.smooth
-    h = smooth.value(x) if residual is None else smooth.least_squares.value_at_residual(residual)
+    h = smooth.value(x) if residual is None else smooth.value_at_residual(residual)
     return float(h) + float(psi)
 

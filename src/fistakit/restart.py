@@ -100,7 +100,7 @@ class _OptimalGap:
     """
 
     def __init__(self, problem: CompositeProblem, x_star: np.ndarray):
-        form = self.form = problem.smooth.least_squares
+        form = self.form = problem.smooth
         r_star = self.r_star = form.residual(x_star)
         g_star = form.grad_at_residual(r_star)
         psi = problem.nonsmooth
@@ -292,7 +292,7 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
     counter = ProxCounter()
     abort_tol = run.epsilon if run.early_exit else None
     r = run.r0
-    form = problem.smooth.least_squares
+    form = problem.smooth
     r_res = None  # A r - b, carried from call to call
     trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
                                                 f_r=objective(problem, r))])

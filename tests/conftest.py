@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fistakit import (Box, CompositeProblem, Metric, SmoothPart, WeightedL1, Zero,
+from fistakit import (Box, CompositeProblem, LeastSquares, Metric, WeightedL1, Zero,
                       composite_gradient_map, model, objective)
 from fistakit.fista import FistaResult, TSequence
 from fistakit.cli import BOUND_ABS, BOUND_REL, BoundCheck
@@ -28,7 +28,7 @@ def make_quadratic(Q, c, metric_diag=None, nonsmooth=None, constraint=None):
     if metric_diag is None:
         metric_diag = np.abs(Q).sum(axis=1)
     return CompositeProblem(
-        smooth=SmoothPart.from_least_squares(A, A @ c),
+        smooth=LeastSquares(A, A @ c),
         nonsmooth=Zero() if nonsmooth is None else nonsmooth,
         metric=Metric(metric_diag),
         constraint=constraint,
@@ -79,7 +79,7 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
     ``objective``, with the residual carried as the solver carries it; the
     solver's fused step must give the same bits.
     """
-    form = problem.smooth.least_squares
+    form = problem.smooth
     z = np.asarray(z, dtype=np.float64)
     if residual is None:
         residual = form.residual(z)

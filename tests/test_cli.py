@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.io import mmwrite
 
 from fistakit import LassoProblem, RestartRun, Scheme, run_scheme, save_problem
 import fistakit.cli as cli
@@ -192,6 +193,9 @@ class TestConfigHandling:
         *((name, "run-flag") for name in ("run_meta.json", "trials.csv", "oracles.csv",
                                           "invalid.csv", "stats.csv", "stats.txt")),
         ("stats.csv", "run-config"),
+        # A stale trace entry that is a directory, whether or not this run writes its name.
+        ("traces/trial_0000.csv", "run-flag"), ("traces/trial_0007_restarts.csv", "run-config"),
+        ("bound_report.txt", "verify"),
     ])
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                   command, where):
@@ -202,7 +206,7 @@ class TestConfigHandling:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        for name in ("oracle_fstar", "run_scheme", "run_experiment"):
+        for name in ("oracle_fstar", "run_scheme", "run_experiment", "verify_bounds"):
             monkeypatch.setattr(cli, name, must_not_run)
         problem = tmp_path / "inst.lasso"
         save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
@@ -211,7 +215,7 @@ class TestConfigHandling:
             taken.mkdir()
             taken = taken / ("traces" if where == "traces-file" else where)
         if where.endswith((".csv", ".json", ".txt")):
-            taken.mkdir()
+            taken.mkdir(parents=True)
             (taken / "kept").write_bytes(b"not a directory\n")
             taken = taken / "kept"
         else:
@@ -223,6 +227,8 @@ class TestConfigHandling:
             cfg = tmp_path / "exp.cfg"
             cfg.write_text(f"trials = 1\nout = {out}\n")
             argv = ["run", "--config", str(cfg)]
+        elif command == "verify":
+            argv = ["verify", "--out", str(out)]
         else:
             argv = ["solve", str(problem), "--scheme", command[len("solve-"):],
                     "--out", str(out)]
@@ -251,6 +257,19 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["solve", str(problem), "--scheme", "lcr", "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_complex_matrix_body_is_a_config_error(self, tmp_path, capsys):
+        # Not solved as its real part: exit 2 before anything is written.
+        problem = tmp_path / "inst.lasso"
+        save_problem(LassoProblem.build(sparse.csc_array(np.eye(3)), np.ones(3)), problem)
+        first, _ = problem.read_text().split("\n", 1)
+        with problem.open("ab") as fh:
+            fh.truncate(len(first) + 1)
+            mmwrite(fh, sparse.coo_array(np.eye(3) * (1 + 1j)))
+        out = tmp_path / "out"
+        assert main(["solve", str(problem), "--scheme", "lcr", "--out", str(out)]) == 2
+        assert "config error: A must have a real dtype" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_from_config_file(self, tmp_path):

@@ -29,7 +29,7 @@ PACKAGE_NAMES = [
     "Box", "CompositeProblem", "DEFAULT_ITERATION_BUDGET", "ExitCondition",
     "FistaResult", "LassoProblem", "LassoSpec", "LeastSquares", "Metric",
     "OracleError", "ProxCounter", "ProxStep", "RestartRecord", "RestartResult", "RestartRun",
-    "RestartTrace", "Scheme", "SmoothPart", "TSequence", "WeightedL1", "Zero",
+    "RestartTrace", "Scheme", "TSequence", "WeightedL1", "Zero",
     "check_least_squares_args", "composite_gradient_map", "exit_function_scheme",
     "exit_gradient_scheme", "exit_lcr", "exit_optimal_value_scheme", "fista", "generate",
     "generate_least_squares", "gershgorin_metric", "gradient_norm_below", "kkt_residual",

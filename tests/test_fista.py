@@ -15,11 +15,11 @@ from fistakit import (
     Box,
     CompositeProblem,
     LassoSpec,
+    LeastSquares,
     Metric,
     ProxCounter,
     RestartRun,
     Scheme,
-    SmoothPart,
     WeightedL1,
     Zero,
     composite_gradient_map,
@@ -257,7 +257,7 @@ def declared_instances():
 def support_instance():
     """A lasso above the support product's gate, so ``A x`` takes the cached columns."""
     problem = generate(LassoSpec(N=100, n=200, alpha=0.01, sparsity=0.0, seed=7)).problem
-    assert isinstance(problem.smooth.least_squares._Ax, model._SupportProduct)
+    assert isinstance(problem.smooth._Ax, model._SupportProduct)
     return problem
 
 
@@ -352,7 +352,7 @@ class TestStepBuffers:
         assert later.n == 30
         for v, copy in seen:
             assert v.tobytes() == copy.tobytes()
-        form = problem.smooth.least_squares
+        form = problem.smooth
         assert res.residual.tobytes() == form.residual(res.x).tobytes()
         assert later.residual.tobytes() == form.residual(later.x).tobytes()
 
@@ -362,7 +362,7 @@ class TestStepBuffers:
         res = fista(problem, np.zeros(problem.dim), budget=budget)
         assert res.n == budget
         assert res.x.shape == (problem.dim,)
-        assert res.residual.shape == problem.smooth.least_squares.b.shape
+        assert res.residual.shape == problem.smooth.b.shape
         assert not np.shares_memory(res.x, res.residual)
 
 
@@ -385,21 +385,21 @@ class TestResidualArgument:
         monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
             csr_matvec=kernel_must_not_run, csc_matvec=kernel_must_not_run))
         problem = declared_instances()["least-squares"]
-        N = problem.smooth.least_squares.A.shape[0]
+        N = problem.smooth.A.shape[0]
         for bad in (np.zeros(N - 1), np.zeros(N + 1), np.zeros((N, 1)), np.zeros((1, N))):
             with pytest.raises(ValueError, match="vector has shape"):
                 fista(problem, np.zeros(problem.dim), residual=bad)
 
     def test_declared_width_must_match_dim(self):
-        # The dimension is the form's width: a smooth part takes no other, and no
-        # smooth part comes without a form.
-        smooth = SmoothPart.from_least_squares(np.eye(3)[:, :2], np.zeros(3))
+        # The dimension is the form's width: a smooth part takes no other, and a
+        # problem takes no smooth part that is not a least-squares form.
+        smooth = LeastSquares(np.eye(3)[:, :2], np.zeros(3))
         assert smooth.dim == 2
         with pytest.raises(TypeError):
-            SmoothPart(value=smooth.value, grad=smooth.grad, dim=4,
-                       least_squares=smooth.least_squares)
-        with pytest.raises(TypeError):
-            SmoothPart(value=smooth.value, grad=smooth.grad, least_squares=None)
+            LeastSquares(np.eye(3)[:, :2], np.zeros(3), dim=4)
+        for other in (None, types.SimpleNamespace(value=smooth.value, grad=smooth.grad, dim=2)):
+            with pytest.raises(TypeError, match="smooth part must be a LeastSquares"):
+                CompositeProblem(smooth=other, nonsmooth=Zero(), metric=Metric(np.ones(2)))
 
 
 # Entries of the data: signed zeros and subnormals beside ordinary values, and
@@ -426,8 +426,8 @@ def declared_problems(draw):
     with pytest.MonkeyPatch.context() as mp:
         if support:
             mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
-        smooth = SmoothPart.from_least_squares(A, draw(vector(N, data_values)))
-    assert isinstance(smooth.least_squares._Ax, model._SupportProduct) == support
+        smooth = LeastSquares(A, draw(vector(N, data_values)))
+    assert isinstance(smooth._Ax, model._SupportProduct) == support
 
     def box():
         ends = [sorted(draw(vector(2, data_values | st.sampled_from([-np.inf, np.inf]))))
@@ -504,7 +504,7 @@ def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
     # f stays finite.  Unclipped, the infinite step reaches f; a box would
     # clip it to a finite x, so a boxed problem keeps the gradient check.
     A = matrix(np.array([[1e160], [1e160]]))
-    problem = CompositeProblem(smooth=SmoothPart.from_least_squares(A, np.zeros(2)),
+    problem = CompositeProblem(smooth=LeastSquares(A, np.zeros(2)),
                                nonsmooth=nonsmooth, metric=Metric([1e308]),
                                constraint=constraint)
     with pytest.raises(ValueError, match="objective at iteration 1|gradient is non-finite"):

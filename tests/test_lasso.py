@@ -155,7 +155,7 @@ class TestProblemView:
     ], ids=["lasso", "least-squares"])
     def test_data_are_the_problems_own_locked_arrays(self, make):
         lp = make()
-        form = lp.problem.smooth.least_squares
+        form = lp.problem.smooth
         assert lp.A is form.A
         assert lp.b is form.b
         assert lp.metric is lp.problem.metric
@@ -174,7 +174,7 @@ class TestProblemView:
         dense = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.5)
         if via == "build-csc":
             A = sparse.csc_array(dense)
-            form = LassoProblem.build(A, np.ones(6), weights=np.full(9, 0.1)).problem.smooth.least_squares
+            form = LassoProblem.build(A, np.ones(6), weights=np.full(9, 0.1)).problem.smooth
         else:
             A = sparse.csr_array(dense) if via == "form-csr" else dense.copy()
             form = LeastSquares(A, np.ones(6))

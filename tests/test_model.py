@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import types
 import warnings
 from pathlib import Path
@@ -18,7 +19,8 @@ from fistakit import (
     LeastSquares,
     Metric,
     ProxCounter,
-    SmoothPart,
+    RestartRun,
+    Scheme,
     WeightedL1,
     Zero,
     composite_gradient_map,
@@ -40,7 +42,7 @@ def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, const
 
 def zero_smooth(n):
     """The smooth part ``h = 0`` on ``n`` coordinates."""
-    return SmoothPart.from_least_squares(np.zeros((1, n)), np.zeros(1))
+    return LeastSquares(np.zeros((1, n)), np.zeros(1))
 
 
 def grid_prox_1d(psi, grad_val, y, metric, lo=-10.0, hi=10.0, step=1e-5):
@@ -129,7 +131,7 @@ class TestMetric:
     pytest.param(lambda: Metric([[1.0, 2.0]]), "diag must be a 1-D vector", id="metric-2d"),
     pytest.param(lambda: Box([0.0, 0.0], [1.0]), "equal length", id="box-shapes"),
     pytest.param(lambda: Box([0.0, np.nan], [1.0, 1.0]), "must not be NaN", id="box-nan"),
-    pytest.param(lambda: SmoothPart.from_least_squares(np.eye(3), np.ones(2)),
+    pytest.param(lambda: LeastSquares(np.eye(3), np.ones(2)),
                  "b has shape", id="b-length"),
     pytest.param(lambda: WeightedL1([0.5, -1.0]), "finite and >= 0", id="l1-negative"),
     pytest.param(lambda: lsq_problem(metric=(1.0, 2.0, 3.0)),
@@ -137,10 +139,39 @@ class TestMetric:
     pytest.param(lambda: lsq_problem(WeightedL1([0.1])), "weight vector length",
                  id="l1-dim"),
     pytest.param(lambda: lsq_problem(constraint=Box([0.0], [1.0])), "box dim", id="box-dim"),
+    # Complex input, which a cast to float64 would only warn about, dropping its imaginary part.
+    pytest.param(lambda: LeastSquares(np.array([[1 + 1j, 2.0]]), [1.0]), "A must have a real",
+                 id="A-complex"),
+    pytest.param(lambda: LeastSquares(sparse.csc_array(np.array([[1j, 2.0]])), [1.0]),
+                 "A must have a real", id="A-sparse-complex"),
+    pytest.param(lambda: LeastSquares(np.eye(2), np.array([1.0, 1j])), "b must be real",
+                 id="b-complex"),
+    pytest.param(lambda: WeightedL1([0.5, 1j]), "weights must be real", id="l1-complex"),
+    pytest.param(lambda: Metric(np.array([1.0 + 0j])), "diag must be real", id="metric-complex"),
+    pytest.param(lambda: Box([0j], [1.0]), "bounds must be real", id="box-lower-complex"),
+    pytest.param(lambda: Box([0.0], [1 + 0j]), "bounds must be real", id="box-upper-complex"),
+    pytest.param(lambda: RestartRun(Scheme.LCR, 1e-6, r0=np.zeros(2, dtype=complex)),
+                 "r0 must be real", id="r0-complex"),
+    pytest.param(lambda: RestartRun(Scheme.OPTIMAL_VALUE, 1e-6, r0=np.zeros(2), x_star=[0.0, 1j]),
+                 "x_star must be real", id="x_star-complex"),
 ])
 def test_bad_problem_part_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_value_and_grad_are_the_forms_own_unless_given():
+    A, b, x = np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([1.0, -1.0]), np.array([0.5, -2.0])
+    form = LeastSquares(A, b)
+    r = A @ x - b
+    assert form.value(x) == form.value_at_residual(r)
+    assert np.array_equal(form.grad(x), form.grad_at_residual(r))
+    assert "value" not in repr(form) and "grad" not in repr(form)
+    wrapped = dataclasses.replace(form, value=lambda x: 7.0)
+    assert wrapped.value(x) == 7.0 and np.array_equal(wrapped.grad(x), form.grad(x))
+    # A copy's callables are its own methods, bound to the copy.
+    copy = pickle.loads(pickle.dumps(form))
+    assert copy.value.__self__ is copy and copy.value(x) == form.value(x)
 
 
 class TestBox:
@@ -290,7 +321,7 @@ class TestObjective:
 def lsq_problem(nonsmooth=None, metric=(4.0, 2.0), constraint=None):
     """Two-dimensional problem with a least-squares smooth part."""
     A = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
-    return CompositeProblem(smooth=SmoothPart.from_least_squares(A, np.ones(3)),
+    return CompositeProblem(smooth=LeastSquares(A, np.ones(3)),
                             nonsmooth=Zero() if nonsmooth is None else nonsmooth,
                             metric=Metric(metric), constraint=constraint)
 
@@ -442,7 +473,7 @@ class TestCheckedInput:
         prob = lsq_problem(constraint=Box([-1.0, -1.0], [1.0, 1.0]))
         for x in ([2.0, 0.0], [0.0, -1.5]):
             x = np.array(x)
-            residual = prob.smooth.least_squares.residual(x) if carried else None
+            residual = prob.smooth.residual(x) if carried else None
             assert objective(prob, x, residual=residual) == math.inf
         inside = np.array([0.5, -0.5])
         assert math.isfinite(objective(prob, inside))
@@ -691,11 +722,11 @@ class TestSupportProduct:
             for seed in (spec["default_seed"], spec["holdout_seed"]):
                 config = ExperimentConfig(**spec["config"], seed=seed)
                 for trial in range(config.trials):
-                    form = config.instance(trial).problem.smooth.least_squares
+                    form = config.instance(trial).problem.smooth
                     assert not isinstance(form._Ax, model._SupportProduct), (name, trial)
         paper = ExperimentConfig(**workloads["paper"]["config"])
         assert (paper.N, paper.n, paper.sparsity) == (600, 800, 0.9)
-        form = paper.instance(0).problem.smooth.least_squares
+        form = paper.instance(0).problem.smooth
         assert isinstance(form._Ax, model._SupportProduct)
 
 

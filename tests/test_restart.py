@@ -65,7 +65,7 @@ class TestExitConditions:
         # h(x) = x^2 / 2 with x* = 0, so gap(x, r) = r^2 / 2: a call from
         # x_0 = e sqrt(2), whose gap is e^2, exits once the gap is at most 1.
         prob = make_quadratic(np.array([[1.0]]), np.array([0.0]), metric_diag=[1.0])
-        form = prob.smooth.least_squares
+        form = prob.smooth
 
         def decide(x_k, g):
             x0, xk = np.array([math.e * math.sqrt(2.0)]), np.array([x_k])
@@ -647,10 +647,10 @@ def test_support_product_changes_no_scheme(monkeypatch):
     # Built after the kernels are wrapped: a form binds them when it is built.
     tally = count_kernel_calls(monkeypatch, n=spec.n)
     on = generate(spec)
-    assert isinstance(on.problem.smooth.least_squares._Ax, model._SupportProduct)
+    assert isinstance(on.problem.smooth._Ax, model._SupportProduct)
     monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", math.inf)
     off = generate(spec)
-    assert not isinstance(off.problem.smooth.least_squares._Ax, model._SupportProduct)
+    assert not isinstance(off.problem.smooth._Ax, model._SupportProduct)
     budget = 20_000
     _, x_star = oracle_fstar(off, tight_eps=1e-12, budget=budget)
     for early in (True, False):
