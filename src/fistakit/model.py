@@ -259,9 +259,10 @@ class LeastSquares:
         object.__setattr__(self, "_N", float(N))
         object.__setattr__(self, "_Ax", Ax)
         object.__setattr__(self, "_ATr", functools.partial(_sparsetools.csr_matvec, n, N, *arrays))
-        if self.value is None:
+        # A form's own method, as dataclasses.replace carries it over, is rebound to this form.
+        if self.value is None or getattr(self.value, "__func__", None) is LeastSquares._value:
             object.__setattr__(self, "value", self._value)
-        if self.grad is None:
+        if self.grad is None or getattr(self.grad, "__func__", None) is LeastSquares._grad:
             object.__setattr__(self, "grad", self._grad)
 
     def residual(self, x) -> np.ndarray:

@@ -169,6 +169,10 @@ def test_value_and_grad_are_the_forms_own_unless_given():
     assert "value" not in repr(form) and "grad" not in repr(form)
     wrapped = dataclasses.replace(form, value=lambda x: 7.0)
     assert wrapped.value(x) == 7.0 and np.array_equal(wrapped.grad(x), form.grad(x))
+    # A new b gives new methods, not the old form's.
+    moved = dataclasses.replace(form, b=np.zeros(2))
+    assert moved.value(x) == moved.value_at_residual(A @ x) != form.value(x)
+    assert np.array_equal(moved.grad(x), moved.grad_at_residual(A @ x))
     # A copy's callables are its own methods, bound to the copy.
     copy = pickle.loads(pickle.dumps(form))
     assert copy.value.__self__ is copy and copy.value(x) == form.value(x)
