@@ -259,11 +259,12 @@ class LeastSquares:
         object.__setattr__(self, "_N", float(N))
         object.__setattr__(self, "_Ax", Ax)
         object.__setattr__(self, "_ATr", functools.partial(_sparsetools.csr_matvec, n, N, *arrays))
-        # A form's own method, as dataclasses.replace carries it over, is rebound to this form.
-        if self.value is None or getattr(self.value, "__func__", None) is LeastSquares._value:
-            object.__setattr__(self, "value", self._value)
-        if self.grad is None or getattr(self.grad, "__func__", None) is LeastSquares._grad:
-            object.__setattr__(self, "grad", self._grad)
+        # Not given, or a form's own method carried over by dataclasses.replace: the class's
+        # method answers, as holding its own bound method would make each form a cycle.
+        for name in ("value", "grad"):
+            given = getattr(self, name)
+            if given is None or getattr(given, "__func__", None) is getattr(LeastSquares, name):
+                object.__delattr__(self, name)
 
     def residual(self, x) -> np.ndarray:
         """``A x - b`` (one matvec)."""
@@ -286,6 +287,10 @@ class LeastSquares:
 
     def _grad(self, x) -> np.ndarray:
         return self.grad_at_residual(self.residual(x))
+
+
+# Set after the class body, where they would be taken for the fields' defaults.
+LeastSquares.value, LeastSquares.grad = LeastSquares._value, LeastSquares._grad
 
 
 class Zero:

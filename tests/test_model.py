@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
 import pickle
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,14 @@ def test_value_and_grad_are_the_forms_own_unless_given():
     # A copy's callables are its own methods, bound to the copy.
     copy = pickle.loads(pickle.dumps(form))
     assert copy.value.__self__ is copy and copy.value(x) == form.value(x)
+    # Reference counting frees a form: it holds no bound method of its own.
+    gc.disable()
+    try:
+        refs = [weakref.ref(f) for f in (form, moved, copy)]
+        del form, moved, copy
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 class TestBox:
