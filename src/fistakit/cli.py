@@ -35,15 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fista import DEFAULT_ITERATION_BUDGET
-from .lasso import (
-    LassoProblem,
-    LassoSpec,
-    check_least_squares_args,
-    generate,
-    generate_least_squares,
-    load_problem,
-    save_problem,
-)
+from .lasso import LassoProblem, LassoSpec, generate, load_problem, save_problem
 from .model import composite_gradient_map, objective
 from .oracles import OracleError, kkt_residual, oracle_fstar, oracle_mu
 from .restart import RestartRecord, RestartRun, RestartTrace, Scheme, run_scheme
@@ -98,19 +90,7 @@ class ExperimentConfig:
             raise ValueError("oracle_epsilon must be smaller than epsilon")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError("alpha must be finite and >= 0")
-        if self.family == "lasso":
-            LassoSpec(N=self.N, n=self.n, alpha=self.alpha, sparsity=self.sparsity)
-        elif self.family == "least-squares":
-            if self.N < self.n:
-                raise ValueError("the least-squares family needs --N and --n with N >= n, "
-                                 f"got N={self.N}, n={self.n}")
-            check_least_squares_args(self.N, self.n, self.sparsity)
-        else:
-            raise ValueError("family must be 'lasso' or 'least-squares'")
+        self._spec()
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.schemes:
@@ -119,12 +99,12 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"schemes repeated: {', '.join(sorted(repeated))}")
 
+    def _spec(self) -> LassoSpec:
+        """The spec of trial 0's instance; it raises ``ValueError`` on bad settings."""
+        return LassoSpec(**{name: getattr(self, name) for name in _GEN_KEYS})
+
     def instance(self, trial: int) -> LassoProblem:
-        seed = self.seed + trial
-        if self.family == "lasso":
-            return generate(LassoSpec(N=self.N, n=self.n, alpha=self.alpha,
-                                      sparsity=self.sparsity, seed=seed))
-        return generate_least_squares(self.N, self.n, seed=seed, sparsity=self.sparsity)
+        return generate(replace(self._spec(), seed=self.seed + trial))
 
 
 @dataclass(frozen=True)
@@ -206,7 +186,7 @@ _UNRECORDED_KEYS = ("out", "jobs")
 
 # The settings each command takes as flags.
 _RUN_KEYS = tuple(key for key, _, _ in _CONFIG_KEYS)
-_GEN_KEYS = ("N", "n", "alpha", "sparsity", "family", "seed")
+_GEN_KEYS = tuple(f.name for f in fields(LassoSpec))
 _SOLVE_KEYS = ("eps", "oracle_eps", "strict_exit", "budget")
 
 
@@ -377,7 +357,7 @@ def _stats_text(stats: list[SchemeStats]) -> str:
     width = max(12, *(len(n) + 2 for n in names))
     rows = [
         ("Avg. Iter.", [f"{st.average:.1f}" for st in stats]),
-        ("Median Iter.", [f"{st.median:g}" for st in stats]),
+        ("Median Iter.", [fmt(st.median) for st in stats]),
         ("Max. Iter.", [str(st.maximum) for st in stats]),
         ("Min. Iter.", [str(st.minimum) for st in stats]),
         ("Avg. Prox.", [f"{st.average_prox_calls:.1f}" for st in stats]),
@@ -730,6 +710,10 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         _check_out_dir(args.out, "bound_report.txt")
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
         checks, failures = verify_bounds(args.out)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read run output: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Randomized weighted-Lasso problem families and their serialization.
 
-The generated problem is ``min_x ||A x - b||_2^2 / (2 N) + ||W x||_1`` with
+The ``"lasso"`` family is ``min_x ||A x - b||_2^2 / (2 N) + ||W x||_1`` with
 a sparse Gaussian ``A`` (each entry zero with a configured probability,
 standard normal otherwise), standard normal ``b``, and diagonal weights
-drawn uniformly from ``[0, alpha]``.  The metric comes from Gershgorin row
-sums of ``H = A^T A / N``, which dominates the curvature of the smooth
-part by the circle theorem, so the descent inequality holds by
-construction.
+drawn uniformly from ``[0, alpha]``.  The ``"least-squares"`` family draws
+``A`` and ``b`` the same way with ``N >= n`` and has no l1 term.  The
+metric comes from Gershgorin row sums of ``H = A^T A / N``, which
+dominates the curvature of the smooth part by the circle theorem, so the
+descent inequality holds by construction.
 
 Generation is a pure function of the spec: a seeded PCG64 generator is
 split into one named stream per ingredient (sparsity pattern, matrix
@@ -32,8 +33,6 @@ __all__ = [
     "LassoProblem",
     "gershgorin_metric",
     "generate",
-    "generate_least_squares",
-    "check_least_squares_args",
     "save_problem",
     "load_problem",
 ]
@@ -53,9 +52,10 @@ _FORMAT_VERSION = 1
 class LassoSpec:
     """Parameters of one randomized instance family member.
 
-    ``alpha`` scales the weights (``W_ii ~ Uniform[0, alpha]``) and
+    ``family`` is ``"lasso"``, with an underdetermined shape ``n > N >= 1``
+    and weights ``W_ii ~ Uniform[0, alpha]``, or ``"least-squares"``, with
+    ``N >= n >= 1`` and no l1 term (``alpha`` is then unused).
     ``sparsity`` is the probability that an entry of ``A`` is zero.
-    Requires an underdetermined shape, ``n > N >= 1``.
     """
 
     N: int
@@ -63,27 +63,24 @@ class LassoSpec:
     alpha: float
     sparsity: float = 0.9
     seed: int = 0
+    family: str = "lasso"
 
     def __post_init__(self):
-        if not (self.n > self.N >= 1):
-            raise ValueError(f"need n > N >= 1, got N={self.N}, n={self.n}")
-        _check_sparsity(self.sparsity)
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError("alpha must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-def _check_sparsity(sparsity: float) -> None:
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError("sparsity must lie in [0, 1)")
-
-
-def check_least_squares_args(N: int, n: int, sparsity: float) -> None:
-    """Reject arguments :func:`generate_least_squares` cannot draw from."""
-    if not (N >= n >= 1):
-        raise ValueError(f"need N >= n >= 1, got N={N}, n={n}")
-    _check_sparsity(sparsity)
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError("alpha must be finite and >= 0")
+        if self.family == "lasso":
+            if not (self.n > self.N >= 1):
+                raise ValueError(f"need n > N >= 1, got N={self.N}, n={self.n}")
+        elif self.family == "least-squares":
+            if not (self.N >= self.n >= 1):
+                raise ValueError("the least-squares family needs N >= n >= 1, "
+                                 f"got N={self.N}, n={self.n}")
+        else:
+            raise ValueError("family must be 'lasso' or 'least-squares'")
+        if not 0.0 <= self.sparsity < 1.0:
+            raise ValueError("sparsity must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -167,37 +164,22 @@ def gershgorin_metric(A) -> Metric:
     return Metric(np.maximum(sums, METRIC_FLOOR_REL * top))
 
 
-def _draw(seed: int, N: int, n: int, sparsity: float):
-    """``A``, ``b`` and the weights' stream, as :func:`generate` describes."""
-    children = np.random.SeedSequence(seed).spawn(4)
-    rng_mask, rng_vals, rng_b, rng_w = (np.random.default_rng(s) for s in children)
-    keep = rng_mask.random((N, n)) >= sparsity
-    vals = rng_vals.standard_normal((N, n))
-    A = sparse.csc_array(np.where(keep, vals, 0.0))
-    return A, rng_b.standard_normal(N), rng_w
-
-
 def generate(spec: LassoSpec) -> LassoProblem:
     """Draw one instance of the family described by ``spec``.
 
     Deterministic given the seed: the pattern, values, right-hand side and
-    weights each consume their own child stream, in that order.
+    weights each consume their own child stream, in that order.  The
+    least-squares family draws no weights; its overdetermined Gaussian
+    design is full rank with probability one, so it is strongly convex.
     """
-    A, b, rng_w = _draw(spec.seed, spec.N, spec.n, spec.sparsity)
-    w = rng_w.uniform(0.0, spec.alpha, spec.n)
+    children = np.random.SeedSequence(spec.seed).spawn(4)
+    rng_mask, rng_vals, rng_b, rng_w = (np.random.default_rng(s) for s in children)
+    keep = rng_mask.random((spec.N, spec.n)) >= spec.sparsity
+    vals = rng_vals.standard_normal((spec.N, spec.n))
+    A = sparse.csc_array(np.where(keep, vals, 0.0))
+    b = rng_b.standard_normal(spec.N)
+    w = rng_w.uniform(0.0, spec.alpha, spec.n) if spec.family == "lasso" else None
     return LassoProblem.build(A, b, weights=w, spec=spec)
-
-
-def generate_least_squares(N: int, n: int, seed: int, sparsity: float = 0.0) -> LassoProblem:
-    """Strongly convex least-squares instance (no l1 term), ``N >= n``.
-
-    Companion family used to measure growth parameters with the
-    eigenvalue oracle; the overdetermined Gaussian design is full rank
-    with probability one.
-    """
-    check_least_squares_args(N, n, sparsity)
-    A, b, _ = _draw(seed, N, n, sparsity)
-    return LassoProblem.build(A, b, weights=None)
 
 
 def save_problem(lp: LassoProblem, path) -> None:

@@ -22,7 +22,6 @@ from fistakit import (
     composite_gradient_map,
     fista,
     generate,
-    generate_least_squares,
     oracle_fstar,
     oracle_mu,
     run_scheme,
@@ -78,7 +77,8 @@ def quad_family():
     """10 seeded strongly convex instances (N=40, n=20) with growth data."""
     family = []
     for i in range(10):
-        lp = generate_least_squares(40, 20, seed=7000 + i)
+        lp = generate(LassoSpec(
+            N=40, n=20, alpha=0.0, sparsity=0.0, seed=7000 + i, family="least-squares"))
         mu = oracle_mu(lp)
         f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
         family.append((lp, mu, f_star, x_star))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.io import mmwrite
 
-from fistakit import LassoProblem, RestartRun, Scheme, run_scheme, save_problem
+from fistakit import (LassoProblem, RestartRun, Scheme, load_problem, run_scheme,
+                      save_problem)
 import fistakit.cli as cli
 from fistakit.cli import (
     ExperimentConfig,
@@ -182,7 +183,7 @@ class TestConfigHandling:
             assert "alpha must be finite and >= 0" in err
         elif "least-squares" in rest:
             # Its shape must be set, since the default 600 x 800 has N < n.
-            assert "the least-squares family needs --N and --n with N >= n" in err
+            assert "the least-squares family needs N >= n >= 1, got N=" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("where, command", [
@@ -233,7 +234,10 @@ class TestConfigHandling:
             argv = ["solve", str(problem), "--scheme", command[len("solve-"):],
                     "--out", str(out)]
         assert main(argv) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        if command == "verify":  # a bad output file, not a failed read of the run
+            assert f"config error: output file {taken.parent} exists and is not a file" in err
         assert taken.read_bytes() == b"not a directory\n"
         if where not in ("file", "below-file"):  # nothing written beside the entry
             assert [p.name for p in out.iterdir()] == [taken.relative_to(out).parts[0]]
@@ -357,6 +361,17 @@ class TestRunOutputs:
         meta = json.loads((out / "run_meta.json").read_text())
         assert "jobs" not in meta
 
+    def test_stats_text_prints_every_median_digit(self):
+        # A median is an integer or a half; six significant digits would
+        # drop the half of 123456.5 and write 1234567 as 1.23457e+06.
+        medians = (489.0, 489.5, 123456.5, 1234567.0)
+        stats = [cli.SchemeStats(scheme=scheme, average=m, median=m, maximum=int(m) + 1,
+                                 minimum=int(m), average_prox_calls=m, trials=2)
+                 for scheme, m in zip(Scheme, medians)]
+        row = next(line for line in cli._stats_text(stats).splitlines()
+                   if line.startswith("Median Iter."))
+        assert row.split()[2:] == ["489", "489.5", "123456.5", "1234567"]
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
@@ -417,9 +432,9 @@ class TestDeterminism:
                              "--oracle-eps", "1e-10", "--out", str(tmp_path / f"{scheme}_{mode}"),
                              *flags]) == 0
         golden = {
-            "l.lasso": "6aa0375d8e59a328d4e2bb7cf16536884ae362b37b5450b362d6aff1f8cd1265",
-            "ls.lasso": "de4685badfd8d18abeb803c3994e5b4a25b75ee9eaa472812d0b6459667ccaa0",
-            "d.lasso": "674d84f679ff17efaa22f8b150a038b48d4e84b544b4aac7994d825e46264bcb",
+            "l.lasso": "678978c85357af664b88f58b359b0675f6e8b6fcefce6aafb1c88fb71c0ce0f8",
+            "ls.lasso": "18ec596e24f1b86df2c2e75264983a294aad3b59de030cf4e381971649e67c83",
+            "d.lasso": "739d8cd9516b8cec3a14c534a35236813e5dd5ac957a906f2e7921c9f58e69b7",
             "lcr_early/trace.csv":
                 "d6729b5bc0da1676548194a64ef202ca82814fe35d58e01ad408bd156fe25bae",
             "lcr_early/restarts.csv":
@@ -572,6 +587,21 @@ class TestExportTrace:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("flags", [
+        dict(N=15, n=22, alpha=0.03, sparsity=0.5, seed=7),
+        dict(family="least-squares", N=30, n=12, sparsity=0.0, seed=5),
+    ], ids=["lasso", "least-squares"])
+    def test_gen_writes_the_first_trials_instance(self, tmp_path, flags):
+        path = tmp_path / "inst.lasso"
+        argv = [part for key, value in flags.items() for part in (f"--{key}", str(value))]
+        assert main(["gen", *argv, "--out", str(path)]) == 0
+        back, want = load_problem(path), ExperimentConfig(**flags).instance(0)
+        assert (back.A != want.A).nnz == 0
+        assert np.array_equal(back.b, want.b)
+        assert (back.weights is None) == (want.weights is None)
+        assert want.weights is None or np.array_equal(back.weights, want.weights)
+        assert back.spec == want.spec
+
     def test_gen_solve_round_trip(self, tmp_path):
         problem_file = tmp_path / "inst.lasso"
         assert main(["gen", "--N", "15", "--n", "22", "--alpha", "0.01",

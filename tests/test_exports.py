@@ -30,10 +30,10 @@ PACKAGE_NAMES = [
     "FistaResult", "LassoProblem", "LassoSpec", "LeastSquares", "Metric",
     "OracleError", "ProxCounter", "ProxStep", "RestartRecord", "RestartResult", "RestartRun",
     "RestartTrace", "Scheme", "TSequence", "WeightedL1", "Zero",
-    "check_least_squares_args", "composite_gradient_map", "exit_function_scheme",
-    "exit_gradient_scheme", "exit_lcr", "exit_optimal_value_scheme", "fista", "generate",
-    "generate_least_squares", "gershgorin_metric", "gradient_norm_below", "kkt_residual",
-    "load_problem", "objective", "oracle_fstar", "oracle_mu", "run_scheme", "save_problem",
+    "composite_gradient_map", "exit_function_scheme", "exit_gradient_scheme", "exit_lcr",
+    "exit_optimal_value_scheme", "fista", "generate", "gershgorin_metric",
+    "gradient_norm_below", "kkt_residual", "load_problem", "objective", "oracle_fstar",
+    "oracle_mu", "run_scheme", "save_problem",
 ]
 
 

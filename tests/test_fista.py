@@ -25,7 +25,6 @@ from fistakit import (
     composite_gradient_map,
     fista,
     generate,
-    generate_least_squares,
     gradient_norm_below,
     model,
     objective,
@@ -249,7 +248,7 @@ def declared_instances():
     desk = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
     boxed = dataclasses.replace(desk.problem,
                                 constraint=Box(-0.05 * np.ones(80), 0.05 * np.ones(80)))
-    lsq = generate_least_squares(40, 25, seed=3, sparsity=0.5)
+    lsq = generate(LassoSpec(N=40, n=25, alpha=0.0, sparsity=0.5, seed=3, family="least-squares"))
     zoo = problem_zoo(np.random.default_rng(7))[3]
     return {"desk": desk.problem, "box": boxed, "least-squares": lsq.problem, "zoo": zoo}
 

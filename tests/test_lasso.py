@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from fistakit import (
     RestartRun,
     Scheme,
     generate,
-    generate_least_squares,
     gershgorin_metric,
     kkt_residual,
     load_problem,
@@ -55,6 +55,19 @@ class TestSpecValidation:
     def test_seed_nonnegative(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             LassoSpec(N=2, n=3, alpha=0.1, seed=-1)
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(N=2, n=3, alpha=-1.0, seed=-1), "seed must be >= 0"),
+        (dict(N=3, n=3, alpha=math.nan), "alpha must be finite"),
+        (dict(N=3, n=3, alpha=0.1, sparsity=1.0), "need n > N >= 1"),
+        (dict(N=2, n=3, alpha=0.1, sparsity=1.0, family="ridge"),
+         "family must be 'lasso' or 'least-squares'"),
+        (dict(N=2, n=3, alpha=0.1, sparsity=1.0), "sparsity must lie in"),
+    ])
+    def test_rules_apply_in_order(self, spec, message):
+        # seed, alpha, the family's shape (or an unknown family), sparsity.
+        with pytest.raises(ValueError, match=message):
+            LassoSpec(**spec)
 
 
 class TestGenerate:
@@ -151,7 +164,8 @@ class TestGershgorinMetric:
 class TestProblemView:
     @pytest.mark.parametrize("make", [
         lambda: generate(LassoSpec(N=15, n=25, alpha=0.07, sparsity=0.6, seed=13)),
-        lambda: generate_least_squares(10, 6, seed=2),
+        lambda: generate(LassoSpec(
+            N=10, n=6, alpha=0.0, sparsity=0.0, seed=2, family="least-squares")),
     ], ids=["lasso", "least-squares"])
     def test_data_are_the_problems_own_locked_arrays(self, make):
         lp = make()
@@ -192,11 +206,14 @@ class TestProblemView:
 
 class TestLeastSquaresFamily:
     def test_requires_overdetermined(self):
-        with pytest.raises(ValueError):
-            generate_least_squares(5, 10, seed=0)
+        with pytest.raises(ValueError, match="the least-squares family needs N >= n >= 1, "
+                                             "got N=5, n=10"):
+            LassoSpec(N=5, n=10, alpha=0.0, family="least-squares")
+        assert LassoSpec(N=6, n=6, alpha=0.0, family="least-squares").N == 6
 
     def test_no_l1_term(self):
-        lp = generate_least_squares(12, 6, seed=0)
+        lp = generate(LassoSpec(
+            N=12, n=6, alpha=0.0, sparsity=0.0, seed=0, family="least-squares"))
         assert lp.weights is None
         assert objective(lp.problem, np.zeros(6)) == pytest.approx(
             0.5 * float(lp.b @ lp.b) / 12
@@ -215,12 +232,30 @@ class TestSerialization:
         assert back.spec == lp.spec
 
     def test_round_trip_without_weights(self, tmp_path):
-        lp = generate_least_squares(10, 6, seed=2)
+        lp = generate(LassoSpec(
+            N=10, n=6, alpha=0.0, sparsity=0.0, seed=2, family="least-squares"))
         path = tmp_path / "ls.lasso"
         save_problem(lp, path)
         back = load_problem(path)
         assert back.weights is None
         assert (back.A != lp.A).nnz == 0
+        assert back.spec == lp.spec
+
+    @pytest.mark.parametrize("spec_doc, want", [
+        ({"N": 15, "n": 25, "alpha": 0.07, "sparsity": 0.6, "seed": 13},
+         LassoSpec(N=15, n=25, alpha=0.07, sparsity=0.6, seed=13, family="lasso")),
+        (None, None),
+    ], ids=["spec-without-family", "null-spec"])
+    def test_older_headers_still_load(self, tmp_path, spec_doc, want):
+        # Files written before the spec carried its family: a spec without
+        # one is a lasso spec, and a least-squares file had a null spec.
+        path = tmp_path / "old.lasso"
+        save_problem(generate(LassoSpec(N=15, n=25, alpha=0.07, sparsity=0.6, seed=13)), path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["spec"] = spec_doc
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        assert load_problem(path).spec == want
 
     def test_saves_the_data_the_problem_solves(self, tmp_path):
         # The instance holds locked copies of the caller's vectors, and
@@ -287,7 +322,8 @@ class TestOracleFstar:
     def test_tight_eps_must_be_finite_and_positive(self, small_lasso, family, tight_eps):
         # Checked on both paths: the direct least-squares solve would accept
         # any solution at inf and report a bogus tolerance at nan, 0 or -1.
-        lp = small_lasso if family == "lasso" else generate_least_squares(30, 12, seed=9)
+        lp = small_lasso if family == "lasso" else generate(LassoSpec(
+            N=30, n=12, alpha=0.0, sparsity=0.0, seed=9, family="least-squares"))
         with pytest.raises(ValueError, match="tight_eps must be finite and > 0"):
             oracle_fstar(lp, tight_eps=tight_eps)
 
@@ -295,7 +331,8 @@ class TestOracleFstar:
     @pytest.mark.parametrize("family", ["lasso", "least-squares"])
     def test_budget_must_be_at_least_one(self, small_lasso, family, budget):
         # Checked on both paths, though only the lcr solve spends it.
-        lp = small_lasso if family == "lasso" else generate_least_squares(30, 12, seed=9)
+        lp = small_lasso if family == "lasso" else generate(LassoSpec(
+            N=30, n=12, alpha=0.0, sparsity=0.0, seed=9, family="least-squares"))
         with pytest.raises(ValueError, match="budget must be >= 1"):
             oracle_fstar(lp, budget=budget)
 
@@ -351,7 +388,8 @@ class TestDirectLeastSquaresOracle:
         (30, 12, 9, 0.0), (10, 10, 23, 0.0), (60, 40, 3, 0.5),
     ])
     def test_agrees_with_an_lcr_run(self, monkeypatch, N, n, seed, sparsity):
-        lp = generate_least_squares(N, n, seed=seed, sparsity=sparsity)
+        lp = generate(LassoSpec(
+            N=N, n=n, alpha=0.0, sparsity=sparsity, seed=seed, family="least-squares"))
         want = lcr_fstar(lp)
         without_lcr(monkeypatch)
         f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
@@ -360,7 +398,8 @@ class TestDirectLeastSquaresOracle:
         assert kkt_residual(lp, x_star) <= 1e-12
 
     def test_rank_deficient_design_keeps_the_exact_value(self, monkeypatch):
-        full = generate_least_squares(40, 20, seed=7001)
+        full = generate(LassoSpec(
+            N=40, n=20, alpha=0.0, sparsity=0.0, seed=7001, family="least-squares"))
         lp = duplicated_column(full)
         with pytest.raises(OracleError, match="rank deficient"):
             oracle_mu(lp)
@@ -371,7 +410,8 @@ class TestDirectLeastSquaresOracle:
         assert f_star == pytest.approx(want, rel=1e-12)
 
     def test_all_zero_weights_take_the_direct_path(self, monkeypatch):
-        plain = generate_least_squares(40, 20, seed=7002)
+        plain = generate(LassoSpec(
+            N=40, n=20, alpha=0.0, sparsity=0.0, seed=7002, family="least-squares"))
         lp = LassoProblem.build(plain.A, plain.b, weights=np.zeros(20))
         assert lp.weights is not None
         want = lcr_fstar(lp)
@@ -381,7 +421,8 @@ class TestDirectLeastSquaresOracle:
         assert np.array_equal(x_star, oracle_fstar(plain, tight_eps=1e-12)[1])
 
     def test_unmet_tolerance_raises_without_a_fallback(self, monkeypatch):
-        lp = generate_least_squares(120, 80, seed=1000, sparsity=0.9)
+        lp = generate(LassoSpec(
+            N=120, n=80, alpha=0.0, sparsity=0.9, seed=1000, family="least-squares"))
         without_lcr(monkeypatch)
         with pytest.raises(OracleError, match="direct least-squares solution"):
             oracle_fstar(lp, tight_eps=1e-300)
@@ -400,7 +441,8 @@ class TestOracleMu:
         assert oracle_mu(lp) == pytest.approx(0.25, rel=1e-12)
 
     def test_agrees_with_inverse_power_iteration(self):
-        lp = generate_least_squares(10, 10, seed=23)
+        lp = generate(LassoSpec(
+            N=10, n=10, alpha=0.0, sparsity=0.0, seed=23, family="least-squares"))
         mu = oracle_mu(lp)
         H = (lp.A.T @ lp.A).toarray() / lp.N
         inv_sqrt = 1.0 / np.sqrt(lp.metric.diag)
@@ -424,7 +466,8 @@ class TestOracleMu:
 
     def test_growth_inequality_holds(self):
         # f(x) - f* >= (mu/2) ||x - x*||_R^2 on sampled points.
-        lp = generate_least_squares(30, 12, seed=9)
+        lp = generate(LassoSpec(
+            N=30, n=12, alpha=0.0, sparsity=0.0, seed=9, family="least-squares"))
         mu = oracle_mu(lp)
         f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
         rng = np.random.default_rng(3)

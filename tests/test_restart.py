@@ -20,7 +20,6 @@ from fistakit import (
     exit_optimal_value_scheme,
     fista,
     generate,
-    generate_least_squares,
     gradient_norm_below,
     model,
     objective,
@@ -238,10 +237,11 @@ class TestRestartFista:
         # the optimal restart window 2e/sqrt(mu) prescribed by the rate
         # bound.  (Measured intervals sit well inside it, around 0.4x,
         # because the bound is conservative.)
-        from fistakit import generate_least_squares, oracle_fstar, oracle_mu
+        from fistakit import oracle_fstar, oracle_mu
 
         for seed in (7000, 7001, 7002):
-            lp = generate_least_squares(40, 20, seed=seed)
+            lp = generate(LassoSpec(
+                N=40, n=20, alpha=0.0, sparsity=0.0, seed=seed, family="least-squares"))
             mu = oracle_mu(lp)
             _, x_star = oracle_fstar(lp, tight_eps=1e-12)
             window = math.ceil(2.0 * math.e / math.sqrt(mu))
@@ -701,7 +701,8 @@ def _opt_instance(name):
         return zoo, run_scheme(zoo, RestartRun(scheme=Scheme.LCR, epsilon=1e-12,
                                                r0=np.zeros(zoo.dim), budget=5_000)).r_star
     lp = (generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000)) if name == "desk"
-          else generate_least_squares(120, 80, seed=1000, sparsity=0.9))
+          else generate(LassoSpec(
+              N=120, n=80, alpha=0.0, sparsity=0.9, seed=1000, family="least-squares")))
     return lp.problem, oracle_fstar(lp, tight_eps=1e-12)[1]
 
 
