@@ -54,8 +54,10 @@ class LassoSpec:
 
     ``family`` is ``"lasso"``, with an underdetermined shape ``n > N >= 1``
     and weights ``W_ii ~ Uniform[0, alpha]``, or ``"least-squares"``, with
-    ``N >= n >= 1`` and no l1 term (``alpha`` is then unused).
-    ``sparsity`` is the probability that an entry of ``A`` is zero.
+    ``N >= n >= 1`` and no l1 term.  A least-squares spec still records,
+    checks and compares its ``alpha``, though no draw uses it, so two
+    specs that differ only there are unequal.  ``sparsity`` is the
+    probability that an entry of ``A`` is zero.
     """
 
     N: int
