@@ -176,9 +176,9 @@ def generate(spec: LassoSpec) -> LassoProblem:
     """
     children = np.random.SeedSequence(spec.seed).spawn(4)
     rng_mask, rng_vals, rng_b, rng_w = (np.random.default_rng(s) for s in children)
-    keep = rng_mask.random((spec.N, spec.n)) >= spec.sparsity
-    vals = rng_vals.standard_normal((spec.N, spec.n))
-    A = sparse.csc_array(np.where(keep, vals, 0.0))
+    # One expression, so the dense draws are freed before the metric is built.
+    A = sparse.csc_array(np.where(rng_mask.random((spec.N, spec.n)) >= spec.sparsity,
+                                  rng_vals.standard_normal((spec.N, spec.n)), 0.0))
     b = rng_b.standard_normal(spec.N)
     w = rng_w.uniform(0.0, spec.alpha, spec.n) if spec.family == "lasso" else None
     return LassoProblem.build(A, b, weights=w, spec=spec)
