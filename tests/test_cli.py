@@ -395,7 +395,7 @@ class TestDeterminism:
             "run_meta.json": "42c7251507613b41c2a9994297da720d519443ad9ba20c21a897bbd5489fd33b",
             "stats.csv": "e25e8d79ec27b460dcd2bd691bfde3e16ed869f45a9445a8c95be970e7325494",
             "trials.csv": "f1b2f2ec97a88ff875b856b5041b2f4cf058484d71aba7ec3fc25c031986a12c",
-            "oracles.csv": "6dbf5a6ce9e17dd2d9613cede59ab92505f87edffe59a08ba678874da2a6d039",
+            "oracles.csv": "d3043d042feeba464d85352461d06243006b37ab8fec36920263379a3ca61ec5",
             "traces/trial_0000.csv":
                 "03503924ea8b24573c6fdf2e9b8341a765520e8aa5eeaff59e72644bc2191454",
             "traces/trial_0000_restarts.csv":
@@ -656,7 +656,7 @@ class TestCommands:
         out, _, _, _ = tiny_run
         assert main(["verify", "--out", str(out)]) == 0
         assert _sha256(out / "bound_report.txt") == (
-            "f4d641d4176808ba7f334c2dde08d502c8e59a0369aa7f82035748cfade38b42")
+            "f373145b65f1746e073c521fe39907e4831a960fac761b19de41782e6abd5369")
 
     def test_verify_on_missing_dir(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "nope")]) == 2
@@ -784,7 +784,7 @@ class TestVerifyTraceRows:
             assert not (out / "bound_report.txt").exists()
         else:
             assert _sha256(out / "bound_report.txt") == (
-                "f4d641d4176808ba7f334c2dde08d502c8e59a0369aa7f82035748cfade38b42")
+                "f373145b65f1746e073c521fe39907e4831a960fac761b19de41782e6abd5369")
 
     def test_foreign_trace_header_is_a_config_error(self, tiny_run, tmp_path, capsys):
         out = tmp_path / "run"

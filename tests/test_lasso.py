@@ -16,6 +16,7 @@ from fistakit import (
     OracleError,
     RestartRun,
     Scheme,
+    composite_gradient_map,
     generate,
     gershgorin_metric,
     kkt_residual,
@@ -336,16 +337,29 @@ class TestOracleFstar:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             oracle_fstar(lp, budget=budget)
 
-    def test_solution_failing_the_optimality_check_raises(self):
-        # A metric far above the curvature makes ||g||_* tiny at the start,
-        # so the lcr run stops at its first prox, far from the minimizer 2.
+    def test_solution_failing_the_optimality_check_raises(self, monkeypatch):
+        # A metric far above the curvature makes ||g||_* tiny at any point, so
+        # a support solve that lands at 2.5 instead of the minimizer 2 passes
+        # the ||g||_* check and only the first-order conditions catch it.
         lp = with_metric(LassoProblem.build(
             A=sparse.csc_array(np.array([[1.0]])),
             b=np.array([3.0]),
             weights=np.array([1.0]),
         ), [1e30])
+        solve = oracles._support_solve
+        monkeypatch.setattr(oracles, "_support_solve",
+                            lambda *args: 1.25 * solve(*args))
         with pytest.raises(OracleError, match="fails the optimality check"):
             oracle_fstar(lp, tight_eps=1e-12)
+
+    def test_boxed_instance_takes_an_lcr_run_to_tight_eps(self, small_lasso):
+        n = small_lasso.n
+        boxed = dataclasses.replace(small_lasso, problem=dataclasses.replace(
+            small_lasso.problem, constraint=Box(-0.05 * np.ones(n), 0.05 * np.ones(n))))
+        f_star, x_star = oracle_fstar(boxed, tight_eps=1e-10)
+        f_lcr, x_lcr = lcr_star(boxed, epsilon=1e-10)
+        assert np.array_equal(x_star, x_lcr)
+        assert f_star == f_lcr
 
     def test_kkt_residual_rejects_a_box(self, small_lasso):
         n = small_lasso.n
@@ -355,12 +369,111 @@ class TestOracleFstar:
             kkt_residual(boxed, np.zeros(n))
 
 
-def lcr_fstar(lp) -> float:
-    """The optimal value an lcr run from zero to 1e-12 reaches."""
-    run = RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(lp.n), budget=200_000)
+def perturbed_support(x_star) -> np.ndarray:
+    """``x_star`` with one true coordinate dropped, one spurious one added and one sign flipped."""
+    on, off = np.flatnonzero(x_star), np.flatnonzero(x_star == 0.0)
+    x0 = x_star.copy()
+    x0[on[0]] = 0.0
+    x0[off[0]] = 1e-3
+    x0[on[1]] = -x0[on[1]]
+    return x0
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The support size of every support solve the oracle makes from here on."""
+    sizes = []
+    solve = oracles._support_solve
+
+    def recording(A_S, rhs, x0):
+        sizes.append(A_S.shape[1])
+        return solve(A_S, rhs, x0)
+
+    monkeypatch.setattr(oracles, "_support_solve", recording)
+    return sizes
+
+
+class TestActiveSetPolish:
+    """The correction rounds of a lasso reference, which clean instances never take."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        lp = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000))
+        return lp, oracle_fstar(lp, tight_eps=1e-12)[1]
+
+    def test_clean_proposal_needs_no_correction(self, desk, solve_sizes):
+        lp, x_star = desk
+        _, x = oracle_fstar(lp, tight_eps=1e-12)
+        assert solve_sizes == [np.count_nonzero(x_star)]
+        assert np.array_equal(x, x_star)
+
+    def test_corrections_reach_the_clean_minimizer(self, desk, solve_sizes):
+        lp, x_star = desk
+        x = oracles._polish(lp, perturbed_support(x_star))
+        assert len(solve_sizes) > 1
+        assert np.array_equal(x != 0.0, x_star != 0.0)
+        assert np.abs(x - x_star).max() <= 1e-14
+
+    def test_weights_above_the_correlations_give_zero(self, desk, solve_sizes):
+        lp, _ = desk
+        w = 1.01 * np.abs(lp.A.T @ lp.b) / lp.N
+        f_star, x_star = oracle_fstar(LassoProblem.build(lp.A, lp.b, weights=w))
+        assert solve_sizes == [0]
+        assert not x_star.any()
+        assert f_star == 0.5 * float(lp.b @ lp.b) / lp.N
+
+    def test_unsettled_polish_raises(self, desk, monkeypatch):
+        lp, x_star = desk
+        monkeypatch.setattr(oracles, "POLISH_ROUNDS", 3)
+        with pytest.raises(OracleError, match="did not settle in 3 rounds"):
+            oracles._polish(lp, perturbed_support(x_star))
+
+    @pytest.mark.parametrize("weight_scale", [1.0, 1.5])
+    def test_duplicated_support_column_is_checked_or_refused(self, desk, weight_scale):
+        # With equal weights the two copies share the mass, and A_S^T A_S is
+        # singular; with a heavier copy the minimizer leaves it at zero.
+        # Either way the optimal value is the clean one.
+        lp, x_star = desk
+        j = np.flatnonzero(x_star)[0]
+        A = lp.A.toarray()
+        dup = LassoProblem.build(sparse.csc_array(np.column_stack([A, A[:, j]])), lp.b,
+                                 weights=np.append(lp.weights, weight_scale * lp.weights[j]))
+        try:
+            f_star, x = oracle_fstar(dup, tight_eps=1e-12)
+        except OracleError:
+            return
+        assert composite_gradient_map(dup.problem, x).g_dual_norm <= 1e-12
+        assert kkt_residual(dup, x) <= oracles.KKT_TOL
+        assert f_star == pytest.approx(objective(lp.problem, x_star), rel=1e-14)
+
+    def test_unmet_tolerance_raises_without_a_fallback(self, desk, monkeypatch):
+        lp, _ = desk
+        runs = []
+        run_scheme = oracles.run_scheme
+        monkeypatch.setattr(oracles, "run_scheme",
+                            lambda problem, run: runs.append(run) or run_scheme(problem, run))
+        with pytest.raises(OracleError, match="active-set solution has"):
+            oracle_fstar(lp, tight_eps=1e-300)
+        assert [run.epsilon for run in runs] == [oracles.PROPOSAL_EPS]
+
+    @pytest.mark.parametrize("N, n, seed", [(60, 80, 1000), (600, 800, 0)],
+                             ids=["desk", "paper"])
+    def test_agrees_with_an_lcr_run(self, N, n, seed):
+        lp = generate(LassoSpec(N=N, n=n, alpha=0.01, sparsity=0.9, seed=seed))
+        f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
+        f_lcr, x_lcr = lcr_star(lp)
+        assert abs(f_star - f_lcr) <= 4 * math.ulp(f_star)
+        assert np.abs(x_star - x_lcr).max() <= 1e-8
+        assert kkt_residual(lp, x_star) <= 1e-15
+
+
+
+def lcr_star(lp, epsilon=1e-12) -> tuple[float, np.ndarray]:
+    """The value and point an lcr run from zero to ``epsilon`` reaches."""
+    run = RestartRun(scheme=Scheme.LCR, epsilon=epsilon, r0=np.zeros(lp.n), budget=200_000)
     out = run_scheme(lp.problem, run)
     assert not out.trace.exhausted
-    return objective(lp.problem, out.r_star)
+    return objective(lp.problem, out.r_star), out.r_star
 
 
 def without_lcr(monkeypatch):
@@ -380,7 +493,7 @@ def duplicated_column(lp) -> LassoProblem:
 class TestDirectLeastSquaresOracle:
     """Without a box or a nonzero l1 weight, f* is one least-squares solve.
 
-    The lcr run to 1e-12, the oracle of the other families, is the cross-check.
+    An lcr run to 1e-12 is the cross-check.
     """
 
     @pytest.mark.parametrize("N, n, seed, sparsity", [
@@ -390,7 +503,7 @@ class TestDirectLeastSquaresOracle:
     def test_agrees_with_an_lcr_run(self, monkeypatch, N, n, seed, sparsity):
         lp = generate(LassoSpec(
             N=N, n=n, alpha=0.0, sparsity=sparsity, seed=seed, family="least-squares"))
-        want = lcr_fstar(lp)
+        want = lcr_star(lp)[0]
         without_lcr(monkeypatch)
         f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
         assert f_star == pytest.approx(want, rel=1e-12)
@@ -403,8 +516,8 @@ class TestDirectLeastSquaresOracle:
         lp = duplicated_column(full)
         with pytest.raises(OracleError, match="rank deficient"):
             oracle_mu(lp)
-        want = lcr_fstar(full)
-        assert lcr_fstar(lp) == pytest.approx(want, rel=1e-12)
+        want = lcr_star(full)[0]
+        assert lcr_star(lp)[0] == pytest.approx(want, rel=1e-12)
         without_lcr(monkeypatch)
         f_star, _ = oracle_fstar(lp, tight_eps=1e-12)
         assert f_star == pytest.approx(want, rel=1e-12)
@@ -414,7 +527,7 @@ class TestDirectLeastSquaresOracle:
             N=40, n=20, alpha=0.0, sparsity=0.0, seed=7002, family="least-squares"))
         lp = LassoProblem.build(plain.A, plain.b, weights=np.zeros(20))
         assert lp.weights is not None
-        want = lcr_fstar(lp)
+        want = lcr_star(lp)[0]
         without_lcr(monkeypatch)
         f_star, x_star = oracle_fstar(lp, tight_eps=1e-12)
         assert f_star == pytest.approx(want, rel=1e-12)
