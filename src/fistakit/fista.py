@@ -25,15 +25,21 @@ The call returns ``r_x`` of its final iterate, and the restart driver hands
 it to the next call, whose initialization prox then needs only ``A^T``.
 
 Each step is fused and writes one new zeroed vector ``s`` of length
-``n + N``, which holds ``x_k`` in its head and ``r_x`` in its tail:
-``A^T r_y`` goes into the head from the form's bound product ``_ATr``
-(see :class:`~fistakit.model.LeastSquares`), the prox of
+``N + n``, which holds ``r_x`` in its head and ``x_k`` in its tail.
+``A^T r_y`` goes into the tail from the problem's bound product ``_ATr``
+(see :class:`~fistakit.model.CompositeProblem`), which reads ``r_y``
+from the head of the extrapolated vector ``ys``; the prox of
 :func:`~fistakit.model.composite_gradient_map` turns it into ``x_k`` in
-place (``out=``) without its checks (``checked=False``), ``A x_k - b``
-goes into the tail from ``_Ax``, and ``f`` follows from the residual and ``psi``
-without a call to :func:`~fistakit.model.objective`.  ``x_k`` and
-``r_x`` move together, so one extrapolation of ``s`` gives ``y_k`` and
-``r_y`` at once, as the head and tail of one vector.  Every step's vectors
+place (``out=``) without its checks (``checked=False``); ``A x_k - b``
+goes into the head from the form's ``_Ax``; and ``f`` follows from the
+residual and ``psi`` without a call to :func:`~fistakit.model.objective`.
+``x_k`` and ``r_x`` move together, so one extrapolation of ``s`` gives
+``ys``, which holds ``r_y`` and ``y_k`` as its head and tail.  On a
+large weighted-l1 problem without a box, ``_ATr`` also reads ``y_k``
+and leaves at +0 the rows it certifies the prox maps to ``x_k = +0``
+anyway, with the full product's bits (see
+:class:`~fistakit.model._ScreenedProduct`); the problem chose it when
+it was built, so the loop takes no per-step branch.  Every step's vectors
 are new, so the iterates and residuals a call hands out, views of its
 last ``s``, never change.  Every prox goes
 through this module's name ``composite_gradient_map``, and each call's
@@ -42,12 +48,14 @@ names to read the host's speed inside long solves and to time the step.
 Each call's start stays checked: ``z``, the caller's ``residual`` and
 its products, which go through the form's checked methods, the init
 prox and ``f(x_0)``.  The bound products check no length, and inside
-the loop ``r_y`` and ``x_k`` have the right length and dtype by
+the loop ``ys`` and ``x_k`` have the right length and dtype by
 construction.
 Inside the loop only ``f`` is checked.  A non-finite entry of ``y``,
 of the gradient or of ``x_k`` reaches ``f`` through ``A x_k``, so the loop
 raises ``non-finite objective at iteration k``; a column of ``A`` that
-stores no entry has a zero gradient entry and never creates one.  A clip
+stores no entry has a zero gradient entry and never creates one, and a
+screened step has a finite ``r_y`` and a zero ``y_k`` on the rows it
+skips.  A clip
 to a box could turn such an entry into a finite ``x_k``, so on a problem
 with a box constraint the step keeps the prox's checks.
 
@@ -239,11 +247,10 @@ def fista(
         )
 
     ts = TSequence()
-    y = x
-    r_y = r_x
-    # x_0 and its residual in one vector, as each step's s holds x_k and r_x,
-    # for the first extrapolation.
-    s = np.concatenate((x, r_x))
+    # x_0 and its residual in one vector, as each step's s holds r_x and x_k,
+    # for the first extrapolation and the first product.
+    s = np.concatenate((r_x, x))
+    ys, y = s, x
     k = 0
     aborted = False
     exhausted = False
@@ -252,11 +259,12 @@ def fista(
     isfinite = math.isfinite
     zeros = np.zeros
     h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
-    # The form's two bound products (see LeastSquares), which check no
-    # length: r_y and x are float64 vectors of the right length by construction.
-    ATr, Ax, b, N_float = form._ATr, form._Ax, form.b, form._N
-    n = form.dim
-    size = n + b.size
+    # The problem's A^T r_y and the form's A x (see CompositeProblem and
+    # LeastSquares), which check no length: ys and x are float64 vectors of
+    # the right length by construction.
+    ATr, Ax, b, N_float = problem._ATr, form._Ax, form.b, form._N
+    N = b.size
+    size = N + form.dim
     # A clip to a box can turn a non-finite entry of y or of the gradient
     # into a finite x that f never sees, so a boxed problem keeps the checks.
     checked = problem.constraint is not None
@@ -265,11 +273,12 @@ def fista(
             exhausted = True
             break
         k += 1
-        # The products add into the zeroed s: A^T r_y into its head, which the
-        # prox then turns into x_k in place, and A x_k into its tail.
+        # The products add into the zeroed s: A^T r_y, read from the head of
+        # ys, into its tail, which the prox then turns into x_k in place, and
+        # A x_k into its head.
         s_prev, s = s, zeros(size)
-        grad, r_x = s[:n], s[n:]
-        ATr(r_y, grad)
+        r_x, grad = s[:N], s[N:]
+        ATr(ys, grad)
         grad /= N_float
         prox = composite_gradient_map(problem, y, counter, grad, checked=checked, out=grad)
         x_prev, x = x, grad
@@ -288,12 +297,12 @@ def fista(
             break
         ts.step()
         beta = ts.momentum
-        # s + beta * (s - s_prev) with one temporary, which gives y_k and
-        # r_y with the bits of their own extrapolations.
+        # s + beta * (s - s_prev) with one temporary, which gives r_y and
+        # y_k with the bits of their own extrapolations.
         ys = s - s_prev
         ys *= beta
         ys += s
-        y, r_y = ys[:n], ys[n:]
+        y = ys[N:]
         if (exit_condition is not None and k >= k_min
                 and exit_condition(k, f_history, prox, x_prev, x, r_x)):
             break

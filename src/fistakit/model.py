@@ -15,9 +15,12 @@ weighted norm) is the natural residual for stopping rules.
 
 Everything here is immutable after construction and safe to share across
 concurrent solver runs; all operations are pure functions of their inputs.
-The one piece of mutable state is the column-subset cache of a large
-:class:`LeastSquares` form: a memo that each product reads once and that
-never changes a result, only the time the product takes.
+The two pieces of mutable state belong to a large problem: the
+column-subset cache of its :class:`LeastSquares` form's ``A x`` and the
+screened rows of the ``A^T r`` of its fused step (see
+:class:`_SupportProduct` and :class:`_ScreenedProduct`).  Each is a memo
+that each product reads once and replaces whole, and that never changes a
+result, only the time the product takes.
 """
 
 from __future__ import annotations
@@ -74,6 +77,23 @@ def _vector(v, size: int) -> np.ndarray:
     return v
 
 
+def _restrict(full: functools.partial, counts: np.ndarray, keep: np.ndarray) -> functools.partial:
+    """``full`` with the compressed lines of ``A`` that ``keep`` leaves out emptied.
+
+    ``full`` is a compiled kernel bound to ``(n_row, n_col, indptr, indices,
+    data)`` and ``counts`` the stored entries of each compressed line: the
+    columns of a ``csc_matvec`` or the rows of a ``csr_matvec``.  Every line
+    stays, so the product takes the vectors ``full`` takes; an emptied line
+    adds no term, and its output entry of a ``csr_matvec`` stays at the
+    buffer's +0.
+    """
+    n_row, n_col, indptr, indices, data = full.args
+    stored = np.repeat(keep, counts)
+    sub_indptr = np.zeros_like(indptr)
+    np.cumsum(counts * keep, out=sub_indptr[1:])
+    return functools.partial(full.func, n_row, n_col, sub_indptr, indices[stored], data[stored])
+
+
 class _SupportProduct:
     """``A x`` of a finite float64 CSC ``A`` over a cached set of its columns.
 
@@ -86,8 +106,8 @@ class _SupportProduct:
     it stands in for, a call adds ``A x`` into a zeroed ``out`` and checks
     no length: ``x`` must be a contiguous float64 vector of length ``n``.
 
-    The cache is a memo: one tuple of the cached columns, the others, the
-    ``csc_matvec`` product of ``A`` restricted to the cached columns, and
+    The cache is a memo: one tuple of the columns outside the cached set,
+    the ``csc_matvec`` product of ``A`` with those columns emptied, and
     the support of the last point that had a nonzero outside them.  A call
     reads it once and replaces it whole, so a call that runs beside
     another still gets the full product's bits.  A point that is zero
@@ -101,30 +121,147 @@ class _SupportProduct:
 
     def __init__(self, full: functools.partial):
         """``full`` is the ``csc_matvec`` product of all of ``A`` (see :class:`LeastSquares`)."""
-        _, n_col, indptr, _, _ = full.args
         self._full = full
-        self._counts = np.diff(indptr)  # stored entries per column
-        self._memo = self._cached(np.zeros(n_col, dtype=bool), None)
+        self._counts = np.diff(full.args[2])  # stored entries per column
+        self._memo = self._cached(np.zeros(full.args[1], dtype=bool), None)
 
     def _cached(self, mask, missed):
-        n_row, _, indptr, indices, data = self._full.args
-        cols = np.flatnonzero(mask)
-        keep = np.repeat(mask, self._counts)
-        sub_indptr = np.zeros(cols.size + 1, dtype=indptr.dtype)
-        np.cumsum(self._counts[mask], out=sub_indptr[1:])
-        sub = functools.partial(_sparsetools.csc_matvec, n_row, cols.size, sub_indptr,
-                                indices[keep], data[keep])
-        return cols, np.flatnonzero(~mask), sub, missed
+        return np.flatnonzero(~mask), _restrict(self._full, self._counts, mask), missed
 
     def __call__(self, x, out) -> None:
-        cols, outside, sub, missed = self._memo
+        outside, sub, missed = self._memo
         if np.count_nonzero(x.take(outside)):
             mask = x != 0
             if missed is None or not np.array_equal(mask, missed):
-                self._memo = (cols, outside, sub, mask)
+                self._memo = (outside, sub, mask)
                 return self._full(x, out)
-            cols, outside, sub, missed = self._memo = self._cached(mask, None)
-        sub(x.take(cols), out)
+            outside, sub, missed = self._memo = self._cached(mask, None)
+        sub(x, out)
+
+
+class _ScreenedProduct:
+    """``A^T r`` for the fused step of a weighted-l1 problem, without the rows the prox zeroes.
+
+    Called as ``product(ys, out)``, with ``r_y`` in the first ``N`` entries
+    of ``ys``, ``y`` after them and ``out`` a zeroed float64 vector of
+    length ``n``, it adds into ``out`` the full ``csr_matvec`` product
+    ``A^T r_y`` or the same product with a certified row set ``S``
+    emptied, which leaves the step's bits unchanged.  ``A`` must be finite
+    and must not change, and the problem must have no box.
+
+    The certificate.  With ``u = 2^-53``, ``m = N + 8``, ``gamma = m u /
+    (1 - m u)``, ``E = m 2^-1074`` and ``a_j = ||A_j||``, the computed sum
+    ``s_j`` of row ``j`` of ``A^T`` times ``r`` is within ``gamma a_j ||r||
+    + E`` of ``A_j^T r`` in any order, ``E`` covering underflow.  From the
+    full product ``c = A^T r_0`` of the last rebuild, with ``d = r - r_0``,
+    the condition::
+
+        a_j (1 + gamma) ||d|| <= N w_j - |c_j| - 2 gamma a_j ||r_0|| - 2E
+
+    gives ``|s_j| <= |c_j| + a_j ||d|| + gamma a_j (||r|| + ||r_0||) + 2E
+    <= N w_j``.  Rounding is monotone, so ``fl(fl(|s_j| / N) / R_jj) <=
+    fl(w_j / R_jj) = t_j``, the prox's threshold.  If also ``y_j = +-0``
+    and ``0 < t_j < inf``, the prox's ``u_j = y_j - fl(fl(s_j / N) /
+    R_jj)`` lies in ``[-t_j, t_j]`` for ``s_j`` and for the +0 of an
+    emptied row alike, so both give ``x_j = u_j - u_j = +0`` and ``g_j =
+    R_jj y_j``.  (At ``t_j = 0`` the clip may keep a -0; at ``t_j = inf``
+    it turns ``-inf`` into NaN.)
+
+    A rebuild evaluates the right side with ``sqrt(q + E) (1 + gamma)``
+    for ``a_j`` and ``||r_0||`` (``q`` the computed sum of squares),
+    ``N w_j (1 - gamma)`` and ``3 gamma`` for ``2 gamma``, divided by
+    ``a_j (1 + 2 gamma)``: each extra ``gamma`` covers the roundings of
+    the formula that computes it.  That gives a limit ``delta_j`` on
+    ``||d||``.  ``S`` takes the rows with ``y_j = 0``, ``0 < t_j < inf``
+    and ``delta_j`` positive and at least its tenth percentile, so one
+    tight row does not end the memo at once; ``delta`` is their least
+    ``delta_j``.  A step is screened when ``y`` is ``+-0`` on ``S`` and
+    the computed ``d . d <= delta^2 (1 - 4 gamma) - E``, which bounds the
+    true ``||d||^2`` by ``delta^2``; a NaN or infinite entry of ``r``
+    fails this test.  No row with ``a_j`` outside ``[2^-250, 2^250)`` or
+    ``N w_j >= 2^250`` is screened, nor any at ``||r_0|| >= 2^250``, so
+    no sum nears overflow and the limit stays finite.
+
+    The memo is one tuple: the certificate (the positions of ``S`` in
+    ``ys``, ``r_0``, the limit on ``d . d`` and the product with ``S``
+    emptied, built at the certificate's first hit), the steps it served,
+    the full products left before the next rebuild and the length of the
+    last such wait.  A call reads it
+    once and replaces it whole, so a call that runs beside another still
+    gets the full product's bits.  A failed test takes the full product
+    and rebuilds from it; after a memo that served fewer than ``PAYBACK``
+    steps, too few to repay its rebuild, the wait doubles first, so the
+    fast first steps of a solve, where the residual outruns any memo, do
+    not rebuild at every step.
+    """
+
+    __slots__ = ("_full", "_counts", "_N", "_gamma", "_tiny", "_cap", "_spread", "_den",
+                 "_none", "_memo")
+
+    PAYBACK = 8  # steps a memo must serve to repay its rebuild
+    RANGE = 2.0 ** 250  # bound on a_j, N w_j and ||r_0|| of a screened row
+
+    def __init__(self, full: functools.partial, threshold: np.ndarray, weights: np.ndarray):
+        """``full`` is the ``csr_matvec`` product ``A^T r`` (see :class:`LeastSquares`)."""
+        n, N, indptr, _, data = full.args
+        self._full = full
+        counts = self._counts = np.diff(indptr)  # stored entries per row of A^T
+        self._N = N
+        m_u = (N + 8) * 2.0 ** -53
+        gamma = self._gamma = m_u / (1.0 - m_u)
+        tiny = self._tiny = (N + 8) * 2.0 ** -1074
+        with np.errstate(over="ignore"):  # +inf, which leaves the row out
+            # The rows' sums of squares; reduceat gives an empty row the next entry.
+            sq = np.add.reduceat(np.append(data * data, 0.0), indptr[:-1])
+            cap = N * weights * (1.0 - gamma)
+        norm = np.sqrt(np.where(counts > 0, sq, 0.0) + tiny) * (1.0 + gamma)
+        ok = ((threshold > 0.0) & (threshold < np.inf) & (cap < self.RANGE)
+              & (norm >= 1.0 / self.RANGE) & (norm < self.RANGE))
+        # The row terms of the limit, with -1 for the cap of a row never
+        # screened, which makes its limit negative.
+        self._cap = np.where(ok, cap, -1.0)
+        self._spread = np.where(ok, 3.0 * gamma * norm, 0.0)
+        self._den = np.where(ok, norm * (1.0 + 2.0 * gamma), 1.0)
+        self._none = (np.zeros(0, dtype=np.intp), np.zeros(N), -math.inf, None)
+        self._memo = (self._none, 0, 1, 1)  # the first call rebuilds
+
+    def _rebuild(self, ys, c) -> tuple:
+        """The certificate at ``r_0 = ys[:N]``, from ``c``, its full product."""
+        N = self._N
+        r0 = ys[:N].copy()
+        rho = math.sqrt(r0.dot(r0) + self._tiny) * (1.0 + self._gamma)
+        if rho < self.RANGE:
+            delta = (self._cap - abs(c) - rho * self._spread - 2.0 * self._tiny) / self._den
+            ok = (delta > 0.0) & (ys[N:] == 0.0)
+            if ok.any():
+                v = delta[ok]
+                low = np.partition(v, v.size // 10)[v.size // 10]
+                limit = low * low * (1.0 - 4.0 * self._gamma) - self._tiny
+                return np.flatnonzero(ok & (delta >= low)) + N, r0, limit, None
+        return self._none
+
+    def __call__(self, ys, out) -> None:
+        cert, served, wait, backoff = self._memo
+        held, r0, limit, sub = cert
+        N = self._N
+        r = ys[:N]
+        if not wait and not np.count_nonzero(ys.take(held)):
+            d = r - r0
+            if d.dot(d) <= limit:
+                if sub is None:  # built at the first hit: most short-lived memos get none
+                    keep = np.ones(self._counts.size, dtype=bool)
+                    keep[held - N] = False
+                    sub = _restrict(self._full, self._counts, keep)
+                    cert = (held, r0, limit, sub)
+                self._memo = (cert, served + 1, 0, backoff)
+                return sub(r, out)
+        self._full(r, out)
+        if wait > 1:
+            self._memo = (cert, 0, wait - 1, backoff)
+        elif wait or served >= self.PAYBACK:
+            self._memo = (self._rebuild(ys, out), 0, 0, backoff if wait else 1)
+        else:
+            self._memo = (cert, 0, 2 * backoff, 2 * backoff)
 
 
 @dataclass(frozen=True)
@@ -219,9 +356,12 @@ class LeastSquares:
     canonical CSR ``A`` and its CSC copy give ``A x`` the same bits.
 
     The methods check their vector's length before the product runs.  The
-    fused loop of :func:`fistakit.fista.fista` calls ``_ATr`` and ``_Ax``
-    itself, writing into the two halves of the one buffer it builds per
-    step, with the bits of :meth:`grad_at_residual` and :meth:`residual`.
+    fused loop of :func:`fistakit.fista.fista` calls ``_Ax`` and, through
+    its problem (see :class:`CompositeProblem`), ``_ATr`` itself, writing
+    into the two halves of the one buffer it builds per step, with the
+    bits of :meth:`residual` and :meth:`grad_at_residual`.  ``_ATr`` reads
+    only the first ``N`` entries of its vector, so the loop passes it a
+    vector that holds ``y`` after ``r_y``.
     ``value`` and ``grad`` are the form's own ``_value`` and ``_grad``
     unless given, so that a tracer can wrap them: the prox calls ``grad``
     when given no gradient, and :func:`objective` ``value`` when given no residual.
@@ -328,6 +468,11 @@ class CompositeProblem:
     nonsmooth part :class:`Zero` or :class:`WeightedL1`, the family whose
     prox is separable and closed form under the diagonal metric, and
     validates dimension agreement.
+
+    ``_ATr`` is the ``A^T r_y`` of the fused step of
+    :func:`fistakit.fista.fista`: the form's own, or, for a weighted-l1
+    term without a box on a form whose ``A x`` takes the support product,
+    a :class:`_ScreenedProduct` with the same bits.
     """
 
     smooth: LeastSquares
@@ -359,6 +504,13 @@ class CompositeProblem:
             neg_threshold = _as_locked_vector(-threshold, "threshold")
         object.__setattr__(self, "_l1_threshold", threshold)
         object.__setattr__(self, "_l1_neg_threshold", neg_threshold)
+        # Screened under the support product's gate: a finite A of at least
+        # _SUPPORT_MIN_NNZ entries.
+        ATr = self.smooth._ATr
+        if (threshold is not None and self.constraint is None
+                and isinstance(self.smooth._Ax, _SupportProduct)):
+            ATr = _ScreenedProduct(ATr, threshold, self.nonsmooth.weights)
+        object.__setattr__(self, "_ATr", ATr)
 
     @property
     def dim(self) -> int:

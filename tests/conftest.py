@@ -128,31 +128,60 @@ def random_spd(rng, n, cond=10.0):
     return (basis * evals) @ basis.T
 
 
-def count_kernel_calls(monkeypatch, n=None):
+def count_kernel_calls(monkeypatch, nnz=None):
     """Wrap the compiled kernels on ``model._sparsetools``; each call adds one to ``tally[0]``.
 
     Every product of a least-squares form, ``A x`` and ``A^T r``, makes
     exactly one kernel call, whether through the form's methods or in the
     fused loop of ``fistakit.fista``.  A form binds its kernels when it is
-    built, and a support cache its restricted product when it is rebuilt,
-    so only forms built after this call are counted.  With ``n`` given,
-    ``tally[1]`` counts the ``csc_matvec`` calls over fewer than ``n``
-    columns: the restricted products of a support cache.
+    built, and a support cache or screened product its restricted product
+    from them, so only forms built after this call are counted.  With
+    ``nnz``, the number of entries ``A`` stores, given, ``tally[1]`` counts
+    the ``csc_matvec`` calls and ``tally[2]`` the ``csr_matvec`` calls over
+    fewer entries: the restricted products of a support cache and of a
+    screened product.
     """
-    tally = [0, 0]
+    tally = [0, 0, 0]
     kernels = model._sparsetools
 
-    def counting(kernel, restricted):
+    def counting(kernel, slot):
         def wrapper(*args):
             tally[0] += 1
-            tally[1] += restricted and n is not None and args[1] < n
+            tally[slot] += nnz is not None and args[2][-1] < nnz
             return kernel(*args)
         return wrapper
 
     monkeypatch.setattr(model, "_sparsetools", types.SimpleNamespace(
-        csr_matvec=counting(kernels.csr_matvec, False),
-        csc_matvec=counting(kernels.csc_matvec, True)))
+        csr_matvec=counting(kernels.csr_matvec, 2),
+        csc_matvec=counting(kernels.csc_matvec, 1)))
     return tally
+
+
+def screened_pair(make):
+    """``make()`` built with the gate of the support and screened products at 0 and at inf.
+
+    The first problem screens ``A^T r`` when it has a weighted-l1 term and
+    no box; the second never does.
+    """
+    built = []
+    for min_nnz in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SUPPORT_MIN_NNZ", min_nnz)
+            built.append(make())
+    return built
+
+
+def record_certificates(monkeypatch):
+    """Wrap ``_ScreenedProduct._rebuild``; the returned list collects every certificate built."""
+    certs = []
+    rebuild = model._ScreenedProduct._rebuild
+
+    def recording(self, ys, c):
+        certs.append(rebuild(self, ys, c))
+        return certs[-1]
+
+    monkeypatch.setattr(model._ScreenedProduct, "_rebuild", recording)
+    return certs
 
 
 # Relative descent-lemma violations up to this size count as rounding.

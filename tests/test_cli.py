@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.io import mmwrite
 
-from fistakit import (LassoProblem, RestartRun, Scheme, load_problem, run_scheme,
+from fistakit import (LassoProblem, RestartRun, Scheme, load_problem, model, run_scheme,
                       save_problem)
 import fistakit.cli as cli
 from fistakit.cli import (
@@ -463,6 +463,41 @@ class TestDeterminism:
         run_experiment(cfg_b)
         for name in ("run_meta.json", "trials.csv", "oracles.csv", "stats.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_screening_changes_no_paper_scale_output(self, tmp_path, monkeypatch):
+        # One paper-scale trial, every scheme, with the screened A^T r on
+        # and with its gate raised to inf: every deterministic file is
+        # byte-identical.  Each run rebuilds the certificate a bounded
+        # number of times, so a back-off that stops backing off fails here.
+        rebuilds = []
+        rebuild = model._ScreenedProduct._rebuild
+
+        def counting(self, ys, c):
+            rebuilds[-1][1] += 1
+            return rebuild(self, ys, c)
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                rebuilds.append([name, 0])
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model._ScreenedProduct, "_rebuild", counting)
+        monkeypatch.setattr(cli, "oracle_fstar", counted("oracle", cli.oracle_fstar))
+        monkeypatch.setattr(cli, "run_scheme", counted("scheme", cli.run_scheme))
+        paper = dict(N=600, n=800, alpha=0.01, sparsity=0.9, trials=1,
+                     epsilon=1e-11, oracle_epsilon=1e-12, seed=0)
+        assert run_experiment(ExperimentConfig(out=tmp_path / "on", **paper))[1] == 0
+        assert [name for name, _ in rebuilds] == ["oracle"] + ["scheme"] * 5
+        assert all(0 < count <= 13 for _, count in rebuilds), rebuilds
+        monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", math.inf)
+        rebuilds.clear()
+        assert run_experiment(ExperimentConfig(out=tmp_path / "off", **paper))[1] == 0
+        assert all(count == 0 for _, count in rebuilds)
+        names = ["run_meta.json", "trials.csv", "oracles.csv", "stats.csv", "stats.txt",
+                 "traces/trial_0000.csv", "traces/trial_0000_restarts.csv"]
+        for name in names:
+            assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
 
 
 class TestInvalidTrials:

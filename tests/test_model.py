@@ -30,11 +30,14 @@ from fistakit import (
     generate,
     model,
     objective,
+    oracle_fstar,
+    run_scheme,
 )
 from fistakit.cli import ExperimentConfig
 
 from conftest import (check_descent_lemma, count_kernel_calls, make_quadratic, problem_zoo,
-                      random_spd, sample_feasible, soft_threshold)
+                      random_spd, record_certificates, sample_feasible, screened_pair,
+                      soft_threshold)
 
 
 def one_dim_problem(curvature=1.0, center=0.0, metric=1.0, nonsmooth=None, constraint=None):
@@ -727,8 +730,9 @@ class TestSupportProduct:
         assert isinstance(LeastSquares(A, np.ones(7))._Ax, model._SupportProduct)
 
     def test_gate_splits_the_benchmark_workloads(self):
-        # Desk and lsq-strict keep the full product, the paper-scale slice
-        # takes the support product; see the workloads' "why" entries.
+        # Desk and lsq-strict keep the full products, the paper-scale slice
+        # takes the support product and the screened A^T r; see the
+        # workloads' "why" entries.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
         workloads = json.loads(path.read_text())["workloads"]
         for name in ("desk", "lsq-strict"):
@@ -736,12 +740,131 @@ class TestSupportProduct:
             for seed in (spec["default_seed"], spec["holdout_seed"]):
                 config = ExperimentConfig(**spec["config"], seed=seed)
                 for trial in range(config.trials):
-                    form = config.instance(trial).problem.smooth
-                    assert not isinstance(form._Ax, model._SupportProduct), (name, trial)
+                    problem = config.instance(trial).problem
+                    assert not isinstance(problem.smooth._Ax, model._SupportProduct), (name, trial)
+                    assert problem._ATr is problem.smooth._ATr, (name, trial)
         paper = ExperimentConfig(**workloads["paper"]["config"])
         assert (paper.N, paper.n, paper.sparsity) == (600, 800, 0.9)
-        form = paper.instance(0).problem.smooth
-        assert isinstance(form._Ax, model._SupportProduct)
+        problem = paper.instance(0).problem
+        assert isinstance(problem.smooth._Ax, model._SupportProduct)
+        assert isinstance(problem._ATr, model._ScreenedProduct)
+
+
+def desk_problem(seed=1000, **changes):
+    """The desk lasso of ``seed``, with fields replaced by ``changes(problem)``."""
+    problem = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=seed)).problem
+    return dataclasses.replace(problem, **{k: f(problem) for k, f in changes.items()})
+
+
+def run_bits(problem, scheme=Scheme.LCR, epsilon=1e-9):
+    """The trace of ``scheme`` on ``problem`` and its final point, as bits."""
+    res = run_scheme(problem, RestartRun(scheme=scheme, epsilon=epsilon,
+                                         r0=np.zeros(problem.dim), budget=20_000))
+    assert not res.trace.exhausted
+    return repr(res.trace), res.r_star.view(np.uint64).tolist()
+
+
+class TestScreenedProduct:
+    """``A^T r`` of the fused step without the rows the l1 prox is certified to zero."""
+
+    def test_gate_needs_l1_no_box_and_the_support_product(self):
+        box = Box(-np.ones(80), np.ones(80))
+        for min_nnz in (0, math.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "_SUPPORT_MIN_NNZ", min_nnz)
+                plain = desk_problem()
+                boxed = desk_problem(constraint=lambda p: box)
+                no_l1 = desk_problem(nonsmooth=lambda p: Zero())
+            assert isinstance(plain._ATr, model._ScreenedProduct) == (min_nnz == 0)
+            for problem in (plain, boxed, no_l1)[min_nnz == 0:]:
+                assert problem._ATr is problem.smooth._ATr
+
+    @pytest.mark.parametrize("col", [0, 7, 79])
+    @pytest.mark.parametrize("stored", [False, True], ids=["no-entries", "stored-zeros"])
+    def test_all_zero_column_raises_no_warning(self, monkeypatch, stored, col):
+        # The certificate divides by the column norm; an all-zero column has
+        # none, and is never screened.  The first and last columns are the
+        # edges of the per-column sums of squares.
+        def zeroed(problem):
+            A = problem.smooth.A.copy()
+            A.data[A.indptr[col]:A.indptr[col + 1]] = 0.0
+            if not stored:
+                A.eliminate_zeros()
+            assert (A.indptr[col + 1] - A.indptr[col] > 0) == stored
+            assert A[:, [col]].count_nonzero() == 0
+            return LeastSquares(A, problem.smooth.b)
+
+        certs = record_certificates(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on, off = screened_pair(lambda: desk_problem(smooth=zeroed))
+            assert run_bits(on) == run_bits(off)
+        assert any(cert[0].size for cert in certs)
+        assert not any(60 + col in cert[0] for cert in certs)
+
+    def test_zero_weight_is_never_screened(self, monkeypatch):
+        zero = np.arange(0, 80, 3)
+
+        def weights(problem):
+            w = problem.nonsmooth.weights.copy()
+            w[zero] = 0.0
+            return WeightedL1(w)
+
+        certs = record_certificates(monkeypatch)
+        on, off = screened_pair(lambda: desk_problem(nonsmooth=weights))
+        for scheme in Scheme.NO_RESTART, Scheme.LCR:
+            assert run_bits(on, scheme) == run_bits(off, scheme)
+        assert any(cert[0].size for cert in certs)
+        assert not any(np.isin(cert[0], 60 + zero).any() for cert in certs)
+
+    @pytest.mark.parametrize("where, value", [("r", np.nan), ("r", np.inf), ("r", -np.inf),
+                                              ("y", np.nan)])
+    def test_non_finite_entry_takes_the_full_product(self, where, value):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
+            problem = desk_problem()
+        product, full = problem._ATr, problem.smooth._ATr
+        N, n = problem.smooth.A.shape
+        ys = np.concatenate((problem.smooth.residual(np.zeros(n)), np.zeros(n)))
+        for _ in range(2):  # the first call's rebuild, then a hit
+            product(ys, np.zeros(n))
+        cert, served, wait, _ = product._memo
+        assert cert[0].size and served == 1 and not wait
+        bad = ys.copy()
+        # An entry of r that the screened rows read, or of y on a screened row.
+        bad[np.flatnonzero(problem.smooth.A[:, cert[0] - N].sum(axis=1))[0]
+            if where == "r" else cert[0][0]] = value
+        got, want = np.zeros(n), np.zeros(n)
+        product(bad, got)
+        full(bad[:N], want)
+        assert not np.isfinite(want).all() or where == "y"
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert product._memo[1] == 0  # a failed check, not a hit
+
+    def test_divergent_run_raises_at_the_parents_iteration(self, monkeypatch):
+        # From x*, with the metric of one active coordinate 20 times too
+        # small: the screened product serves steps while the unstable mode
+        # grows from rounding level, until f is no longer finite.  The
+        # screened run stops at the same iteration.
+        lp = generate(LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000))
+        _, x_star = oracle_fstar(lp, tight_eps=1e-12)
+        j = np.flatnonzero(x_star)[0]
+
+        def short_metric(problem):
+            diag = problem.metric.diag.copy()
+            diag[j] /= 20.0
+            return Metric(diag)
+
+        tally = count_kernel_calls(monkeypatch, nnz=lp.A.nnz)
+        on, off = screened_pair(lambda: desk_problem(metric=short_metric))
+        messages = []
+        for problem in (on, off):
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+                fista(problem, x_star, budget=100_000)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("non-finite objective at iteration ")
+        assert tally[2] > 0  # screened steps came before the blow-up
 
 
 class TestCompositeGradientProperties:

@@ -27,7 +27,8 @@ from fistakit import (
     restart,
     run_scheme,
 )
-from conftest import count_fista_module_calls, count_kernel_calls, make_quadratic, problem_zoo
+from conftest import (count_fista_module_calls, count_kernel_calls, make_quadratic, problem_zoo,
+                      record_certificates, screened_pair)
 
 
 def step_with(f_history, k=None, x_prev=None, x_k=None, g=None, r_x=None):
@@ -638,16 +639,18 @@ def test_pinned_iteration_counts():
 
 
 def test_support_product_changes_no_scheme(monkeypatch):
-    """Every scheme in both exit modes, with the support product of ``A x`` on and off.
+    """Every scheme in both exit modes, with the support product of ``A x`` and
+    the screened product of ``A^T r`` on and off.
 
     The instance stores 20,000 entries, above the gate; the golden digests
     and pinned counts use instances below it.
     """
     spec = LassoSpec(N=100, n=200, alpha=0.01, sparsity=0.0, seed=7)
     # Built after the kernels are wrapped: a form binds them when it is built.
-    tally = count_kernel_calls(monkeypatch, n=spec.n)
+    tally = count_kernel_calls(monkeypatch, nnz=spec.N * spec.n)
     on = generate(spec)
     assert isinstance(on.problem.smooth._Ax, model._SupportProduct)
+    assert isinstance(on.problem._ATr, model._ScreenedProduct)
     monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", math.inf)
     off = generate(spec)
     assert not isinstance(off.problem.smooth._Ax, model._SupportProduct)
@@ -658,9 +661,10 @@ def test_support_product_changes_no_scheme(monkeypatch):
             run = RestartRun(scheme=scheme, epsilon=1e-6, r0=np.zeros(spec.n), early_exit=early,
                              x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None,
                              budget=budget)
-            tally[1] = 0
+            tally[1] = tally[2] = 0
             got = run_scheme(on.problem, run)
             assert tally[1] > got.trace.total_iterations // 2, (early, scheme)
+            assert tally[2] > got.trace.total_iterations // 3, (early, scheme)
             want = run_scheme(off.problem, run)
             assert not got.trace.exhausted
             assert repr(got.trace) == repr(want.trace), (early, scheme)
@@ -745,3 +749,90 @@ def test_opt_counts_do_not_depend_on_the_last_digits_of_x_star(seed):
         trace = run_scheme(lp.problem, run).trace
         counts.add((trace.total_iterations, trace.total_prox_calls))
     assert len(counts) == 1
+
+
+def run_and_residual(problem, run):
+    """``run_scheme(problem, run)`` and the residual its last inner call returned."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(fista(*args, **kwargs))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(restart, "fista", recording)
+        result = run_scheme(problem, run)
+    return result, calls[-1].residual
+
+
+def assert_screening_changes_no_bit(on, off, x_star, epsilon, budget=20_000):
+    """Every scheme in both exit modes on the screened ``on`` and the unscreened ``off``.
+
+    The traces (``f_vals``, ``g_norms`` and the records), the final point
+    and its residual must agree bit for bit.
+    """
+    assert isinstance(on._ATr, model._ScreenedProduct)
+    assert off._ATr is off.smooth._ATr
+
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
+
+    for early in (True, False):
+        for scheme in Scheme:
+            run = RestartRun(scheme=scheme, epsilon=epsilon, r0=np.zeros(on.dim), early_exit=early,
+                             x_star=x_star if scheme is Scheme.OPTIMAL_VALUE else None,
+                             budget=budget)
+            (got, got_r), (want, want_r) = (run_and_residual(p, run) for p in (on, off))
+            assert not got.trace.exhausted, (early, scheme)
+            assert repr(got.trace) == repr(want.trace), (early, scheme)
+            for name in ("f_vals", "g_norms"):
+                assert bits(getattr(got.trace, name)) == bits(getattr(want.trace, name))
+            assert bits(got.r_star) == bits(want.r_star), (early, scheme)
+            assert bits(got_r) == bits(want_r), (early, scheme)
+
+
+@pytest.mark.parametrize("seed", range(1000, 1005))
+def test_screened_product_changes_no_bit_on_desk(monkeypatch, seed):
+    spec = LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=seed)
+    nnz = generate(spec).A.nnz
+    tally = count_kernel_calls(monkeypatch, nnz=nnz)
+    on, off = screened_pair(lambda: generate(spec).problem)
+    _, x_star = oracle_fstar(generate(spec), tight_eps=1e-12)
+    tally[2] = 0
+    assert_screening_changes_no_bit(on, off, x_star, epsilon=1e-9)
+    assert tally[2] > 0  # the screened product served steps
+
+
+@pytest.mark.parametrize("seed", [7, 9, 12, 37])
+def test_screened_product_changes_no_bit_on_the_zoo(monkeypatch, seed):
+    # The zoo's unconstrained l1 problem, on a dense A, at seeds where x*
+    # has a zero coordinate.
+    tally = count_kernel_calls(monkeypatch, nnz=36)
+    on, off = screened_pair(lambda: problem_zoo(np.random.default_rng(seed))[1])
+    x_star = run_scheme(off, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(off.dim),
+                                        budget=5_000)).r_star
+    tally[2] = 0
+    assert_screening_changes_no_bit(on, off, x_star, epsilon=1e-9)
+    assert tally[2] > 0
+
+
+def test_screened_product_changes_no_bit_at_the_certificate_boundary(monkeypatch):
+    # Every inactive coordinate gets the weight |grad h(x*)_j|: x* stays a
+    # minimizer, and each such row's certificate has no slack left at x*.
+    # (One such row alone falls below the tenth percentile of the rows'
+    # limits and is never screened.)
+    spec = LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000)
+    lp = generate(spec)
+    _, x_star = oracle_fstar(lp, tight_eps=1e-12)
+    w = lp.problem.nonsmooth.weights.copy()
+    inactive = x_star == 0
+    w[inactive] = np.abs(lp.problem.smooth.grad(x_star))[inactive]
+    tally = count_kernel_calls(monkeypatch, nnz=lp.A.nnz)
+    on, off = screened_pair(lambda: dataclasses.replace(
+        generate(spec).problem, nonsmooth=WeightedL1(w)))
+    certs = record_certificates(monkeypatch)
+    tally[2] = 0
+    assert_screening_changes_no_bit(on, off, x_star, epsilon=1e-9)
+    assert tally[2] > 0
+    # Rows at the boundary were screened, under limits their slack set.
+    assert 0 < min(limit for _, _, limit, _ in certs if limit > -math.inf) < 1e-10
