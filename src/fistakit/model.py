@@ -19,8 +19,8 @@ The two pieces of mutable state belong to a large problem: the
 column-subset cache of its :class:`LeastSquares` form's ``A x`` and the
 screened rows of the ``A^T r`` of its fused step (see
 :class:`_SupportProduct` and :class:`_ScreenedProduct`).  Each is a memo
-that each product reads once and replaces whole, and that never changes a
-result, only the time the product takes.
+that each product reads once and, when it changes it, replaces whole, and
+that never changes a result, only the time the product takes.
 """
 
 from __future__ import annotations
@@ -182,23 +182,23 @@ class _ScreenedProduct:
     ``N w_j >= 2^250`` is screened, nor any at ``||r_0|| >= 2^250``, so
     no sum nears overflow and the limit stays finite.
 
-    The memo is one tuple: the certificate (the positions of ``S`` in
+    The memo is one pair: the certificate (the positions of ``S`` in
     ``ys``, ``r_0``, the limit on ``d . d`` and the product with ``S``
-    emptied, built at the certificate's first hit), the steps it served,
-    the full products left before the next rebuild and the length of the
-    last such wait.  A call reads it
-    once and replaces it whole, so a call that runs beside another still
-    gets the full product's bits.  A failed test takes the full product
-    and rebuilds from it; after a memo that served fewer than ``PAYBACK``
-    steps, too few to repay its rebuild, the wait doubles first, so the
-    fast first steps of a solve, where the residual outruns any memo, do
-    not rebuild at every step.
+    emptied) and the full products left before the next rebuild.  A call
+    reads it once and, when it changes it, replaces it whole, so a call
+    that runs beside another still gets the full product's bits; a
+    screened step writes nothing.  A failed test takes the full product
+    and starts a wait of ``WAIT`` full products, the last of which
+    rebuilds, so the fast first steps of a solve, where the residual
+    outruns any certificate, do not pay a rebuild at every step.  A run
+    leaves the next one on the same problem a certificate, which stays
+    valid, and at most ``WAIT`` full products of wait.
     """
 
     __slots__ = ("_full", "_counts", "_N", "_gamma", "_tiny", "_cap", "_spread", "_den",
                  "_none", "_memo")
 
-    PAYBACK = 8  # steps a memo must serve to repay its rebuild
+    WAIT = 32  # full products from a failed test to the rebuild
     RANGE = 2.0 ** 250  # bound on a_j, N w_j and ||r_0|| of a screened row
 
     def __init__(self, full: functools.partial, threshold: np.ndarray, weights: np.ndarray):
@@ -223,7 +223,7 @@ class _ScreenedProduct:
         self._spread = np.where(ok, 3.0 * gamma * norm, 0.0)
         self._den = np.where(ok, norm * (1.0 + 2.0 * gamma), 1.0)
         self._none = (np.zeros(0, dtype=np.intp), np.zeros(N), -math.inf, None)
-        self._memo = (self._none, 0, 1, 1)  # the first call rebuilds
+        self._memo = (self._none, 1)  # the first call rebuilds
 
     def _rebuild(self, ys, c) -> tuple:
         """The certificate at ``r_0 = ys[:N]``, from ``c``, its full product."""
@@ -237,31 +237,24 @@ class _ScreenedProduct:
                 v = delta[ok]
                 low = np.partition(v, v.size // 10)[v.size // 10]
                 limit = low * low * (1.0 - 4.0 * self._gamma) - self._tiny
-                return np.flatnonzero(ok & (delta >= low)) + N, r0, limit, None
+                held = ok & (delta >= low)
+                return (np.flatnonzero(held) + N, r0, limit,
+                        _restrict(self._full, self._counts, ~held))
         return self._none
 
     def __call__(self, ys, out) -> None:
-        cert, served, wait, backoff = self._memo
+        cert, wait = self._memo
         held, r0, limit, sub = cert
-        N = self._N
-        r = ys[:N]
+        r = ys[:self._N]
         if not wait and not np.count_nonzero(ys.take(held)):
             d = r - r0
             if d.dot(d) <= limit:
-                if sub is None:  # built at the first hit: most short-lived memos get none
-                    keep = np.ones(self._counts.size, dtype=bool)
-                    keep[held - N] = False
-                    sub = _restrict(self._full, self._counts, keep)
-                    cert = (held, r0, limit, sub)
-                self._memo = (cert, served + 1, 0, backoff)
                 return sub(r, out)
         self._full(r, out)
-        if wait > 1:
-            self._memo = (cert, 0, wait - 1, backoff)
-        elif wait or served >= self.PAYBACK:
-            self._memo = (self._rebuild(ys, out), 0, 0, backoff if wait else 1)
-        else:
-            self._memo = (cert, 0, 2 * backoff, 2 * backoff)
+        if wait == 1:
+            self._memo = (self._rebuild(ys, out), 0)
+        else:  # a failed test starts the wait
+            self._memo = (cert, wait - 1 if wait else self.WAIT)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from fistakit.cli import (
 )
 from fistakit.restart import RestartTrace
 
-from conftest import reference_none_checks, reference_none_rows
+from conftest import record_certificates, reference_none_checks, reference_none_rows
 
 
 TINY = dict(N=15, n=22, alpha=0.01, sparsity=0.5, trials=3,
@@ -468,32 +468,28 @@ class TestDeterminism:
         # One paper-scale trial, every scheme, with the screened A^T r on
         # and with its gate raised to inf: every deterministic file is
         # byte-identical.  Each run rebuilds the certificate a bounded
-        # number of times, so a back-off that stops backing off fails here.
-        rebuilds = []
-        rebuild = model._ScreenedProduct._rebuild
-
-        def counting(self, ys, c):
-            rebuilds[-1][1] += 1
-            return rebuild(self, ys, c)
+        # number of times, so a wait that rebuilds too often fails here.
+        certs = record_certificates(monkeypatch)
+        runs = []  # each run's name and the number of certificates built before it
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
-                rebuilds.append([name, 0])
+                runs.append((name, len(certs)))
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(model._ScreenedProduct, "_rebuild", counting)
         monkeypatch.setattr(cli, "oracle_fstar", counted("oracle", cli.oracle_fstar))
         monkeypatch.setattr(cli, "run_scheme", counted("scheme", cli.run_scheme))
         paper = dict(N=600, n=800, alpha=0.01, sparsity=0.9, trials=1,
                      epsilon=1e-11, oracle_epsilon=1e-12, seed=0)
         assert run_experiment(ExperimentConfig(out=tmp_path / "on", **paper))[1] == 0
-        assert [name for name, _ in rebuilds] == ["oracle"] + ["scheme"] * 5
-        assert all(0 < count <= 13 for _, count in rebuilds), rebuilds
+        assert [name for name, _ in runs] == ["oracle"] + ["scheme"] * 5
+        rebuilds = np.diff([start for _, start in runs] + [len(certs)])
+        assert all(0 < count <= 13 for count in rebuilds), rebuilds
         monkeypatch.setattr(model, "_SUPPORT_MIN_NNZ", math.inf)
-        rebuilds.clear()
+        certs.clear()
         assert run_experiment(ExperimentConfig(out=tmp_path / "off", **paper))[1] == 0
-        assert all(count == 0 for _, count in rebuilds)
+        assert certs == []
         names = ["run_meta.json", "trials.csv", "oracles.csv", "stats.csv", "stats.txt",
                  "traces/trial_0000.csv", "traces/trial_0000_restarts.csv"]
         for name in names:

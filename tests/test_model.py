@@ -817,29 +817,63 @@ class TestScreenedProduct:
         assert any(cert[0].size for cert in certs)
         assert not any(np.isin(cert[0], 60 + zero).any() for cert in certs)
 
-    @pytest.mark.parametrize("where, value", [("r", np.nan), ("r", np.inf), ("r", -np.inf),
-                                              ("y", np.nan)])
-    def test_non_finite_entry_takes_the_full_product(self, where, value):
+    @staticmethod
+    def screened_start(monkeypatch):
+        """A screened desk problem whose product has rebuilt once and served one step.
+
+        Returns the problem, the ``ys`` of its step at ``x = 0``, the
+        certificates built and the kernel tally of
+        ``conftest.count_kernel_calls``.
+        """
+        certs = record_certificates(monkeypatch)
+        tally = count_kernel_calls(monkeypatch, nnz=desk_problem().smooth.A.nnz)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_SUPPORT_MIN_NNZ", 0)
             problem = desk_problem()
+        n = problem.dim
+        ys = np.concatenate((problem.smooth.residual(np.zeros(n)), np.zeros(n)))
+        tally[:] = [0, 0, 0]
+        problem._ATr(ys, np.zeros(n))
+        assert len(certs) == 1 and certs[0][0].size and tally[2] == 0  # the first call rebuilds
+        problem._ATr(ys, np.zeros(n))
+        assert len(certs) == 1 and tally[2] == 1  # the second takes the restricted product
+        assert problem._ATr._memo == (certs[0], 0)
+        return problem, ys, certs, tally
+
+    @pytest.mark.parametrize("where, value", [("r", np.nan), ("r", np.inf), ("r", -np.inf),
+                                              ("y", np.nan)])
+    def test_non_finite_entry_takes_the_full_product(self, monkeypatch, where, value):
+        problem, ys, certs, tally = self.screened_start(monkeypatch)
         product, full = problem._ATr, problem.smooth._ATr
         N, n = problem.smooth.A.shape
-        ys = np.concatenate((problem.smooth.residual(np.zeros(n)), np.zeros(n)))
-        for _ in range(2):  # the first call's rebuild, then a hit
-            product(ys, np.zeros(n))
-        cert, served, wait, _ = product._memo
-        assert cert[0].size and served == 1 and not wait
+        held = certs[0][0]
         bad = ys.copy()
         # An entry of r that the screened rows read, or of y on a screened row.
-        bad[np.flatnonzero(problem.smooth.A[:, cert[0] - N].sum(axis=1))[0]
-            if where == "r" else cert[0][0]] = value
+        bad[np.flatnonzero(problem.smooth.A[:, held - N].sum(axis=1))[0]
+            if where == "r" else held[0]] = value
         got, want = np.zeros(n), np.zeros(n)
         product(bad, got)
         full(bad[:N], want)
         assert not np.isfinite(want).all() or where == "y"
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert product._memo[1] == 0  # a failed check, not a hit
+        assert tally[2] == 1  # a failed check, not a hit
+        assert product._memo == (certs[0], product.WAIT)  # which starts the wait
+
+    def test_failed_test_waits_WAIT_full_products_then_rebuilds(self, monkeypatch):
+        problem, ys, certs, tally = self.screened_start(monkeypatch)
+        product, n = problem._ATr, problem.dim
+        moved = ys.copy()
+        moved[:problem.smooth.A.shape[0]] += 1.0  # far outside the certificate's limit
+        product(moved, np.zeros(n))
+        assert len(certs) == 1 and tally[2] == 1
+        for left in range(product.WAIT, 0, -1):
+            assert product._memo[1] == left
+            product(ys, np.zeros(n))  # a point the certificate would serve
+            assert tally[2] == 1  # a full product
+            assert len(certs) == 1 + (left == 1)  # only the last one rebuilds
+        assert product._memo == (certs[1], 0)
+        product(ys, np.zeros(n))
+        assert tally[2] == 2
 
     def test_divergent_run_raises_at_the_parents_iteration(self, monkeypatch):
         # From x*, with the metric of one active coordinate 20 times too

@@ -816,11 +816,15 @@ def test_screened_product_changes_no_bit_on_the_zoo(monkeypatch, seed):
     assert tally[2] > 0
 
 
-def test_screened_product_changes_no_bit_at_the_certificate_boundary(monkeypatch):
-    # Every inactive coordinate gets the weight |grad h(x*)_j|: x* stays a
-    # minimizer, and each such row's certificate has no slack left at x*.
-    # (One such row alone falls below the tenth percentile of the rows'
-    # limits and is never screened.)
+def boundary_lasso(monkeypatch):
+    """Desk seed 1000 with every inactive weight set to ``|grad h(x*)_j|``.
+
+    ``x*`` stays a minimizer, and each such row's certificate has no slack
+    left at ``x*``.  (One such row alone falls below the tenth percentile
+    of the rows' limits and is never screened.)  Returns the screened and
+    unscreened problems (see ``conftest.screened_pair``), ``x*`` and the
+    kernel tally of ``conftest.count_kernel_calls``.
+    """
     spec = LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000)
     lp = generate(spec)
     _, x_star = oracle_fstar(lp, tight_eps=1e-12)
@@ -830,9 +834,31 @@ def test_screened_product_changes_no_bit_at_the_certificate_boundary(monkeypatch
     tally = count_kernel_calls(monkeypatch, nnz=lp.A.nnz)
     on, off = screened_pair(lambda: dataclasses.replace(
         generate(spec).problem, nonsmooth=WeightedL1(w)))
+    return on, off, x_star, tally
+
+
+def test_screened_product_changes_no_bit_at_the_certificate_boundary(monkeypatch):
+    on, off, x_star, tally = boundary_lasso(monkeypatch)
     certs = record_certificates(monkeypatch)
     tally[2] = 0
     assert_screening_changes_no_bit(on, off, x_star, epsilon=1e-9)
     assert tally[2] > 0
     # Rows at the boundary were screened, under limits their slack set.
     assert 0 < min(limit for _, _, limit, _ in certs if limit > -math.inf) < 1e-10
+
+
+def test_screened_product_hands_the_next_run_a_short_wait(monkeypatch):
+    # none ends this instance between a failed test and the rebuild.  The
+    # func run that follows it on the same problem still rebuilds and
+    # screens: no run hands the next more than WAIT full products of wait.
+    on, _, _, tally = boundary_lasso(monkeypatch)
+    certs = record_certificates(monkeypatch)
+    product = on._ATr
+    for scheme in Scheme.NO_RESTART, Scheme.FUNCTION:
+        certs.clear()
+        tally[2] = 0
+        res = run_scheme(on, RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(on.dim),
+                                        budget=20_000))
+        assert not res.trace.exhausted
+        assert product._memo[1] <= product.WAIT
+    assert len(certs) > 0 and tally[2] > 0
