@@ -22,10 +22,12 @@ form ``h(x) = ||A x - b||^2 / (2N)``, so the loop carries the residual
 
 so a step costs two matvecs (``A x_k`` and ``A^T r_y``) instead of three.
 The call returns ``r_x`` of its final iterate, and the restart driver hands
-it to the next call, whose initialization prox then needs only ``A^T``.
+it to the next call, whose initialization prox then needs no ``A z``.
 
-Each step is fused and writes one new zeroed vector ``s`` of length
-``N + n``, which holds ``r_x`` in its head and ``x_k`` in its tail.
+Each step, and the initialization prox as a step at ``y = z`` with the
+caller's residual as ``r_y``, is fused and writes one new zeroed vector
+``s`` of length ``N + n``, which holds ``r_x`` in its head and ``x_k`` in
+its tail.
 ``A^T r_y`` goes into the tail from the problem's bound product ``_ATr``
 (see :class:`~fistakit.model.CompositeProblem`), which reads ``r_y``
 from the head of the extrapolated vector ``ys``; the prox of
@@ -41,15 +43,17 @@ anyway, with the full product's bits (see
 :class:`~fistakit.model._ScreenedProduct`); the problem chose it when
 it was built, so the loop takes no per-step branch.  Every step's vectors
 are new, so the iterates and residuals a call hands out, views of its
-last ``s``, never change.  Every prox goes
-through this module's name ``composite_gradient_map``, and each call's
+last ``s``, never change.  Every prox, the init prox included, goes
+through this module's name ``composite_gradient_map`` with
+``checked=False`` unless the problem has a box, and each call's
 ``f(x_0)`` through its name ``objective``; the benchmark wraps these
 names to read the host's speed inside long solves and to time the step.
-Each call's start stays checked: ``z``, the caller's ``residual`` and
-its products, which go through the form's checked methods, the init
-prox and ``f(x_0)``.  The bound products check no length, and inside
-the loop ``ys`` and ``x_k`` have the right length and dtype by
-construction.
+Each call's start checks ``z``, the shape of the caller's ``residual``
+before any product runs, and ``f(x_0)`` through ``objective``, whose
+check of ``x_0`` rejects a non-finite start gradient: without a box, a
+non-finite gradient always gives a non-finite ``x_0``.  The bound
+products check no length, and ``ys`` and ``x_k`` have the right length
+and dtype by construction.
 Inside the loop only ``f`` is checked.  A non-finite entry of ``y``,
 of the gradient or of ``x_k`` reaches ``f`` through ``A x_k``, so the loop
 raises ``non-finite objective at iteration k``; a column of ``A`` that
@@ -80,6 +84,7 @@ from .model import (
     CompositeProblem,
     ProxCounter,
     _validate_point,
+    _vector,
     composite_gradient_map,
     objective,
 )
@@ -230,11 +235,29 @@ def fista(
         raise ValueError("abort_tol must be >= 0")
     z = _validate_point(problem, z, "z")
     form = problem.smooth
+    # The problem's A^T r_y and the form's A x (see CompositeProblem and
+    # LeastSquares), which check no length: ys and x are float64 vectors of
+    # the right length by construction.
+    ATr, Ax, b, N_float = problem._ATr, form._Ax, form.b, form._N
+    N = b.size
+    size = N + form.dim
+    # A clip to a box can turn a non-finite entry of y or of the gradient
+    # into a finite x that f never sees, so a boxed problem keeps the checks.
+    checked = problem.constraint is not None
+    zeros = np.zeros
     if residual is None:
         residual = form.residual(z)
-    init = composite_gradient_map(problem, z, counter, grad=form.grad_at_residual(residual))
-    x = init.y_plus
-    r_x = form.residual(x)
+    # The init prox is a step at y = z with r_y the caller's residual, checked
+    # for its shape before the kernel; its s holds r_x and x_0.
+    s = zeros(size)
+    r_x, grad = s[:N], s[N:]
+    ATr(np.concatenate((_vector(residual, N), z)), grad)
+    grad /= N_float
+    init = composite_gradient_map(problem, z, counter, grad, checked=checked, out=grad)
+    x = grad
+    Ax(x, r_x)
+    r_x -= b
+    # Its check of x_0 rejects a non-finite gradient of an unboxed problem.
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
@@ -247,9 +270,6 @@ def fista(
         )
 
     ts = TSequence()
-    # x_0 and its residual in one vector, as each step's s holds r_x and x_k,
-    # for the first extrapolation and the first product.
-    s = np.concatenate((r_x, x))
     ys, y = s, x
     k = 0
     aborted = False
@@ -257,17 +277,7 @@ def fista(
 
     f_append, g_append = f_history.append, g_norms.append
     isfinite = math.isfinite
-    zeros = np.zeros
     h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
-    # The problem's A^T r_y and the form's A x (see CompositeProblem and
-    # LeastSquares), which check no length: ys and x are float64 vectors of
-    # the right length by construction.
-    ATr, Ax, b, N_float = problem._ATr, form._Ax, form.b, form._N
-    N = b.size
-    size = N + form.dim
-    # A clip to a box can turn a non-finite entry of y or of the gradient
-    # into a finite x that f never sees, so a boxed problem keeps the checks.
-    checked = problem.constraint is not None
     while True:
         if k >= budget:
             exhausted = True

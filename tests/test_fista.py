@@ -389,6 +389,21 @@ class TestResidualArgument:
             with pytest.raises(ValueError, match="vector has shape"):
                 fista(problem, np.zeros(problem.dim), residual=bad)
 
+    @pytest.mark.parametrize("name", ["desk", "box", "least-squares", "support"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_residual_raises_before_any_iteration(self, name, bad):
+        # Without a box the init prox skips its gradient check; the non-finite
+        # x_0 that such a residual gives fails objective's check of x_0.
+        problem = declared_problem(name)
+        z = np.zeros(problem.dim)
+        residual = problem.smooth.residual(z)
+        used_rows = np.flatnonzero(np.diff(problem.smooth.A.tocsr().indptr))
+        residual[used_rows[0]] = bad
+        counter = ProxCounter()
+        with pytest.raises(ValueError, match="non-finite"):
+            fista(problem, z, residual=residual, counter=counter, budget=5)
+        assert counter.count <= 1
+
     def test_declared_width_must_match_dim(self):
         # The dimension is the form's width: a smooth part takes no other, and a
         # problem takes no smooth part that is not a least-squares form.
@@ -508,12 +523,16 @@ def test_overflowing_gradient_raises(matrix, nonsmooth, constraint):
                                constraint=constraint)
     with pytest.raises(ValueError, match="objective at iteration 1|gradient is non-finite"):
         fista(problem, np.array([1e-20]), budget=5)
+    # From 1e-8 the start gradient overflows.  Unboxed, the init prox gives a
+    # non-finite x_0, which objective's check of x_0 rejects.
+    with pytest.raises(ValueError, match="non-finite"):
+        fista(problem, np.array([1e-8]), budget=0)
 
 
 def test_benchmark_instances_take_the_fused_loop(monkeypatch):
-    # No instance the benchmark solves has a box constraint, so its steps take
-    # the unchecked prox and only each call's f(x_0) goes through the
-    # objective name of fistakit.fista.
+    # No instance the benchmark solves has a box constraint, so its steps and
+    # each call's init prox take the unchecked prox, and only each call's
+    # f(x_0) goes through the objective name of fistakit.fista.
     tally = count_fista_module_calls(monkeypatch)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
     workloads = json.loads(path.read_text())["workloads"]
@@ -526,4 +545,4 @@ def test_benchmark_instances_take_the_fused_loop(monkeypatch):
                 tally.update(prox=0, unchecked=0, objective=0)
                 res = fista(problem, np.zeros(problem.dim), budget=3)
                 assert res.n == 3, (name, seed, trial)
-                assert tally == {"prox": 4, "unchecked": 3, "objective": 1}, (name, seed, trial)
+                assert tally == {"prox": 4, "unchecked": 4, "objective": 1}, (name, seed, trial)

@@ -582,9 +582,10 @@ def test_fista_module_names_see_every_prox_and_fused_starts(monkeypatch, early):
     # The benchmark wraps these two names of fistakit.fista: its host-speed
     # reading inside solves needs every prox of the inner calls through the
     # first, and its detailed trace times what passes through them.  Each
-    # step's prox goes unchecked, except on a problem with a box constraint,
-    # and only each call's f(x_0) goes through objective.  The outer checks
-    # and the run's start objective live in restart.
+    # step's prox and each call's init prox go unchecked, except on a problem
+    # with a box constraint, and only each call's f(x_0) goes through
+    # objective.  The outer checks and the run's start objective live in
+    # restart.
     tally = count_fista_module_calls(monkeypatch)
     lp = generate(LassoSpec(N=60, n=80, alpha=0.01, seed=1000))
     boxed = dataclasses.replace(lp.problem, constraint=Box(-0.05 * np.ones(lp.n),
@@ -594,7 +595,8 @@ def test_fista_module_names_see_every_prox_and_fused_starts(monkeypatch, early):
     trace = run_scheme(lp.problem, run).trace
     assert trace.calls > 1 and (early or trace.outer_checks > 0)
     assert tally == {"prox": trace.total_prox_calls - trace.outer_checks,
-                     "unchecked": trace.total_iterations, "objective": trace.calls}
+                     "unchecked": trace.total_iterations + trace.calls,
+                     "objective": trace.calls}
     tally.update(prox=0, unchecked=0, objective=0)
     trace = run_scheme(boxed, run).trace
     assert trace.calls > 1 and (early or trace.outer_checks > 0)
@@ -862,3 +864,49 @@ def test_screened_product_hands_the_next_run_a_short_wait(monkeypatch):
         assert not res.trace.exhausted
         assert product._memo[1] <= product.WAIT
     assert len(certs) > 0 and tally[2] > 0
+
+
+@pytest.mark.parametrize("early", [True, False], ids=["early", "strict"])
+def test_screened_product_serves_call_starts(monkeypatch, early):
+    # Each call's init prox takes the problem's A^T r like a step: every inner
+    # prox of a func run reaches the screened product, whose restricted product
+    # serves call starts, and the run keeps the unscreened run's bits.
+    spec = LassoSpec(N=60, n=80, alpha=0.01, sparsity=0.9, seed=1000)
+    tally = count_kernel_calls(monkeypatch, nnz=generate(spec).A.nnz)
+    on, off = screened_pair(lambda: generate(spec).problem)
+    product = model._ScreenedProduct.__call__
+    starting, products, calls = [], [], []
+
+    def recording(self, ys, out):
+        restricted = tally[2]
+        product(self, ys, out)
+        products.append((bool(starting), tally[2] > restricted))
+        starting.clear()
+
+    def solver(*args, **kwargs):
+        starting.append(True)
+        calls.append(fista(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(model._ScreenedProduct, "__call__", recording)
+    monkeypatch.setattr(restart, "fista", solver)
+    run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-9, r0=np.zeros(spec.n),
+                     early_exit=early, budget=20_000)
+    got = run_scheme(on, run)
+    got_r = calls[-1].residual
+    want = run_scheme(off, run)
+    want_r = calls[-1].residual
+    trace = got.trace
+    assert not trace.exhausted and trace.calls > 1
+    assert len(products) == trace.total_iterations + trace.calls
+    assert sum(start for start, _ in products) == trace.calls
+    assert any(start and restricted for start, restricted in products)
+
+    def bits(v):
+        return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
+
+    assert repr(trace) == repr(want.trace)
+    for name in ("f_vals", "g_norms"):
+        assert bits(getattr(trace, name)) == bits(getattr(want.trace, name))
+    assert bits(got.r_star) == bits(want.r_star)
+    assert bits(got_r) == bits(want_r)
