@@ -82,19 +82,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not (self.epsilon > 0 and self.oracle_epsilon > 0):
-            raise ValueError("epsilon and oracle_epsilon must be > 0")
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
-        if not self.oracle_epsilon < self.epsilon:
-            raise ValueError("oracle_epsilon must be smaller than epsilon")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        if not self.schemes:
+            raise ValueError("at least one scheme is required")
+        for scheme in self.schemes:
+            _restart_run(self, scheme, np.zeros(0))
+        if not 0 < self.oracle_epsilon < self.epsilon:
+            raise ValueError("oracle_epsilon must be > 0 and smaller than epsilon")
         self._spec()
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not self.schemes:
-            raise ValueError("at least one scheme is required")
         repeated = {s.value for s in self.schemes if self.schemes.count(s) > 1}
         if repeated:
             raise ValueError(f"schemes repeated: {', '.join(sorted(repeated))}")
@@ -176,7 +172,7 @@ _CONFIG_KEYS = (
 
 _FLAG_HELP = {
     "family": "lasso or least-squares",
-    "schemes": "comma list from {none,func,grad,opt,lcr}",
+    "schemes": "comma list from {" + ",".join(s.value for s in Scheme) + "}",
     "strict_exit": "check the tolerance only between restarts",
 }
 

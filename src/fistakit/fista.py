@@ -161,12 +161,13 @@ def gradient_norm_below(eps: float) -> ExitCondition:
 class FistaResult:
     """Outcome of one solver call: ``x`` is the final iterate, ``n`` its index.
 
-    ``f_history[k]`` is the objective at ``x_k`` for ``k = 0..n``, where
-    ``x_0 = z_plus`` is the post-prox start point.  ``g_norms[i]`` belongs
-    to iteration ``k = i + 1``: ``||g(y_{k-1})||_*``.  The call took
-    ``n + 1`` prox evaluations (the iterations plus the initialization
-    prox at z).  ``aborted`` marks an early exit on the gradient
-    tolerance; ``exhausted`` marks a budget stop.  ``residual`` is
+    ``f_history[k]`` is the objective at ``x_k`` and ``g_history[k]`` the
+    ``||g||_*`` of the prox that produced ``x_k``, for ``k = 0..n``: the
+    initialization prox at ``z`` for ``x_0 = z_plus``, the step at
+    ``y_{k-1}`` after.  The call took ``n + 1`` prox evaluations.
+    ``aborted`` marks an early exit on the gradient tolerance, whose
+    qualifying value is ``g_history[-1]``; ``exhausted`` marks a budget
+    stop.  ``residual`` is
     ``A x - b`` of the smooth part, ready to be
     passed to the next call started from ``x``.  After a step, ``x`` and
     ``residual`` are the head and tail of the step's one vector, which
@@ -176,16 +177,10 @@ class FistaResult:
     x: np.ndarray
     n: int
     f_history: list[float]
-    g_norms: list[float]
+    g_history: list[float]
     aborted: bool
     exhausted: bool
-    init_g_dual_norm: float
     residual: np.ndarray
-
-    @property
-    def last_g_dual_norm(self) -> float:
-        """Most recent ``||g||_*`` seen (the qualifying value on abort)."""
-        return self.g_norms[-1] if self.g_norms else self.init_g_dual_norm
 
 
 def fista(
@@ -261,24 +256,17 @@ def fista(
     f0 = objective(problem, x, r_x)
     if not math.isfinite(f0):
         raise ValueError("non-finite objective at the start point")
-    f_history, g_norms = [f0], []
-
-    if abort_tol is not None and init.g_dual_norm <= abort_tol:
-        return FistaResult(
-            x=x, n=0, f_history=f_history, g_norms=g_norms, aborted=True, exhausted=False,
-            init_g_dual_norm=init.g_dual_norm, residual=r_x,
-        )
-
+    f_history, g_history = [f0], [init.g_dual_norm]
+    aborted = abort_tol is not None and g_history[0] <= abort_tol
+    exhausted = False
     ts = TSequence()
     ys, y = s, x
     k = 0
-    aborted = False
-    exhausted = False
 
-    f_append, g_append = f_history.append, g_norms.append
+    f_append, g_append = f_history.append, g_history.append
     isfinite = math.isfinite
     h_of, psi_of = form.value_at_residual, problem.nonsmooth.value
-    while True:
+    while not aborted:
         if k >= budget:
             exhausted = True
             break
@@ -318,6 +306,6 @@ def fista(
             break
 
     return FistaResult(
-        x=x, n=k, f_history=f_history, g_norms=g_norms, aborted=aborted, exhausted=exhausted,
-        init_g_dual_norm=init.g_dual_norm, residual=r_x,
+        x=x, n=k, f_history=f_history, g_history=g_history, aborted=aborted,
+        exhausted=exhausted, residual=r_x,
     )

@@ -177,6 +177,8 @@ class RestartRun:
     budget: int = DEFAULT_ITERATION_BUDGET
 
     def __post_init__(self):
+        if not isinstance(self.scheme, Scheme):
+            raise TypeError(f"scheme must be a Scheme, got {self.scheme!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and > 0")
         if self.budget < 1:
@@ -321,18 +323,16 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
             prev_decrease = decrease
             k_min = n_eff
         # The init prox of this call evaluates g at the previous restart point.
-        trace.records[-1].g_dual_norm = res.init_g_dual_norm
+        trace.records[-1].g_dual_norm = res.g_history[0]
         rec = RestartRecord(j=j, n_obs=res.n, n_eff=n_eff, f_r=res.f_history[-1])
         trace.records.append(rec)
         trace.f_vals += res.f_history[1:]
-        trace.g_norms += res.g_norms
+        trace.g_norms += res.g_history[1:]
         if res.exhausted:
             trace.exhausted = True
             break
         if res.aborted or run.scheme is Scheme.NO_RESTART:
-            # Both stopping styles fire on g(y_{k-1}), whose norm is the last
-            # recorded one (or the init value when the start was already good).
-            trace.final_g_norm = res.last_g_dual_norm
+            trace.final_g_norm = res.g_history[-1]
             break
         if run.early_exit or (lcr and j == 1):
             continue

@@ -86,11 +86,10 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
     init = composite_gradient_map(problem, z, counter, grad=form.grad_at_residual(residual))
     x = init.y_plus
     r_x = form.residual(x)
-    f_history, g_norms = [objective(problem, x, r_x)], []
+    f_history, g_history = [objective(problem, x, r_x)], [init.g_dual_norm]
     if not math.isfinite(f_history[0]):
         raise ValueError("non-finite objective at the start point")
-    result = dict(f_history=f_history, g_norms=g_norms, init_g_dual_norm=init.g_dual_norm,
-                  aborted=False, exhausted=False)
+    result = dict(f_history=f_history, g_history=g_history, aborted=False, exhausted=False)
     if abort_tol is not None and init.g_dual_norm <= abort_tol:
         return FistaResult(x=x, n=0, residual=r_x, **dict(result, aborted=True))
     ts = TSequence()
@@ -107,7 +106,7 @@ def checked_fista(problem, z, k_min=0, exit_condition=None, budget=10_000_000, a
         if not math.isfinite(fk):
             raise ValueError(f"non-finite objective at iteration {k}")
         f_history.append(fk)
-        g_norms.append(prox.g_dual_norm)
+        g_history.append(prox.g_dual_norm)
         if abort_tol is not None and prox.g_dual_norm <= abort_tol:
             result["aborted"] = True
             break

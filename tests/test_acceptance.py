@@ -174,7 +174,7 @@ def test_criterion_4_gradient_rate(free_runs):
         for lp, f_star, x_star, res in free_runs:
             x0 = composite_gradient_map(lp.problem, np.zeros(80)).y_plus
             dist = lp.metric.norm(x0 - x_star)
-            for i, g_val in enumerate(res.g_norms):
+            for i, g_val in enumerate(res.g_history[1:]):
                 bound = 4.0 * dist / (i + 2)  # g evaluated at y_i
                 assert g_val <= bound * (1 + 1e-8) + 1e-12, (
                     f"seed={lp.spec.seed} k={i + 1}"

@@ -118,6 +118,11 @@ class TestConfigHandling:
                 with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                     ExperimentConfig(family=family, N=30, n=12, alpha=alpha)
 
+    def test_scheme_names_are_rejected(self):
+        # run_experiment would create traces/ before it fails on the name.
+        with pytest.raises(TypeError, match="scheme must be a Scheme, got 'lcr'"):
+            ExperimentConfig(**(TINY | {"schemes": ("lcr",)}))
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("trials = 0\n")

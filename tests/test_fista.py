@@ -98,6 +98,23 @@ class TestFistaBasics:
         assert len(hist) == res.n + 1
         assert hist[0] == objective(prob, composite_gradient_map(prob, z).y_plus)
 
+    @pytest.mark.parametrize("kwargs, aborted, exhausted", [
+        (dict(abort_tol=1e3), True, False),
+        (dict(budget=0), False, True),
+        (dict(budget=7), False, True),
+        (dict(abort_tol=1e-6), True, False),
+        (dict(exit_condition=lambda k, *step: k == 3), False, False),
+    ], ids=["init-abort", "budget-0", "budget", "abort", "exit-test"])
+    def test_histories_align_on_every_exit(self, kwargs, aborted, exhausted):
+        # g_history[k] belongs to the prox that produced x_k, the init prox for k = 0.
+        prob = ill_conditioned_quadratic(cond=5.0)
+        z = np.array([4.0, 4.0])
+        counter = ProxCounter()
+        res = fista(prob, z, counter=counter, **dict(dict(budget=10_000), **kwargs))
+        assert (res.aborted, res.exhausted) == (aborted, exhausted)
+        assert len(res.f_history) == len(res.g_history) == res.n + 1 == counter.count
+        assert res.g_history[0] == composite_gradient_map(prob, z).g_dual_norm
+
     def test_k_min_respected(self):
         prob = ill_conditioned_quadratic()
         always = lambda *step: True
@@ -166,15 +183,14 @@ class TestFistaBasics:
         assert res.aborted
         assert res.n == 0
         assert counter.count == 1
-        assert res.init_g_dual_norm <= 1e-9
+        assert res.g_history == [res.g_history[0]] and res.g_history[0] <= 1e-9
         assert res.x[0] == pytest.approx(2.0)
 
     def test_abort_mid_run_records_qualifying_norm(self):
         prob = ill_conditioned_quadratic(cond=5.0)
         res = fista(prob, np.array([4.0, 4.0]), abort_tol=1e-6, budget=10_000)
         assert res.aborted
-        assert res.last_g_dual_norm <= 1e-6
-        assert res.g_norms[-1] == res.last_g_dual_norm
+        assert res.g_history[-1] <= 1e-6
 
     def test_budget_zero_returns_start(self):
         prob = ill_conditioned_quadratic()
@@ -226,8 +242,8 @@ class TestFistaConvergence:
         for lp, f_star, x_star, res in traced_instances:
             x0 = composite_gradient_map(lp.problem, np.zeros(30)).y_plus
             dist = lp.metric.norm(x0 - x_star)
-            for i, g_val in enumerate(res.g_norms):
-                # g_norms[i] was evaluated at y_i (iteration i + 1).
+            for i, g_val in enumerate(res.g_history[1:]):
+                # g_history[i + 1] was evaluated at y_i (iteration i + 1).
                 bound = 4.0 * dist / (i + 2)
                 assert g_val <= bound * (1 + 1e-8) + 1e-12
 
@@ -471,8 +487,8 @@ def solve_bits(solve, problem, z, **kwargs):
     def bits(v):
         return np.asarray(v, dtype=np.float64).view(np.uint64).tolist()
 
-    return (res.n, res.aborted, res.exhausted, counter.count, bits(res.init_g_dual_norm),
-            bits(res.f_history), bits(res.g_norms), bits(res.x), bits(res.residual))
+    return (res.n, res.aborted, res.exhausted, counter.count, bits(res.f_history),
+            bits(res.g_history), bits(res.x), bits(res.residual))
 
 
 @settings(max_examples=300, deadline=None)

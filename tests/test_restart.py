@@ -124,6 +124,12 @@ class TestRestartRunValidation:
         with pytest.raises(ValueError):
             RestartRun(scheme=Scheme.LCR, epsilon=0.0, r0=np.zeros(2))
 
+    @pytest.mark.parametrize("scheme", ["func", "none", None])
+    def test_scheme_must_be_a_scheme_member(self, scheme):
+        # A scheme name would pass as lcr's exit test without lcr's k_min rule.
+        with pytest.raises(TypeError, match="scheme must be a Scheme"):
+            RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(2))
+
     def test_r0_must_be_a_vector(self):
         with pytest.raises(ValueError, match="r0 must be a 1-D vector"):
             RestartRun(scheme=Scheme.LCR, epsilon=1e-9, r0=np.zeros((2, 2)))
@@ -575,6 +581,26 @@ def test_strict_opt_ends_at_rounding_level_above_f_star(monkeypatch):
     assert trace.final_g_norm <= 1e-9
     assert len(exits) == trace.calls and all(g > 0.0 for g, _ in exits)
     assert sum(f_above for _, f_above in exits) >= 3
+
+
+def test_strict_opt_ends_where_g_never_reaches_zero():
+    # On this l1-plus-box draw strict opt once ran every call until the
+    # budget ran out, with f - f* at 3.55e-15 and ||g||_* between 6e-17 and
+    # 3e-16, so neither a gap on f nor the g = 0 clause could fire.  Every
+    # scheme must end within a small budget in both exit modes.
+    prob = problem_zoo(np.random.default_rng(2134850494))[3]
+    ref = run_scheme(prob, RestartRun(scheme=Scheme.LCR, epsilon=1e-12, r0=np.zeros(prob.dim),
+                                      budget=1_000))
+    assert ref.trace.total_iterations == 64 and not ref.trace.exhausted
+    for early in (True, False):
+        for scheme in Scheme:
+            run = RestartRun(scheme=scheme, epsilon=1e-9, r0=np.zeros(prob.dim),
+                             early_exit=early, budget=1_000,
+                             x_star=ref.r_star if scheme is Scheme.OPTIMAL_VALUE else None)
+            trace = run_scheme(prob, run).trace
+            assert not trace.exhausted and trace.final_g_norm <= 1e-9, (early, scheme)
+            if scheme is Scheme.OPTIMAL_VALUE and not early:
+                assert (trace.total_iterations, trace.calls) == (64, 22)
 
 
 @pytest.mark.parametrize("early", [True, False], ids=["early", "strict"])
