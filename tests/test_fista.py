@@ -110,7 +110,7 @@ class TestFistaBasics:
         prob = ill_conditioned_quadratic(cond=5.0)
         z = np.array([4.0, 4.0])
         counter = ProxCounter()
-        res = fista(prob, z, counter=counter, **dict(dict(budget=10_000), **kwargs))
+        res = fista(prob, z, counter=counter, **{"budget": 10_000, **kwargs})
         assert (res.aborted, res.exhausted) == (aborted, exhausted)
         assert len(res.f_history) == len(res.g_history) == res.n + 1 == counter.count
         assert res.g_history[0] == composite_gradient_map(prob, z).g_dual_norm
