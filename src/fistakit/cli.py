@@ -3,9 +3,11 @@
 Reproduces the scheme-comparison protocol at configurable scale: generate
 a family of randomized instances, compute a high-accuracy reference value
 per instance, run the selected schemes from the zero start, and emit
-iteration statistics plus per-instance convergence traces as CSV.  A
-separate ``verify`` command re-reads the emitted files and checks every
-applicable convergence guarantee against them.
+iteration statistics plus per-instance convergence traces as CSV.  One
+run per output directory: a run first removes every file a run writes
+there and writes ``run_meta.json`` last, so a directory that holds it
+holds one whole run.  A separate ``verify`` command re-reads those files
+and checks every applicable convergence guarantee against them.
 
 Commands::
 
@@ -180,6 +182,10 @@ _FLAG_HELP = {
 # written or on parallelism.
 _UNRECORDED_KEYS = ("out", "jobs")
 
+# Every file of a run beside traces/ (verify writes the last), in the order a run unlinks them.
+_RUN_FILES = ("run_meta.json", "trials.csv", "oracles.csv", "invalid.csv", "stats.csv",
+              "stats.txt", "bound_report.txt")
+
 # The settings each command takes as flags.
 _RUN_KEYS = tuple(key for key, _, _ in _CONFIG_KEYS)
 _GEN_KEYS = tuple(f.name for f in fields(LassoSpec))
@@ -269,8 +275,8 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         return _solve_trial(config, trial)
     except Exception as exc:
         print(f"trial {trial} raised:\n{traceback.format_exc()}", end="", file=sys.stderr)
-        return {"trial": trial, "valid": False, "reason": f"{type(exc).__name__}: {exc}",
-                "schemes": {}, "oracle": None}
+        return {"trial": trial, "reason": f"{type(exc).__name__}: {exc}", "schemes": {},
+                "oracle": None}
 
 
 def _restart_run(settings, scheme: Scheme, x_star: np.ndarray) -> RestartRun:
@@ -282,13 +288,11 @@ def _restart_run(settings, scheme: Scheme, x_star: np.ndarray) -> RestartRun:
 
 def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
     lp = config.instance(trial)
-    summary: dict = {"trial": trial, "valid": True, "reason": "", "schemes": {}, "oracle": None}
+    summary: dict = {"trial": trial, "reason": "", "schemes": {}, "oracle": None}
     try:
         f_star, x_star = oracle_fstar(lp, tight_eps=config.oracle_epsilon, budget=config.budget)
     except OracleError as exc:
-        summary["valid"] = False
-        summary["reason"] = f"oracle: {exc}"
-        return summary
+        return summary | {"reason": f"oracle: {exc}"}
 
     r0 = np.zeros(lp.n)
     x0 = composite_gradient_map(lp.problem, r0).y_plus
@@ -318,14 +322,13 @@ def _solve_trial(config: ExperimentConfig, trial: int) -> dict:
         }
     exhausted = [name for name, row in summary["schemes"].items() if row["exhausted"]]
     if exhausted:
-        summary["valid"] = False
         summary["reason"] = "budget exhausted: " + " ".join(exhausted)
     _write_trial_traces(config.out, trial, results)
     return summary
 
 
 def _aggregate(config: ExperimentConfig, summaries: list[dict]) -> list[SchemeStats]:
-    valid = [s for s in summaries if s["valid"]]
+    valid = [s for s in summaries if not s["reason"]]
     stats = []
     for scheme in config.schemes:
         iters = [s["schemes"][scheme.value]["iterations"] for s in valid]
@@ -370,14 +373,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
     out = config.out
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)
-    for stale in traces.glob("trial_*.csv"):  # a rerun keeps only the traces it writes
-        stale.unlink()
-
-    meta = {key: getattr(config, name) for key, name, _ in _CONFIG_KEYS
-            if key not in _UNRECORDED_KEYS}
-    meta["schemes"] = [s.value for s in config.schemes]
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                       newline="\n")
+    for stale in (*(out / name for name in _RUN_FILES), *traces.glob("trial_*.csv")):
+        stale.unlink(missing_ok=True)
 
     jobs = min(config.jobs, config.trials)
     if jobs > 1:
@@ -397,13 +394,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
                 f"{fmt(o['f_r0'])},{fmt(o['f_x0'])},{fmt(o['x0_dist_r'])},{fmt(o['mu'])}"
                 for s in summaries if (o := s["oracle"]) is not None))
 
-    invalid = [s for s in summaries if not s["valid"]]
+    invalid = [s for s in summaries if s["reason"]]
     if invalid:
         _write_csv(out / "invalid.csv", "trial,reason",
                    (f"{s['trial']},{' '.join(s['reason'].replace(',', ';').split())}"
                     for s in invalid))
-    else:  # a clean rerun into the same directory leaves no stale list
-        (out / "invalid.csv").unlink(missing_ok=True)
 
     stats = _aggregate(config, summaries)
     _write_csv(out / "stats.csv",
@@ -414,6 +409,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[SchemeStats], int]:
                 for st in stats))
     text = _stats_text(stats)
     (out / "stats.txt").write_text(text, newline="\n")
+    meta = {key: getattr(config, name) for key, name, _ in _CONFIG_KEYS
+            if key not in _UNRECORDED_KEYS} | {"schemes": [s.value for s in config.schemes]}
+    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                                       newline="\n")
     print(text, end="")
     for s in invalid:
         print(f"invalid trial {s['trial']}: {s['reason']}", file=sys.stderr)
@@ -646,8 +645,7 @@ def _cmd_run(args) -> int:
         config = build_config(settings | _flag_settings(args, _RUN_KEYS))
         traces = config.out / "traces"  # the run unlinks every trial_*.csv entry there
         _check_out_dir(traces, *(stale.name for stale in traces.glob("trial_*.csv")))
-        _check_out_dir(config.out, "run_meta.json", "trials.csv", "oracles.csv", "invalid.csv",
-                       "stats.csv", "stats.txt")
+        _check_out_dir(config.out, *_RUN_FILES)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

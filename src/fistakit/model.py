@@ -123,10 +123,10 @@ class _SupportProduct:
         """``full`` is the ``csc_matvec`` product of all of ``A`` (see :class:`LeastSquares`)."""
         self._full = full
         self._counts = np.diff(full.args[2])  # stored entries per column
-        self._memo = self._cached(np.zeros(full.args[1], dtype=bool), None)
+        self._memo = self._cached(np.zeros(full.args[1], dtype=bool))
 
-    def _cached(self, mask, missed):
-        return np.flatnonzero(~mask), _restrict(self._full, self._counts, mask), missed
+    def _cached(self, mask):
+        return np.flatnonzero(~mask), _restrict(self._full, self._counts, mask), None
 
     def __call__(self, x, out) -> None:
         outside, sub, missed = self._memo
@@ -135,7 +135,7 @@ class _SupportProduct:
             if missed is None or not np.array_equal(mask, missed):
                 self._memo = (outside, sub, mask)
                 return self._full(x, out)
-            outside, sub, missed = self._memo = self._cached(mask, None)
+            outside, sub, missed = self._memo = self._cached(mask)
         sub(x, out)
 
 

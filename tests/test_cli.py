@@ -197,7 +197,8 @@ class TestConfigHandling:
         ("traces-file", "run-flag"), ("traces-file", "run-config"),
         ("trace.csv", "solve-lcr"), ("restarts.csv", "solve-opt"),
         *((name, "run-flag") for name in ("run_meta.json", "trials.csv", "oracles.csv",
-                                          "invalid.csv", "stats.csv", "stats.txt")),
+                                          "invalid.csv", "stats.csv", "stats.txt",
+                                          "bound_report.txt")),
         ("stats.csv", "run-config"),
         # A stale trace entry that is a directory, whether or not this run writes its name.
         ("traces/trial_0000.csv", "run-flag"), ("traces/trial_0007_restarts.csv", "run-config"),
@@ -563,6 +564,37 @@ class TestInvalidTrials:
             "trial_0000.csv", "trial_0000_restarts.csv",
             "trial_0002.csv", "trial_0002_restarts.csv",
         ]
+
+    @pytest.mark.parametrize("interrupted", ["_solve_trial", "_aggregate"])
+    def test_interrupted_rerun_leaves_no_file_of_the_run_before(self, tmp_path, monkeypatch,
+                                                                interrupted):
+        # A rerun stopped at trial 1, or after its last trial, leaves no file
+        # of the finished run it replaces, and verify finds no run there.
+        out = tmp_path / "out"
+        flags = ["run", "--N", "15", "--n", "22", "--alpha", "0.01", "--sparsity", "0.5",
+                 "--trials", "3", "--eps", "1e-7", "--oracle-eps", "1e-9", "--out", str(out)]
+        assert main(flags + ["--seed", "42"]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert out / "bound_report.txt" in first
+        real = cli._solve_trial
+
+        def stop_at_trial_1(config, trial):
+            if trial == 1:
+                raise KeyboardInterrupt
+            return real(config, trial)
+
+        def stop(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, interrupted,
+                            stop_at_trial_1 if interrupted == "_solve_trial" else stop)
+        with pytest.raises(KeyboardInterrupt):
+            main(flags + ["--seed", "7"])
+        kept = sorted(p.relative_to(out).as_posix() for p, data in first.items()
+                      if p.exists() and p.read_bytes() == data)
+        assert kept == []
+        assert main(["verify", "--out", str(out)]) == 2
 
     def test_exception_in_one_trial_marks_it_invalid(self, tmp_path, monkeypatch, capsys):
         real = cli.run_scheme
