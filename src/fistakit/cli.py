@@ -123,7 +123,7 @@ class SchemeStats:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` document; '#' starts a comment."""
+    """Flat ``key = value`` document; '#' starts a comment and a key may appear once."""
     mapping: dict[str, str] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,8 +132,10 @@ def parse_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in mapping:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeated")
+        mapping[key] = value
     return mapping
 
 
@@ -709,7 +711,7 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         checks, failures = verify_bounds(args.out)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"config error: cannot read run output: {exc}", file=sys.stderr)
         return 2
     report = "\n".join(c.line() for c in checks) + "\n"

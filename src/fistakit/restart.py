@@ -273,77 +273,67 @@ def run_scheme(problem: CompositeProblem, run: RestartRun) -> RestartResult:
 
     The schemes differ only in the exit test of the inner calls (see
     :func:`_exit_test`) and in the ``k_min`` each call gets.  Every call
-    but the lcr scheme's runs with ``k_min = 0``.  The lcr scheme's first
-    call does too; each later call ``j`` runs with ``k_min`` equal to the
-    previous effective count ``n_{j-1}``, and whenever the decrease
-    achieved by call ``j`` exceeds 1/e of the previous call's decrease,
-    the effective count doubles (``n_j = 2 n_{j-1}``), which is what
-    steers the restart period toward the unknown optimal one.  A
-    truncated final call (aborted or out of budget) takes no doubling
-    decision.  Iteration counts actually observed are kept separately from
-    the effective ones so traces stay truthful.
+    but the lcr scheme's runs with ``k_min = 0``.  The lcr scheme reads
+    its schedule from the records: call ``j`` runs with ``k_min`` equal to
+    the previous record's effective count ``n_{j-1}`` (0 for the first
+    call), and a completed call ``j >= 2`` whose decrease ``f(r_{j-1}) -
+    f(r_j)`` exceeds 1/e of the previous call's decrease doubles it
+    (``n_j = 2 n_{j-1}``), which is what steers the restart period toward
+    the unknown optimal one.  A truncated final call (aborted or out of
+    budget) takes no doubling decision.  Iteration counts actually
+    observed are kept separately from the effective ones so traces stay
+    truthful.
 
     In strict mode each completed call is followed by one counted prox at
     the new restart point, which ends the run when it meets the tolerance;
     the lcr scheme checks only from its second call onward, and "none"
     never, since its call ends the run.  One prox per call is reserved
-    inside the budget for the call's initialization.
+    inside the budget for the call's initialization.  The budget ends a
+    run in one place: calls go on while the prox count is below it, and a
+    run that reaches it is flagged exhausted.
     """
     exit_test = _exit_test(problem, run)
     lcr = run.scheme is Scheme.LCR
     counter = ProxCounter()
     abort_tol = run.epsilon if run.early_exit else None
     r = run.r0
-    form = problem.smooth
     r_res = None  # A r - b, carried from call to call
-    trace = RestartTrace(records=[RestartRecord(j=0, n_obs=0, n_eff=0,
-                                                f_r=objective(problem, r))])
-    k_min = 0
-    prev_decrease: float | None = None  # f(r_{j-2}) - f(r_{j-1}), lcr only
-    while True:
-        if counter.count >= run.budget:
-            trace.exhausted = True
-            break
-        j = trace.calls + 1
+    records = [RestartRecord(j=0, n_obs=0, n_eff=0, f_r=objective(problem, r))]
+    trace = RestartTrace(records=records)
+    while counter.count < run.budget:
+        j, prev = len(records), records[-1]
         res = fista(
             problem, r,
-            k_min=k_min,
+            k_min=prev.n_eff if lcr else 0,
             exit_condition=exit_test,
-            budget=max(run.budget - counter.count - 1, 0),
+            budget=run.budget - counter.count - 1,
             abort_tol=abort_tol,
             counter=counter,
             residual=r_res,
         )
-        decrease = trace.records[-1].f_r - res.f_history[-1]
         r, r_res = res.x, res.residual
-        n_eff = res.n
-        if lcr and not (res.aborted or res.exhausted):
-            if prev_decrease is not None and decrease > prev_decrease / math.e:
-                n_eff = 2 * k_min
-            prev_decrease = decrease
-            k_min = n_eff
+        rec = RestartRecord(j=j, n_obs=res.n, n_eff=res.n, f_r=res.f_history[-1])
+        if (lcr and j >= 2 and not (res.aborted or res.exhausted)
+                and prev.f_r - rec.f_r > (records[-2].f_r - prev.f_r) / math.e):
+            rec.n_eff = 2 * prev.n_eff
         # The init prox of this call evaluates g at the previous restart point.
-        trace.records[-1].g_dual_norm = res.g_history[0]
-        rec = RestartRecord(j=j, n_obs=res.n, n_eff=n_eff, f_r=res.f_history[-1])
-        trace.records.append(rec)
+        prev.g_dual_norm = res.g_history[0]
+        records.append(rec)
         trace.f_vals += res.f_history[1:]
         trace.g_norms += res.g_history[1:]
-        if res.exhausted:
-            trace.exhausted = True
-            break
-        if res.aborted or run.scheme is Scheme.NO_RESTART:
+        if res.aborted or (run.scheme is Scheme.NO_RESTART and not res.exhausted):
             trace.final_g_norm = res.g_history[-1]
             break
-        if run.early_exit or (lcr and j == 1):
+        if run.early_exit or (lcr and j == 1) or counter.count >= run.budget:
             continue
-        if counter.count >= run.budget:
-            trace.exhausted = True
-            break
-        check = composite_gradient_map(problem, r, counter, grad=form.grad_at_residual(r_res))
+        check = composite_gradient_map(problem, r, counter,
+                                       grad=problem.smooth.grad_at_residual(r_res))
         trace.outer_checks += 1
         rec.g_dual_norm = check.g_dual_norm
         if check.g_dual_norm <= run.epsilon:
             trace.final_g_norm = check.g_dual_norm
             break
+    else:
+        trace.exhausted = True
     trace.total_prox_calls = counter.count
     return RestartResult(r_star=r, trace=trace)

@@ -86,8 +86,14 @@ class TestConfigHandling:
     @pytest.mark.parametrize("text, message", [
         ("trials 1\n", "expected 'key = value'"),
         ("strict_exit = maybe\n", "not a boolean: 'maybe'"),
-    ], ids=["no-equals", "not-a-boolean"])
-    def test_bad_config_line_is_a_config_error(self, tmp_path, capsys, text, message):
+        ("eps = 1e-7\neps = 1e-3\n", "exp.cfg:2: key 'eps' repeated"),
+    ], ids=["no-equals", "not-a-boolean", "repeated-key"])
+    def test_bad_config_line_is_a_config_error(self, tmp_path, capsys, monkeypatch, text,
+                                               message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"

@@ -875,6 +875,34 @@ class TestScreenedProduct:
         product(ys, np.zeros(n))
         assert tally[2] == 2
 
+    def test_screening_keeps_the_rounding_margin(self, monkeypatch):
+        # The test on d . d stops short of low^2, the square of the least
+        # limit of a held row, by the margin that covers its rounding: a step
+        # inside low but past the margin takes the full product.
+        problem, ys, certs, tally = self.screened_start(monkeypatch)
+        product, N, n = problem._ATr, problem.smooth.A.shape[0], problem.dim
+        r0 = ys[:N]
+        c = np.zeros(n)
+        problem.smooth._ATr(r0, c)
+        gamma, tiny = product._gamma, product._tiny
+        rho = math.sqrt(r0.dot(r0) + tiny) * (1.0 + gamma)
+        delta = (product._cap - abs(c) - rho * product._spread - 2.0 * tiny) / product._den
+        ok = (delta > 0.0) & (ys[N:] == 0.0)
+        v = delta[ok]
+        low = np.partition(v, v.size // 10)[v.size // 10]
+        assert np.array_equal(certs[0][0], np.flatnonzero(ok & (delta >= low)) + N)
+        limit = low * low * (1.0 - 4.0 * gamma) - tiny
+        row = np.argmin(abs(r0))
+        for scale, screened in ((1.0 - 3.0 * gamma, True), (1.0 - gamma, False)):
+            moved = ys.copy()
+            moved[row] += low * scale  # y stays zero on the held rows
+            d = moved[:N] - r0
+            assert (d.dot(d) <= limit) == screened and d.dot(d) < low * low
+            hits = tally[2]
+            product(moved, np.zeros(n))
+            assert tally[2] == hits + screened
+            assert product._memo == (certs[0], 0 if screened else product.WAIT)
+
     def test_divergent_run_raises_at_the_parents_iteration(self, monkeypatch):
         # From x*, with the metric of one active coordinate 20 times too
         # small: the screened product serves steps while the unstable mode

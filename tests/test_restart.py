@@ -212,14 +212,16 @@ class TestRestartFista:
         assert trace.total_prox_calls == trace.total_iterations + trace.calls
 
     def test_budget_exhaustion_flagged(self, desk_lasso):
-        # One init prox per call is reserved inside the budget, in both modes.
-        for early in (True, False):
-            for budget in (1, 2, 50):
-                run = RestartRun(scheme=Scheme.FUNCTION, epsilon=1e-13, r0=np.zeros(40),
-                                 early_exit=early, budget=budget)
-                out = run_scheme(desk_lasso.problem, run)
-                assert out.trace.exhausted
-                assert out.trace.total_prox_calls <= budget
+        # One init prox per call is reserved inside the budget, in both modes,
+        # and a run flagged exhausted has spent all of it.
+        for scheme in (Scheme.FUNCTION, Scheme.NO_RESTART):
+            for early in (True, False):
+                for budget in (1, 2, 50):
+                    run = RestartRun(scheme=scheme, epsilon=1e-13, r0=np.zeros(40),
+                                     early_exit=early, budget=budget)
+                    out = run_scheme(desk_lasso.problem, run)
+                    assert out.trace.exhausted
+                    assert out.trace.total_prox_calls == budget
 
     def test_strict_budget_running_out_before_an_outer_check(self, desk_lasso):
         # A budget that the first call's init prox and iterations use up
@@ -287,19 +289,30 @@ class TestLcrFista:
                 lhs = 0.5 * prev.g_dual_norm**2
                 assert lhs <= (prev.f_r - curr.f_r) + noise * scale
 
-    def test_doubling_semantics(self, desk_lasso):
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40), budget=3_000)
+    @pytest.mark.parametrize("early", [True, False], ids=["early-exit", "strict"])
+    def test_doubling_semantics(self, desk_lasso, early):
+        # A completed call j >= 2 doubles the carried count exactly when its
+        # decrease beats 1/e of the previous call's; every other call carries
+        # its observed count.  Only an early-exit run ends on a truncated call.
+        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40),
+                         early_exit=early, budget=3_000)
         out = run_scheme(desk_lasso.problem, run)
-        recs = [r for r in out.trace.records if r.j >= 1]
-        doubled = 0
-        for prev, curr in zip(recs, recs[1:]):
-            if curr.n_eff != curr.n_obs:
+        assert not out.trace.exhausted
+        recs = out.trace.records
+        completed = recs[:-1] if early else recs
+        doubled = kept = 0
+        for before, prev, curr in zip(completed, completed[1:], completed[2:]):
+            assert curr.n_obs >= prev.n_eff  # completed calls honor the carried minimum
+            if prev.f_r - curr.f_r > (before.f_r - prev.f_r) / math.e:
                 assert curr.n_eff == 2 * prev.n_eff
                 doubled += 1
-            if curr is not recs[-1]:
-                # completed calls honor the carried minimum
-                assert curr.n_obs >= prev.n_eff
-        assert doubled >= 1  # this family does trigger the rule
+            else:
+                assert curr.n_eff == curr.n_obs
+                kept += 1
+        assert recs[1].n_eff == recs[1].n_obs  # no decision at j = 1
+        if early:
+            assert recs[-1].n_eff == recs[-1].n_obs  # nor on the truncated last call
+        assert doubled >= 1 and kept >= 1  # this family takes both branches
 
     def test_observed_counts_nondecreasing_until_final(self, desk_lasso):
         # The final truncated call is allowed to be shorter; every earlier
