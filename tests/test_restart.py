@@ -289,30 +289,30 @@ class TestLcrFista:
                 lhs = 0.5 * prev.g_dual_norm**2
                 assert lhs <= (prev.f_r - curr.f_r) + noise * scale
 
-    @pytest.mark.parametrize("early", [True, False], ids=["early-exit", "strict"])
-    def test_doubling_semantics(self, desk_lasso, early):
+    def test_doubling_semantics(self, desk_lasso):
         # A completed call j >= 2 doubles the carried count exactly when its
         # decrease beats 1/e of the previous call's; every other call carries
         # its observed count.  Only an early-exit run ends on a truncated call.
-        run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40),
-                         early_exit=early, budget=3_000)
-        out = run_scheme(desk_lasso.problem, run)
-        assert not out.trace.exhausted
-        recs = out.trace.records
-        completed = recs[:-1] if early else recs
-        doubled = kept = 0
-        for before, prev, curr in zip(completed, completed[1:], completed[2:]):
-            assert curr.n_obs >= prev.n_eff  # completed calls honor the carried minimum
-            if prev.f_r - curr.f_r > (before.f_r - prev.f_r) / math.e:
-                assert curr.n_eff == 2 * prev.n_eff
-                doubled += 1
-            else:
-                assert curr.n_eff == curr.n_obs
-                kept += 1
-        assert recs[1].n_eff == recs[1].n_obs  # no decision at j = 1
-        if early:
-            assert recs[-1].n_eff == recs[-1].n_obs  # nor on the truncated last call
-        assert doubled >= 1 and kept >= 1  # this family takes both branches
+        for early in (True, False):
+            run = RestartRun(scheme=Scheme.LCR, epsilon=1e-11, r0=np.zeros(40),
+                             early_exit=early, budget=3_000)
+            out = run_scheme(desk_lasso.problem, run)
+            assert not out.trace.exhausted
+            recs = out.trace.records
+            completed = recs[:-1] if early else recs
+            doubled = kept = 0
+            for before, prev, curr in zip(completed, completed[1:], completed[2:]):
+                assert curr.n_obs >= prev.n_eff  # completed calls honor the carried minimum
+                if prev.f_r - curr.f_r > (before.f_r - prev.f_r) / math.e:
+                    assert curr.n_eff == 2 * prev.n_eff
+                    doubled += 1
+                else:
+                    assert curr.n_eff == curr.n_obs
+                    kept += 1
+            assert recs[1].n_eff == recs[1].n_obs  # no decision at j = 1
+            if early:
+                assert recs[-1].n_eff == recs[-1].n_obs  # nor on the truncated last call
+            assert doubled >= 1 and kept >= 1  # this family takes both branches
 
     def test_observed_counts_nondecreasing_until_final(self, desk_lasso):
         # The final truncated call is allowed to be shorter; every earlier
